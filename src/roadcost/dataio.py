@@ -15,6 +15,8 @@ problems; writers are deterministic for identical inputs.
 from __future__ import annotations
 
 import csv
+import math
+import re
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -25,20 +27,27 @@ from .graph import DAY_CLASSES, CostVector, RoadGraph, TagSchedule
 from .trips import LinkRecord, Trip, TripSet
 
 _FLOAT_FMT = "%.12g"
+# unsigned decimal fields; 24:00 and 24:00:00 (end of day) pass the range checks
+_HHMM = re.compile(r"(\d+):([0-5]\d)", re.ASCII)
+_HHMMSS = re.compile(r"(\d+):([0-5]\d):([0-5]\d)", re.ASCII)
 
 
 def parse_hhmm(text: str) -> float:
-    hours, minutes = text.strip().split(":")
-    value = int(hours) * 60 + int(minutes)
-    if not 0 <= value <= 1440:
+    match = _HHMM.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"time {text!r} is not hh:mm with minutes 00-59")
+    value = int(match[1]) * 60 + int(match[2])
+    if value > 1440:
         raise ValueError(f"time {text!r} outside the day")
     return float(value)
 
 
 def parse_hhmmss(text: str) -> float:
-    hours, minutes, seconds = text.strip().split(":")
-    total = int(hours) * 3600 + int(minutes) * 60 + int(seconds)
-    if not 0 <= total <= 86_400:
+    match = _HHMMSS.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"time {text!r} is not hh:mm:ss with minutes and seconds 00-59")
+    total = int(match[1]) * 3600 + int(match[2]) * 60 + int(match[3])
+    if total > 86_400:
         raise ValueError(f"time {text!r} outside the day")
     return total / 60.0
 
@@ -128,11 +137,11 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
         except ValueError:
             problems.append(f"{path}:{lineno}: unparseable number")
             continue
-        if length <= 0:
-            problems.append(f"{path}:{lineno}: non-positive length {length}")
+        if not 0 < length < math.inf:
+            problems.append(f"{path}:{lineno}: length {length_text!r} not positive and finite")
             continue
-        if limit is not None and limit <= 0:
-            problems.append(f"{path}:{lineno}: non-positive speed limit {limit}")
+        if limit is not None and not 0 < limit < math.inf:
+            problems.append(f"{path}:{lineno}: speed limit {limit_text!r} not positive and finite")
             continue
         if tail == head:
             problems.append(f"{path}:{lineno}: self-loop edge {edge_id!r}")
@@ -186,8 +195,8 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
         except ValueError:
             problems.append(f"{costs_path}:{lineno}: unparseable cost {cost_text!r}")
             continue
-        if cost < 0:
-            problems.append(f"{costs_path}:{lineno}: negative cost {cost}")
+        if not 0 <= cost < math.inf:
+            problems.append(f"{costs_path}:{lineno}: cost {cost_text!r} negative or not finite")
             continue
         if trip_id in costs:
             problems.append(f"{costs_path}:{lineno}: duplicate trip id {trip_id!r}")

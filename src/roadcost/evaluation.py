@@ -20,14 +20,12 @@ from .solver import (
     laplacian,
     solve_weights,
 )
-from .trips import Trip, TripSet, partition_by_tag, split_trips, trip_cost
+from .trips import Trip, TripSet, partition_by_tag, split_trips, trip_cost, trip_costs
 
 
 def ssl(trips: TripSet, graph: RoadGraph, costs: CostVector) -> float:
     """Sum of squared loss between actual and estimated trip costs."""
-    return float(
-        sum((t.cost - trip_cost(t, graph, costs)) ** 2 for t in trips)
-    )
+    return float(np.sum((trips.costs() - trip_costs(trips, graph, costs)) ** 2))
 
 
 def alr(trip: Trip, graph: RoadGraph, costs: CostVector) -> float:
@@ -44,7 +42,10 @@ def alr_curve(
     thresholds_pct: Sequence[int] = range(1, 101),
 ) -> list[tuple[int, float]]:
     """Fraction of trips whose loss ratio stays within each percent threshold."""
-    ratios = np.array([alr(t, graph, costs) for t in trips])
+    actual = trips.costs()
+    if np.any(actual <= 0):
+        raise ValueError("absolute loss ratio needs a positive actual cost")
+    ratios = np.abs(trip_costs(trips, graph, costs) - actual) / actual
     return [
         (int(pct), float(np.mean(ratios <= pct / 100.0)) if len(ratios) else 0.0)
         for pct in thresholds_pct

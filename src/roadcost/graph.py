@@ -9,7 +9,8 @@ cost vector laid out tag-block by tag-block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -284,16 +285,10 @@ class DualGraph:
     shared_vertex: np.ndarray
     out_indptr: np.ndarray
     reverse_mask: np.ndarray
-    _edge_pos: dict = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         for name in ("edge_src", "edge_dst", "shared_vertex", "out_indptr", "reverse_mask"):
             _freeze(getattr(self, name))
-        lookup = {
-            (int(u), int(v)): k
-            for k, (u, v) in enumerate(zip(self.edge_src, self.edge_dst))
-        }
-        self._edge_pos.update(lookup)
 
     @property
     def n_vertices(self) -> int:
@@ -311,12 +306,17 @@ class DualGraph:
         """Primal vertex shared by the two segments a dual edge connects."""
         return int(self.shared_vertex[dual_edge])
 
-    def dual_edge_index(self, u: int, v: int) -> Optional[int]:
-        return self._edge_pos.get((u, v))
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """``src * n_vertices + dst`` of every dual edge, ascending like the edges."""
+        return _freeze(self.edge_src * self.n_vertices + self.edge_dst)
 
-    def out_slice(self, u: int) -> slice:
-        """Dual-edge index range leaving dual vertex u (edges sorted by source)."""
-        return slice(int(self.out_indptr[u]), int(self.out_indptr[u + 1]))
+    def dual_edge_index(self, u: int, v: int) -> Optional[int]:
+        if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+            return None
+        key = u * self.n_vertices + v
+        k = int(np.searchsorted(self.edge_keys, key))
+        return k if k < self.n_edges and self.edge_keys[k] == key else None
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)

@@ -105,17 +105,16 @@ def dual_weights(dual: DualGraph, trips_k: TripSet, tag: int = 0) -> TransitionM
     junction twice contributes twice.
     """
     n = dual.n_vertices
-    counts = np.zeros(dual.n_edges)
-    for trip in trips_k:
-        for prev, cur in zip(trip.records, trip.records[1:]):
-            k = dual.dual_edge_index(prev.edge, cur.edge)
-            if k is not None:
-                counts[k] += 1.0
+    table = trips_k.table
+    same_trip = table.trip[1:] == table.trip[:-1]
+    pairs = table.edge[:-1][same_trip] * n + table.edge[1:][same_trip]
+    pairs = pairs[np.isin(pairs, dual.edge_keys)]
+    counts = np.bincount(np.searchsorted(dual.edge_keys, pairs), minlength=dual.n_edges)
 
     out_deg = dual.out_degrees()
     row_totals = np.bincount(dual.edge_src, weights=counts, minlength=n)
-    denom = (row_totals + out_deg)[dual.edge_src] if dual.n_edges else np.zeros(0)
-    probs = (counts + 1.0) / denom if dual.n_edges else counts
+    denom = (row_totals + out_deg)[dual.edge_src]
+    probs = (counts + 1.0) / denom
 
     matrix = sp.csr_matrix(
         (probs, dual.edge_dst, dual.out_indptr), shape=(n, n)

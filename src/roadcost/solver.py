@@ -23,38 +23,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError
-from .graph import RoadGraph
 from .pagerank import PageRankVector, TransitionMatrix
-from .trips import TripSet, record_tag_weights
+from .trips import build_q  # noqa: F401  (public path: roadcost.solver.build_q)
 
 DEFAULT_CG_TOL = 1e-8
 EXACT_SIMILARITY_LIMIT = 2000
-
-
-def build_q(trips: TripSet, graph: RoadGraph) -> sp.csr_matrix:
-    """Design matrix Q (n_entries x n_trips); column k encodes trip k.
-
-    The (edge, tag) entry of a column is edge length times the record's tag
-    overlap weight, accumulated over every traversal the trip makes, so that
-    (Q^T d)[k] equals the trip-cost model applied to trip k.
-    """
-    schedule = graph.tag_schedule
-    ne = graph.n_edges
-    rows, cols, data = [], [], []
-    for k, trip in enumerate(trips):
-        acc: dict[int, float] = {}
-        for rec in trip.records:
-            length = graph.lengths[rec.edge]
-            for tag, weight in record_tag_weights(rec, schedule):
-                pos = tag * ne + rec.edge
-                acc[pos] = acc.get(pos, 0.0) + length * weight
-        for pos, value in acc.items():
-            rows.append(pos)
-            cols.append(k)
-            data.append(value)
-    return sp.csr_matrix(
-        (data, (rows, cols)), shape=(graph.n_entries, len(trips))
-    )
 
 
 def similarity(pr_i: float, pr_j: float) -> float:
@@ -235,14 +208,6 @@ class SystemOperator:
         y += self.gamma * x
         return y
 
-    def diagonal(self) -> np.ndarray:
-        diag = np.asarray(self.q.multiply(self.q).sum(axis=1)).ravel()
-        if self.alpha:
-            diag += self.alpha * self.l_a.diagonal()
-        if self.beta:
-            diag += self.beta * self.l_b.diagonal()
-        return diag + self.gamma
-
 
 @dataclass(frozen=True)
 class SolveInfo:
@@ -260,7 +225,6 @@ def solve_weights(
     gamma: float,
     tol: float = DEFAULT_CG_TOL,
     max_iters: Optional[int] = None,
-    jacobi: bool = False,
 ) -> tuple[np.ndarray, SolveInfo]:
     """Minimize the full objective by conjugate gradient on its normal system.
 
@@ -282,16 +246,10 @@ def solve_weights(
     if b_norm == 0.0:
         return np.zeros(n), SolveInfo(iterations=0, residual=0.0)
 
-    precond = None
-    if jacobi:
-        inv_diag = 1.0 / op.diagonal()
-        precond = lambda r: inv_diag * r
-
     x = np.zeros(n)
     r = b.copy()
-    z = precond(r) if precond else r
-    p = z.copy()
-    rz = float(r @ z)
+    p = r.copy()
+    rr = float(r @ r)
     iterations = 0
     res_norm = b_norm
     while iterations < max_iters:
@@ -303,7 +261,7 @@ def solve_weights(
                 res_norm / b_norm,
                 iterations,
             )
-        step = rz / p_ap
+        step = rr / p_ap
         x += step * p
         r -= step * ap
         iterations += 1
@@ -315,10 +273,9 @@ def solve_weights(
                 return x, SolveInfo(iterations=iterations, residual=true_norm / b_norm)
             r = true_r  # recurrence drifted; restart from the true residual
             res_norm = true_norm
-        z = precond(r) if precond else r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     raise ConvergenceError(
         "conjugate gradient did not converge", res_norm / b_norm, iterations
     )

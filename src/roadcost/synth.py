@@ -24,7 +24,7 @@ from .graph import (
     RoadGraph,
     TagSchedule,
 )
-from .trips import LinkRecord, Trip, TripSet, trip_cost
+from .trips import LinkRecord, Trip, TripSet, trip_costs
 
 _SECONDS_PER_DAY = 86_400
 
@@ -153,12 +153,12 @@ def _walk_edges(
 
 def _make_trip(
     graph: RoadGraph,
-    truth: CostVector,
     edge_walk: list[int],
     day_class: str,
     noise: float,
     rng: np.random.Generator,
-) -> Trip:
+) -> tuple[tuple[LinkRecord, ...], float]:
+    """Timed records of one walk and the noise factor of its cost."""
     durations = []
     for e in edge_walk:
         speed_kmh = rng.uniform(25.0, 65.0)
@@ -172,17 +172,15 @@ def _make_trip(
             LinkRecord(edge=e, day_class=day_class, enter=t / 60.0, exit=(t + dur) / 60.0)
         )
         t += dur
-    base = trip_cost(Trip(tuple(records), 0.0), graph, truth)
     factor = max(0.05, 1.0 + noise * rng.standard_normal()) if noise else 1.0
-    return Trip(tuple(records), base * factor)
+    return tuple(records), factor
 
 
 def _entry_topup_trips(
     graph: RoadGraph,
-    truth: CostVector,
     noise: float,
     rng: np.random.Generator,
-) -> list[Trip]:
+) -> list[tuple[tuple[LinkRecord, ...], float]]:
     """One single-record trip per (edge, tag) entry.
 
     Walks alone can leave entries collinear (e.g. a boundary-straddling
@@ -206,9 +204,8 @@ def _entry_topup_trips(
         dur = min(1.0, (end - start) / 4.0)
         for edge in range(graph.n_edges):
             record = LinkRecord(edge=edge, day_class=day, enter=mid, exit=mid + dur)
-            base = truth.entry(edge, tag) * graph.lengths[edge]
             factor = max(0.05, 1.0 + noise * rng.standard_normal()) if noise else 1.0
-            trips.append(Trip((record,), base * factor))
+            trips.append(((record,), factor))
     return trips
 
 
@@ -229,7 +226,7 @@ def generate_synthetic(
             np.nonzero(graph.tails == v)[0] for v in range(graph.n_vertices)
         ]
         covered = np.zeros(graph.n_edges, dtype=bool)
-        trips: list[Trip] = []
+        trips: list[tuple[tuple[LinkRecord, ...], float]] = []
         for _ in range(spec.n_trips):
             if spec.coverage is not None and covered.mean() < spec.coverage:
                 start = int(rng.choice(np.nonzero(~covered)[0]))
@@ -237,18 +234,20 @@ def generate_synthetic(
                 start = int(rng.integers(graph.n_edges))
             n = int(rng.integers(spec.trip_len[0], spec.trip_len[1] + 1))
             walk = _walk_edges(graph, successors, start, n, rng)
-            trip = _make_trip(graph, truth, walk, spec.day_class, spec.noise, rng)
+            trips.append(_make_trip(graph, walk, spec.day_class, spec.noise, rng))
             covered[walk] = True
-            trips.append(trip)
         if spec.cover_all_entries:
-            trips.extend(_entry_topup_trips(graph, truth, spec.noise, rng))
+            trips.extend(_entry_topup_trips(graph, spec.noise, rng))
         if (
             spec.n_trips == 0
             or spec.coverage is None
             or covered.mean() >= spec.coverage - 1e-12
             or spec.cover_all_entries
         ):
-            return graph, truth, TripSet(tuple(trips))
+            drafts = TripSet(tuple(Trip(records, 0.0) for records, _ in trips))
+            base = trip_costs(drafts, graph, truth)
+            priced = (Trip(r, float(c * f)) for (r, f), c in zip(trips, base))
+            return graph, truth, TripSet(tuple(priced))
     raise GenerationError(
         f"could not reach edge coverage {spec.coverage:.2f} with "
         f"{spec.n_trips} trips of length {spec.trip_len} (got {covered.mean():.2f})"

@@ -5,16 +5,22 @@ A link record is one traversal of one edge with enter/exit times given as
 one scalar total cost. The cost model splits each record across the tags its
 time span overlaps, proportionally to overlap length, and charges each part
 at the per-meter cost of its (edge, tag) entry.
+
+Q, trip costs and per-tag trip durations are all derived from one columnar
+record table per trip set (``TripSet.table``), split into record x tag parts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import DAY_CLASSES, MINUTES_PER_DAY, CostVector, RoadGraph, TagSchedule
+from .graph import DAY_CLASSES, MINUTES_PER_DAY, CostVector, RoadGraph, TagSchedule, _freeze
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,16 @@ class Trip:
         return self.records[0].day_class
 
 
+class RecordTable(NamedTuple):
+    """Link records as columns; row i is one record, ordered trip by trip."""
+
+    trip: np.ndarray  # index of the record's trip in its TripSet
+    edge: np.ndarray
+    day: np.ndarray  # index into DAY_CLASSES
+    enter: np.ndarray
+    exit: np.ndarray
+
+
 @dataclass(frozen=True)
 class TripSet:
     """A bag of trips that all reference the same road graph."""
@@ -88,11 +104,39 @@ class TripSet:
     def costs(self) -> np.ndarray:
         return np.array([t.cost for t in self.trips], dtype=float)
 
+    @cached_property
+    def table(self) -> RecordTable:
+        """Every link record of the set as read-only columns, in trip order."""
+        records = [rec for trip in self.trips for rec in trip.records]
+        day_index = {day: i for i, day in enumerate(DAY_CLASSES)}
+        columns = (
+            np.repeat(np.arange(len(self.trips)), [len(t.records) for t in self.trips]),
+            np.array([rec.edge for rec in records], dtype=np.int64),
+            np.array([day_index[rec.day_class] for rec in records], dtype=np.int8),
+            np.array([rec.enter for rec in records], dtype=float),
+            np.array([rec.exit for rec in records], dtype=float),
+        )
+        return RecordTable(*(_freeze(column) for column in columns))
+
     def validate_against(self, graph: RoadGraph) -> None:
         for k, trip in enumerate(self.trips):
             for rec in trip.records:
                 if not 0 <= rec.edge < graph.n_edges:
                     raise ValueError(f"trip {k} references unknown edge index {rec.edge}")
+
+
+def _tag_parts(table: RecordTable, schedule: TagSchedule):
+    """(trip, edge, tag, minutes, weight) of every (record, tag) pair of positive
+    overlap, ordered by record, then tag; weight is minutes / record duration."""
+    minutes = np.zeros((len(table.edge), schedule.n_tags))
+    for d, day in enumerate(DAY_CLASSES):
+        for start, end, tag in schedule.day_rules(day):
+            overlap = np.minimum(table.exit, end) - np.maximum(table.enter, start)
+            minutes[:, tag] += np.where((table.day == d) & (overlap > 0), overlap, 0.0)
+    rec, tag = np.nonzero(minutes)
+    minutes = minutes[rec, tag]
+    weight = minutes / (table.exit[rec] - table.enter[rec])
+    return table.trip[rec], table.edge[rec], tag, minutes, weight
 
 
 def record_tag_weights(record: LinkRecord, schedule: TagSchedule) -> list[tuple[int, float]]:
@@ -102,42 +146,45 @@ def record_tag_weights(record: LinkRecord, schedule: TagSchedule) -> list[tuple[
     that tag's intervals, divided by the record duration; the weights over
     all tags sum to 1 because the intervals partition the day.
     """
-    duration = record.exit - record.enter
-    if duration <= 0:
-        raise ValueError("zero-duration link record")
-    acc: dict[int, float] = {}
-    for start, end, tag in schedule.day_rules(record.day_class):
-        overlap = min(record.exit, end) - max(record.enter, start)
-        if overlap > 0:
-            acc[tag] = acc.get(tag, 0.0) + overlap
-    return [(tag, total / duration) for tag, total in sorted(acc.items())]
+    _, _, tags, _, weights = _tag_parts(TripSet((Trip((record,), 0.0),)).table, schedule)
+    return [(int(tag), float(weight)) for tag, weight in zip(tags, weights)]
 
 
 def tag_weight(record: LinkRecord, tag_index: int, schedule: TagSchedule) -> float:
     """Fraction of the record's time span spent inside one tag's intervals."""
-    for tag, weight in record_tag_weights(record, schedule):
-        if tag == tag_index:
-            return weight
-    return 0.0
+    return dict(record_tag_weights(record, schedule)).get(tag_index, 0.0)
 
 
-def trip_cost(trip: Trip, graph: RoadGraph, costs: CostVector) -> float:
-    """Estimated trip cost under a cost vector: sum over records and tags of
-    overlap weight x per-meter cost x edge length."""
+def build_q(trips: TripSet, graph: RoadGraph) -> sp.csr_matrix:
+    """Design matrix Q (n_entries x n_trips); column k encodes trip k.
+
+    The (edge, tag) entry of a column is edge length times the record's tag
+    overlap weight, accumulated over every traversal the trip makes, so that
+    (Q^T d)[k] equals the trip-cost model applied to trip k.
+    """
+    trip, edge, tag, _, weight = _tag_parts(trips.table, graph.tag_schedule)
+    return sp.csr_matrix(
+        (graph.lengths[edge] * weight, (tag * graph.n_edges + edge, trip)),
+        shape=(graph.n_entries, len(trips)),
+    )
+
+
+def trip_costs(trips: TripSet, graph: RoadGraph, costs: CostVector) -> np.ndarray:
+    """Estimated cost of every trip, Q^T d, summed part by part in record order."""
     if not costs.matches(graph):
         raise ValueError(
             f"cost vector dimensions ({costs.n_edges} edges, {costs.n_tags} tags) "
             f"do not match graph ({graph.n_edges}, {graph.n_tags})"
         )
-    schedule = graph.tag_schedule
-    values = costs.values
-    ne = graph.n_edges
-    total = 0.0
-    for rec in trip.records:
-        length = graph.lengths[rec.edge]
-        for tag, weight in record_tag_weights(rec, schedule):
-            total += weight * values[tag * ne + rec.edge] * length
-    return total
+    trip, edge, tag, _, weight = _tag_parts(trips.table, graph.tag_schedule)
+    charged = weight * costs.values[tag * graph.n_edges + edge] * graph.lengths[edge]
+    return np.bincount(trip, weights=charged, minlength=len(trips))
+
+
+def trip_cost(trip: Trip, graph: RoadGraph, costs: CostVector) -> float:
+    """Estimated trip cost under a cost vector: sum over records and tags of
+    overlap weight x per-meter cost x edge length."""
+    return float(trip_costs(TripSet((trip,)), graph, costs)[0])
 
 
 def partition_by_tag(trips: TripSet, schedule: TagSchedule) -> list[TripSet]:
@@ -147,14 +194,14 @@ def partition_by_tag(trips: TripSet, schedule: TagSchedule) -> list[TripSet]:
     duration; ties break toward the lower tag index, so every trip lands in
     exactly one partition.
     """
-    buckets: list[list[Trip]] = [[] for _ in range(schedule.n_tags)]
-    for trip in trips:
-        per_tag = np.zeros(schedule.n_tags)
-        for rec in trip.records:
-            for tag, weight in record_tag_weights(rec, schedule):
-                per_tag[tag] += weight * rec.duration
-        buckets[int(np.argmax(per_tag))].append(trip)
-    return [TripSet(tuple(b)) for b in buckets]
+    trip, _, tag, minutes, _ = _tag_parts(trips.table, schedule)
+    per_tag = np.zeros((len(trips), schedule.n_tags))
+    np.add.at(per_tag, (trip, tag), minutes)
+    labels = per_tag.argmax(axis=1)
+    return [
+        TripSet(tuple(t for t, label in zip(trips, labels) if label == k))
+        for k in range(schedule.n_tags)
+    ]
 
 
 def split_trips(trips: TripSet, train_fraction: float, seed: int) -> tuple[TripSet, TripSet]:

@@ -158,6 +158,20 @@ def test_invalid_input_exits_2_and_writes_stderr_only(tmp_path, capsys):
     assert "self-loop" in captured.err
 
 
+def test_non_finite_cost_exits_2(tmp_path, capsys):
+    data = _synth(tmp_path)
+    costs = data / "costs.csv"
+    lines = costs.read_text().splitlines()
+    lines[1] = lines[1].split(",")[0] + ",nan"
+    costs.write_text("\n".join(lines) + "\n")
+    code = main(
+        ["annotate", *_dataset_args(data), "--out", str(tmp_path / "w.csv"),
+         "--report", str(tmp_path / "report.json")]
+    )
+    assert code == 2
+    assert f"{costs}:2: cost 'nan' negative or not finite" in capsys.readouterr().err
+
+
 def test_missing_file_exits_4(tmp_path):
     code = main(
         ["pagerank-stats", "--network", str(tmp_path / "none.csv"),

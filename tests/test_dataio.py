@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roadcost.dataio import (
     format_hhmm,
@@ -25,9 +27,54 @@ from roadcost.synth import SyntheticSpec, generate_synthetic
 def test_time_parsing_round_trip():
     assert parse_hhmm("7:00") == 420.0
     assert parse_hhmm("24:00") == 1440.0
+    assert parse_hhmmss("24:00:00") == 1440.0
     assert format_hhmm(420.0) == "07:00"
     assert parse_hhmmss("07:30:15") == pytest.approx(450.25)
     assert format_hhmmss(450.25) == "07:30:15"
+
+
+@given(st.integers(0, 1440))
+def test_hhmm_round_trip(minute):
+    assert parse_hhmm(format_hhmm(float(minute))) == minute
+
+
+@given(st.integers(0, 86_400))
+def test_hhmmss_round_trip(second):
+    assert parse_hhmmss(format_hhmmss(second / 60.0)) == second / 60.0
+
+
+@given(st.integers(0, 23), st.integers(60, 99))
+def test_hhmm_minute_field_above_59_rejected(hours, minutes):
+    with pytest.raises(ValueError, match="minutes 00-59"):
+        parse_hhmm(f"{hours:02d}:{minutes:02d}")
+
+
+@given(st.integers(0, 23), st.integers(0, 99), st.integers(0, 99))
+def test_hhmmss_minute_and_second_fields(hours, minutes, seconds):
+    text = f"{hours:02d}:{minutes:02d}:{seconds:02d}"
+    if minutes > 59 or seconds > 59:
+        with pytest.raises(ValueError, match="seconds 00-59"):
+            parse_hhmmss(text)
+    else:
+        assert parse_hhmmss(text) == (hours * 3600 + minutes * 60 + seconds) / 60.0
+
+
+@given(st.lists(st.integers(-99, 99), min_size=2, max_size=3).filter(lambda f: min(f) < 0))
+def test_negative_fields_rejected(fields):
+    text = ":".join(str(f) for f in fields)
+    with pytest.raises(ValueError, match="is not hh:mm"):
+        (parse_hhmm if len(fields) == 2 else parse_hhmmss)(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_hhmmss, "00:00:99"), (parse_hhmmss, "00:75:00"), (parse_hhmm, "07:60"),
+     (parse_hhmm, "24:01"), (parse_hhmmss, "24:00:01"), (parse_hhmm, "7"),
+     (parse_hhmmss, "07:00"), (parse_hhmm, "+7:00"), (parse_hhmm, "07:")],
+)
+def test_bad_times_rejected(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
 
 
 def test_fractional_minute_schedule_rejected_on_save(tmp_path):
@@ -113,6 +160,24 @@ class TestNetworkIO:
         assert len(err.value.problems) == 3
         assert any(":2:" in p for p in err.value.problems)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_length_rejected(self, tmp_path, two_tag_schedule, value):
+        path = tmp_path / "network.csv"
+        path.write_text(f"edge_id,tail,head,length_m,speed_limit_kmh\ne0,A,B,{value},50\n")
+        with pytest.raises(LoadError) as err:
+            load_network(path, two_tag_schedule)
+        assert err.value.code == "malformed-row"
+        assert err.value.problems == [f"{path}:2: length {value!r} not positive and finite"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_speed_limit_rejected(self, tmp_path, two_tag_schedule, value):
+        path = tmp_path / "network.csv"
+        path.write_text(f"edge_id,tail,head,length_m,speed_limit_kmh\ne0,A,B,10,{value}\n")
+        with pytest.raises(LoadError) as err:
+            load_network(path, two_tag_schedule)
+        assert err.value.code == "malformed-row"
+        assert err.value.problems == [f"{path}:2: speed limit {value!r} not positive and finite"]
+
     def test_wrong_header(self, tmp_path, two_tag_schedule):
         path = tmp_path / "network.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -161,6 +226,18 @@ class TestTripsIO:
         with pytest.raises(LoadError) as err:
             load_trips(tmp_path / "trips.csv", tmp_path / "costs.csv", graph)
         assert err.value.code == "missing-cost"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_cost_rejected(self, tmp_path, synth_dataset, value):
+        graph, _, trips = synth_dataset
+        save_trips(trips, graph, tmp_path / "trips.csv", tmp_path / "costs.csv")
+        lines = (tmp_path / "costs.csv").read_text().splitlines()
+        lines[2] = lines[2].split(",")[0] + "," + value
+        (tmp_path / "costs.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError) as err:
+            load_trips(tmp_path / "trips.csv", tmp_path / "costs.csv", graph)
+        assert err.value.code == "malformed-row"
+        assert err.value.problems == [f"{tmp_path / 'costs.csv'}:3: cost {value!r} negative or not finite"]
 
     def test_non_monotone_trip(self, tmp_path, synth_dataset):
         graph, _, _ = synth_dataset

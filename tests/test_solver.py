@@ -354,14 +354,6 @@ class TestSolve:
             expected = np.linalg.solve(dense, q @ c)
             assert np.linalg.norm(d - expected) <= 1e-7 * np.linalg.norm(expected)
 
-    def test_jacobi_preconditioner_agrees(self):
-        rng = np.random.default_rng(11)
-        q = sp.csr_matrix(rng.uniform(0, 2, (20, 10)) * (rng.random((20, 10)) < 0.4))
-        c = rng.uniform(0, 1, 10)
-        plain, _ = solve_weights(q, c, None, None, 0.0, 0.0, 0.05, tol=1e-12)
-        pre, _ = solve_weights(q, c, None, None, 0.0, 0.0, 0.05, tol=1e-12, jacobi=True)
-        np.testing.assert_allclose(plain, pre, rtol=1e-8, atol=1e-12)
-
     def test_non_convergence_raises(self):
         rng = np.random.default_rng(2)
         q = sp.csr_matrix(rng.uniform(0, 1, (10, 6)))
