@@ -46,7 +46,7 @@ file formats (CSV, UTF-8, header row required):
   weights:  edge_id,tag,cost_per_meter,annotated_flag
 config file: key=value lines (alpha, beta, gamma, similarity_threshold,
   similarity_method, highway_cutoff_kmh, cg_tol, cg_max_iters, pr_tol,
-  pr_max_iters, seed, variant); command-line flags override file values.
+  seed, variant); command-line flags override file values.
 """
 
 
@@ -72,7 +72,6 @@ def _add_config_args(parser: argparse.ArgumentParser):
     parser.add_argument("--cg-tol", type=float, dest="cg_tol")
     parser.add_argument("--cg-max-iters", type=int, dest="cg_max_iters")
     parser.add_argument("--pr-tol", type=float, dest="pr_tol")
-    parser.add_argument("--pr-max-iters", type=int, dest="pr_max_iters")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--variant", choices=sorted(VARIANTS))
 
@@ -85,8 +84,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         name: getattr(args, name)
         for name in (
             "alpha", "beta", "gamma", "similarity_threshold", "similarity_method",
-            "highway_cutoff_kmh", "cg_tol", "cg_max_iters", "pr_tol",
-            "pr_max_iters", "seed", "variant",
+            "highway_cutoff_kmh", "cg_tol", "cg_max_iters", "pr_tol", "seed",
+            "variant",
         )
         if getattr(args, name, None) is not None
     }
@@ -232,7 +231,7 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
 
     tag_names = graph.tag_schedule.tags
     tag = tag_names.index(args.tag) if args.tag else 0
-    pr = pagerank(transitions[tag], tol=config.pr_tol, max_iters=config.pr_max_iters)
+    pr = pagerank(transitions[tag], tol=config.pr_tol)
     percentages, _ = pagerank_stats(pr)
     _write_csv(
         out / "pagerank_buckets.csv",

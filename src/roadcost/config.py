@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .pagerank import DEFAULT_MAX_ITERS, DEFAULT_TOL
+from .pagerank import DEFAULT_TOL
 from .solver import DEFAULT_CG_TOL
 
 # Objective variants: which penalty terms participate besides the misfit
@@ -38,7 +38,6 @@ class RunConfig:
     cg_tol: float = DEFAULT_CG_TOL
     cg_max_iters: int = 0  # 0 = 10x number of unknowns
     pr_tol: float = DEFAULT_TOL
-    pr_max_iters: int = DEFAULT_MAX_ITERS
     seed: int = 0
     variant: str = "F4"
 
@@ -64,7 +63,7 @@ _FLOAT_FIELDS = {
     "alpha", "beta", "gamma", "similarity_threshold", "highway_cutoff_kmh",
     "cg_tol", "pr_tol",
 }
-_INT_FIELDS = {"cg_max_iters", "pr_max_iters", "seed"}
+_INT_FIELDS = {"cg_max_iters", "seed"}
 
 
 def parse_config_file(path: str | Path, base: RunConfig | None = None) -> RunConfig:

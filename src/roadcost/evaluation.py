@@ -125,10 +125,7 @@ def build_constraints(
     """Assemble every matrix the variant solves share for one training set."""
     partitions = partition_by_tag(train, graph.tag_schedule)
     transitions = transition_matrices(dual, partitions)
-    prs = [
-        pagerank(tm, tol=config.pr_tol, max_iters=config.pr_max_iters)
-        for tm in transitions
-    ]
+    prs = [pagerank(tm, tol=config.pr_tol) for tm in transitions]
     a = build_a(prs, config.similarity_threshold, method=config.similarity_method)
     b = build_b(transitions, dual, graph.is_highway(config.highway_cutoff_kmh))
     q = build_q(train, graph)
@@ -177,8 +174,17 @@ def run_comparison(
 
     All variants share the same constraint matrices and training data; only
     the (alpha, beta) coefficients differ, so SSL ratios isolate the effect
-    of each penalty term. The loss-ratio curve reports the last variant.
+    of each penalty term. The loss-ratio curve reports the last variant, so
+    every test trip needs a positive cost; that is checked before any fit.
     """
+    zero_cost = np.flatnonzero(test.costs() <= 0)
+    if len(zero_cost):
+        first = test[int(zero_cost[0])].records[0]
+        raise ValueError(
+            f"{len(zero_cost)} test trip(s) have cost 0, but the absolute loss ratio "
+            f"needs a positive actual cost; first: test trip {zero_cost[0]}, starting on "
+            f"edge {graph.edge_ids[first.edge]!r} on a {first.day_class} at minute {first.enter:g}"
+        )
     matrices = build_constraints(train, graph, dual, config)
     train_costs = train.costs()
 

@@ -6,17 +6,25 @@ from segment u into segment v is (count(u, v) + 1) / (count(u, *) + out(u)),
 where counts come from consecutive edge pairs observed in trips. A vertex
 with no trips therefore falls back to the uniform 1/out(u) of the unweighted
 random walk.
+
+With damping 1, power iteration on a grid-like dual needs on the order of
+diameter^2 steps. The stationary vector is instead solved exactly, one sparse
+LU factorization per closed class of the chain: pinning one unknown to 1 and
+dropping its equation turns the singular (I - P^T) v = 0 into a regular
+system (Stewart, Introduction to the Numerical Solution of Markov Chains,
+1994, ch. 2-3).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError
 from .graph import DualGraph
@@ -25,9 +33,6 @@ from .trips import TripSet
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-10
-# grid-like duals mix slowly (spectral gap ~ 1/diameter^2); 1e-10 on a
-# 100k-segment network needs a few tens of thousands of iterations
-DEFAULT_MAX_ITERS = 100_000
 
 
 @dataclass
@@ -44,7 +49,6 @@ class TransitionMatrix:
     matrix: sp.csr_matrix
     dangling: np.ndarray
     edge_probs: Optional[np.ndarray] = None  # aligned with the dual edge list
-    _mt: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.matrix.shape[0]
@@ -52,7 +56,6 @@ class TransitionMatrix:
             raise ValueError("transition matrix must be square")
         if self.dangling.shape != (n,):
             raise ValueError("dangling mask must have one flag per dual vertex")
-        self._mt = self.matrix.T.tocsr()
 
     @property
     def n(self) -> int:
@@ -70,7 +73,7 @@ class TransitionMatrix:
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         """Return M^T v including the implicit uniform dead-end rows."""
-        out = self._mt @ v
+        out = self.matrix.T @ v
         if self.dangling.any():
             out = out + v[self.dangling].sum() / self.n
         return out
@@ -89,7 +92,11 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class PageRankVector:
-    """Stationary distribution over dual vertices for one tag."""
+    """Stationary distribution over dual vertices for one tag.
+
+    ``iterations`` counts refinement steps after the direct solve;
+    ``residual`` is ||M^T v - v||_1.
+    """
 
     tag: int
     values: np.ndarray
@@ -129,126 +136,101 @@ def transition_matrices(dual: DualGraph, partitions: Sequence[TripSet]) -> list[
     return [dual_weights(dual, trips_k, tag=k) for k, trips_k in enumerate(partitions)]
 
 
-def _power_iteration(
-    apply_t, n: int, tol: float, max_iters: int
-) -> tuple[np.ndarray, int, float]:
-    """Iterate v <- M^T v from uniform until ||M^T v - v||_1 <= tol.
-
-    When the residual stops decreasing for 10 consecutive iterations
-    (periodic chains oscillate), switches to averaged updates
-    v <- (v + M^T v) / 2, which keeps the same stationary distribution.
-    """
-    v = np.full(n, 1.0 / n)
-    history: list[float] = []
-    averaging = False
-    for it in range(max_iters):
-        w = apply_t(v)
-        residual = float(np.abs(w - v).sum())
-        if residual <= tol:
-            return v, it, residual
-        s = w.sum()
-        if s <= 0:
-            raise ConvergenceError("mass vanished during power iteration", np.inf, it)
-        w = w / s
-        history.append(residual)
-        if not averaging and len(history) >= 11:
-            recent = history[-11:]
-            if all(b >= a for a, b in zip(recent, recent[1:])):
-                averaging = True
-                logger.debug("power iteration oscillating; switching to averaged updates")
-        v = 0.5 * (v + w) if averaging else w
-    raise ConvergenceError(
-        "power iteration did not converge",
-        history[-1] if history else float("inf"),
-        max_iters,
-    )
-
-
-def _closed_classes(m: TransitionMatrix) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Strongly connected components of the repaired chain and the closed ones.
+def _closed_classes(m: TransitionMatrix) -> list[np.ndarray]:
+    """Members of each closed class of the repaired chain.
 
     A dead-end row reaches every vertex, so it is modeled with one virtual
-    relay vertex instead of n explicit edges. A component is closed when no
-    probability leaves it.
+    relay vertex instead of n explicit edges. A class is closed when no
+    probability leaves it; a class holding a dead end is closed only when it
+    is the whole chain.
     """
     n = m.n
     coo = m.matrix.tocoo()
-    rows, cols = list(coo.row), list(coo.col)
-    dangling_idx = np.nonzero(m.dangling)[0]
+    rows, cols = coo.row, coo.col
+    dangling_idx = np.flatnonzero(m.dangling)
     if len(dangling_idx):
-        virtual = n
-        rows += list(dangling_idx) + [virtual] * n
-        cols += [virtual] * len(dangling_idx) + list(range(n))
-        size = n + 1
-    else:
-        size = n
-    pattern = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(size, size)
-    )
-    _, labels_full = connected_components(pattern, directed=True, connection="strong")
+        rows = np.concatenate([rows, dangling_idx, np.full(n, n)])
+        cols = np.concatenate([cols, np.full(len(dangling_idx), n), np.arange(n)])
+    size = n + 1 if len(dangling_idx) else n
+    pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
+    n_labels, labels_full = connected_components(pattern, directed=True, connection="strong")
     labels = labels_full[:n]
 
-    open_labels = set()
-    for u, v in zip(coo.row, coo.col):
-        if labels[u] != labels[v]:
-            open_labels.add(labels[u])
-    for u in dangling_idx:
-        members = labels == labels[u]
-        if members.sum() < n:
-            open_labels.add(labels[u])
-    closed = [
-        np.nonzero(labels == lab)[0]
-        for lab in np.unique(labels)
-        if lab not in open_labels
-    ]
-    return labels, closed
+    open_ = np.zeros(n_labels, dtype=bool)
+    src, dst = labels[coo.row], labels[coo.col]
+    open_[src[src != dst]] = True
+    class_size = np.bincount(labels, minlength=n_labels)
+    open_[labels[dangling_idx][class_size[labels[dangling_idx]] < n]] = True
+    return [np.flatnonzero(labels == lab) for lab in np.flatnonzero(~open_)]
 
 
-def pagerank(
-    m: TransitionMatrix,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> PageRankVector:
-    """Stationary distribution of the dual-graph chain by power iteration.
+def _pinned_system(
+    m: TransitionMatrix, members: np.ndarray
+) -> tuple[sp.csc_matrix, np.ndarray, bool]:
+    """(I - P^T) x = 0 on one closed class with one unknown pinned to 1.
+
+    Returns (A, b, relay). A class holding a dead end is the whole chain, and
+    the pinned unknown is its relay vertex: the relay's uniform row enters
+    only b = 1/n, never the factor, and x is the class vector. Otherwise the
+    first member is pinned, its row and column are dropped, and x is the
+    class vector without that member.
+    """
+    sub = m.matrix if len(members) == m.n else m.matrix[members][:, members]
+    a = sp.identity(len(members), format="csc") - sub.T
+    if m.dangling[members].any():
+        return a, np.full(len(members), 1.0 / len(members)), True
+    return a[1:, 1:], sub[0].toarray().ravel()[1:], False
+
+
+def pagerank(m: TransitionMatrix, tol: float = DEFAULT_TOL, max_iters: int = 3) -> PageRankVector:
+    """Stationary distribution of the dual-graph chain by one sparse LU per
+    closed class.
 
     The returned vector v satisfies ||M^T v - v||_1 <= tol and sums to 1.
-    On a reducible chain (disconnected networks) the stationary mass is
-    computed per closed component and combined proportionally to component
-    size; transient vertices get zero and a warning lists them.
+    Each closed class is solved exactly with one unknown pinned, then
+    normalized; when the combined vector misses tol, up to max_iters steps
+    of iterative refinement against the same factors follow
+    (``iterations`` counts them). On a reducible chain (disconnected
+    networks) the class vectors are combined proportionally to class size;
+    transient vertices get zero and a warning lists them. Raises
+    ConvergenceError when tol is still missed or a non-finite value appears.
     """
     n = m.n
     if n == 0:
         raise ValueError("empty transition matrix")
-    labels, closed = _closed_classes(m)
-    if len(closed) == 1 and len(closed[0]) == n:
-        v, iters, residual = _power_iteration(m.apply_transpose, n, tol, max_iters)
-        return PageRankVector(tag=m.tag, values=v, iterations=iters, residual=residual)
-
-    recurrent = np.zeros(n, dtype=bool)
-    for members in closed:
-        recurrent[members] = True
-    transient = np.nonzero(~recurrent)[0]
-    logger.warning(
-        "dual graph is reducible: %d closed component(s), %d unreachable "
-        "(transient) dual vertices %s get zero mass",
-        len(closed),
-        len(transient),
-        transient[:10].tolist(),
-    )
-
+    closed = _closed_classes(m)
     total = sum(len(c) for c in closed)
-    v = np.zeros(n)
-    iters_total = 0
+    if len(closed) > 1 or total < n:
+        transient = np.setdiff1d(np.arange(n), np.concatenate(closed))
+        logger.warning(
+            "dual graph is reducible: %d closed component(s), %d unreachable "
+            "(transient) dual vertices %s get zero mass",
+            len(closed),
+            len(transient),
+            transient[:10].tolist(),
+        )
+
+    systems = []
     for members in closed:
-        scale = len(members) / total
-        sub = m.matrix[members][:, members].tocsr()
-        pi, iters, _ = _power_iteration(lambda x: sub.T @ x, len(members), tol, max_iters)
-        v[members] = scale * pi
-        iters_total += iters
-    residual = float(np.abs(m.apply_transpose(v) - v).sum())
-    if residual > tol:
-        raise ConvergenceError("combined stationary vector misses tolerance", residual, iters_total)
-    return PageRankVector(tag=m.tag, values=v, iterations=iters_total, residual=residual)
+        a, b, relay = _pinned_system(m, members)
+        lu = splu(a, permc_spec="COLAMD", panel_size=1, relax=1)
+        systems.append((members, a, b, relay, lu))
+    xs = [lu.solve(b) for _, _, b, _, lu in systems]
+    steps = 0
+    while True:
+        v = np.zeros(n)
+        for (members, _, _, relay, _), x in zip(systems, xs):
+            full = x if relay else np.concatenate(([1.0], x))
+            v[members] = full * (len(members) / total / full.sum())
+        residual = float(np.abs(m.apply_transpose(v) - v).sum())
+        if not np.isfinite(residual):
+            raise ConvergenceError("stationary solve produced a non-finite value", residual, steps)
+        if residual <= tol:
+            return PageRankVector(tag=m.tag, values=v, iterations=steps, residual=residual)
+        if steps >= max_iters:
+            raise ConvergenceError("stationary solve misses tolerance", residual, steps)
+        xs = [x + lu.solve(b - a @ x) for (_, a, b, _, lu), x in zip(systems, xs)]
+        steps += 1
 
 
 def pagerank_stats(pr: PageRankVector) -> tuple[np.ndarray, float]:

@@ -231,7 +231,8 @@ def solve_weights(
     gamma must be positive: it makes the operator positive definite and the
     minimizer unique. Returns the cost vector and solve statistics; raises
     ConvergenceError when the relative residual does not reach tol within
-    max_iters (default 10x the number of unknowns).
+    max_iters (default 10x the number of unknowns), and at the first
+    non-finite residual.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive for a positive-definite system")
@@ -253,6 +254,12 @@ def solve_weights(
     iterations = 0
     res_norm = b_norm
     while iterations < max_iters:
+        if not np.isfinite(res_norm):
+            raise ConvergenceError(
+                "conjugate gradient hit a non-finite residual (non-finite costs or matrices?)",
+                res_norm / b_norm,
+                iterations,
+            )
         ap = op.apply(p)
         p_ap = float(p @ ap)
         if p_ap <= 0:

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from .graph import DAY_CLASSES, MINUTES_PER_DAY, CostVector, RoadGraph, TagSchedule, _freeze
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkRecord:
     """One traversal of one edge; times are minutes of day, same day class.
 
@@ -50,7 +50,7 @@ class LinkRecord:
         return self.exit - self.enter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trip:
     """Ordered link records plus the trip's total ground-truth cost."""
 

@@ -172,6 +172,22 @@ def test_non_finite_cost_exits_2(tmp_path, capsys):
     assert f"{costs}:2: cost 'nan' negative or not finite" in capsys.readouterr().err
 
 
+def test_zero_cost_test_trip_exits_2_before_fitting(tmp_path, capsys, monkeypatch):
+    data = _synth(tmp_path)
+    costs = data / "costs.csv"
+    lines = costs.read_text().splitlines()
+    lines[1:] = [line.split(",")[0] + ",0" for line in lines[1:]]
+    costs.write_text("\n".join(lines) + "\n")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("solve_weights called")
+
+    monkeypatch.setattr("roadcost.evaluation.solve_weights", no_fit)
+    code = main(["evaluate", *_dataset_args(data), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert "30 test trip(s) have cost 0" in capsys.readouterr().err
+
+
 def test_missing_file_exits_4(tmp_path):
     code = main(
         ["pagerank-stats", "--network", str(tmp_path / "none.csv"),

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from roadcost.errors import ConvergenceError
 from roadcost.graph import WEEKDAY, RoadGraph, build_dual
@@ -13,7 +14,8 @@ from roadcost.pagerank import (
     pagerank_stats,
     transition_matrices,
 )
-from roadcost.trips import TripSet
+from roadcost.synth import SyntheticSpec, generate_synthetic
+from roadcost.trips import TripSet, partition_by_tag
 
 from conftest import make_trip, stationary_bruteforce, tripset
 
@@ -115,8 +117,8 @@ class TestPagerank:
         assert (pr.values > 0).all()
 
     def test_oscillation_averaging(self):
-        # period-2 chain between unequal-degree sides: plain iteration from a
-        # perturbed start oscillates; averaging must still converge
+        # period-2 chain between unequal-degree sides: plain power iteration
+        # oscillates here; the periodic-chain regression
         dense = np.array(
             [
                 [0.0, 0.5, 0.5, 0.0],
@@ -129,11 +131,73 @@ class TestPagerank:
         oracle = stationary_bruteforce(dense)
         assert pr.values == pytest.approx(oracle, abs=1e-10)
 
-    def test_non_convergence_raises(self):
-        m = TransitionMatrix.from_dense(np.array([[0.0, 1.0], [0.5, 0.5]]))
+    def test_refinement_cap_raises(self, grid20_transitions):
+        # rounding leaves a residual above 0, so tol=0 is out of reach of
+        # any number of refinement steps
         with pytest.raises(ConvergenceError) as err:
-            pagerank(m, tol=1e-12, max_iters=3)
+            pagerank(grid20_transitions[0], tol=0.0, max_iters=2)
         assert err.value.residual > 0
+        assert err.value.iterations == 2
+
+    def test_non_finite_probability_raises(self):
+        matrix = sp.csr_matrix(np.array([[0.0, 1.0], [np.nan, 0.5]]))
+        m = TransitionMatrix(tag=0, matrix=matrix, dangling=np.zeros(2, dtype=bool))
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            pagerank(m)
+
+    def test_dead_end_chain_pins_relay(self):
+        # 0 -> 1 -> 2 -> 3 with a branch back to 0; 3 dangles, so the only
+        # closed class is the whole chain and the relay is the pinned unknown
+        dense = np.array(
+            [
+                [0.0, 1.0, 0.0, 0.0],
+                [0.2, 0.0, 0.8, 0.0],
+                [0.0, 0.3, 0.0, 0.7],
+                [0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        m = TransitionMatrix.from_dense(dense)
+        pr = pagerank(m, tol=1e-14)
+        assert np.abs(pr.values - stationary_bruteforce(m.dense())).max() <= 1e-14
+        assert pr.iterations == 0
+
+    def test_dead_end_outside_closed_class_is_transient(self):
+        # 0 is absorbing; the dead end 1 jumps uniformly, so it leaks into 0
+        # without any explicit edge leaving it
+        m = TransitionMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert pagerank(m).values.tolist() == [1.0, 0.0]
+
+    def test_two_closed_classes_and_transients(self, caplog):
+        # closed {0, 1} and {2, 3, 4}; 5 and 6 are transient and feed both
+        dense = np.zeros((7, 7))
+        dense[0, 1] = dense[1, 0] = dense[2, 3] = dense[4, 2] = 1.0
+        dense[3, 4], dense[3, 2] = 0.5, 0.5
+        dense[5, 0], dense[5, 6] = 0.5, 0.5
+        dense[6, 2], dense[6, 5] = 0.9, 0.1
+        m = TransitionMatrix.from_dense(dense)
+        with caplog.at_level(logging.WARNING, logger="roadcost.pagerank"):
+            pr = pagerank(m, tol=1e-14)
+        assert "2 closed component(s), 2 unreachable" in caplog.text
+        # each class carries mass in proportion to its size, 2/5 and 3/5
+        expected = [0.2, 0.2, 0.6 * 0.4, 0.6 * 0.4, 0.6 * 0.2, 0.0, 0.0]
+        assert pr.values == pytest.approx(expected, abs=1e-15)
+
+    def test_periodic_class_with_transients(self):
+        # closed class {0, 1, 3} has period 2 and an uneven stationary vector;
+        # 2 and 4 are transient (power iteration on the class oscillated here)
+        dense = np.zeros((5, 5))
+        dense[0, 1] = dense[3, 1] = dense[4, 3] = 1.0
+        dense[1, 0], dense[1, 3] = 0.9, 0.1
+        dense[2, 0], dense[2, 3] = 0.7, 0.3
+        pr = pagerank(TransitionMatrix.from_dense(dense), tol=1e-14)
+        assert pr.values == pytest.approx([0.45, 0.5, 0.0, 0.05, 0.0], abs=1e-15)
+
+    def test_grid_solve_is_exact(self, grid20_transitions):
+        for m in grid20_transitions:
+            pr = pagerank(m)
+            assert np.abs(m.apply_transpose(pr.values) - pr.values).sum() <= 1e-13
+            assert pr.values.sum() == pytest.approx(1.0, abs=1e-13)
+            assert pr.iterations == 0
 
     def test_reducible_graph_warns_and_zeroes_transients(self, two_tag_schedule, caplog):
         # two islands: a 2-cycle A<->B and a path C->D (D dangles)
@@ -166,6 +230,12 @@ class TestPagerank:
             assert np.abs(pr.values - oracle).max() <= 1e-8
             checked += 1
         assert checked >= 20
+
+
+@pytest.fixture(scope="module")
+def grid20_transitions():
+    graph, _, trips = generate_synthetic(SyntheticSpec(rows=20, cols=20, n_trips=400), seed=1)
+    return transition_matrices(build_dual(graph), partition_by_tag(trips, graph.tag_schedule))
 
 
 def _random_transition(rng, schedule):

@@ -362,6 +362,15 @@ class TestSolve:
                           tol=1e-14, max_iters=2)
         assert err.value.residual > 0
 
+    def test_non_finite_costs_stop_at_once(self):
+        rng = np.random.default_rng(2)
+        q = sp.csr_matrix(rng.uniform(0, 1, (10, 6)))
+        costs = rng.uniform(0, 1, 6)
+        costs[3] = np.nan
+        with pytest.raises(ConvergenceError, match="non-finite residual") as err:
+            solve_weights(q, costs, None, None, 0.0, 0.0, 1e-8)
+        assert err.value.iterations == 0
+
     def test_spd_property(self):
         rng = np.random.default_rng(21)
         q = sp.csr_matrix(rng.uniform(0, 2, (15, 8)) * (rng.random((15, 8)) < 0.4))
