@@ -33,7 +33,7 @@ from .evaluation import (
 )
 from .graph import build_dual
 from .pagerank import degree_stats, pagerank, pagerank_stats, transition_matrices
-from .solver import annotated_mask, objective_terms
+from .solver import objective_terms
 from .synth import SyntheticSpec, generate_synthetic
 from .trips import partition_by_tag, split_trips
 
@@ -159,18 +159,16 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         matrices.l_a if alpha else None, matrices.l_b if beta else None,
         alpha, beta, config.gamma,
     )
-    coverage_per_variant = {}
-    for variant in sorted(VARIANTS):
-        use_a, use_b = VARIANTS[variant]
-        variant_mask = annotated_mask(
-            matrices.q, matrices.a if use_a else None, matrices.b if use_b else None
-        )
-        coverage_per_variant[variant] = edge_coverage(graph, variant_mask)
+    coverage_per_variant = {
+        variant: edge_coverage(graph, matrices.mask(*VARIANTS[variant]))
+        for variant in sorted(VARIANTS)
+    }
     report = {
         "config": dataclasses.asdict(config),
         "variant": config.variant,
         "cg_iterations": info.iterations,
         "cg_relative_residual": info.residual,
+        "preconditioner_nnz": info.factor_nnz,
         "objective": dataclasses.asdict(terms),
         "coverage_per_variant": coverage_per_variant,
         "n_trips": len(trips),

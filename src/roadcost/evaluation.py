@@ -102,7 +102,11 @@ class EvalReport:
             "coverage_per_variant": self.coverage_per_variant,
             "alr_curve": [list(point) for point in self.alr_curve],
             "solve_info": {
-                v: {"iterations": info.iterations, "residual": info.residual}
+                v: {
+                    "iterations": info.iterations,
+                    "residual": info.residual,
+                    "factor_nnz": info.factor_nnz,
+                }
                 for v, info in self.solve_info.items()
             },
         }
@@ -117,6 +121,21 @@ class ConstraintMatrices:
     b: sp.csr_matrix
     l_a: sp.csr_matrix
     l_b: sp.csr_matrix
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def mask(self, use_a: bool, use_b: bool) -> np.ndarray:
+        """Annotated mask under the active constraints, computed once per pair.
+
+        The mask depends only on Q and on which of A and B are active, not on
+        their coefficients, so every solve with the same active set shares it.
+        The array is read-only for that reason.
+        """
+        key = (bool(use_a), bool(use_b))
+        if key not in self._masks:
+            mask = annotated_mask(self.q, self.a if key[0] else None, self.b if key[1] else None)
+            mask.flags.writeable = False
+            self._masks[key] = mask
+        return self._masks[key]
 
 
 def build_constraints(
@@ -153,11 +172,7 @@ def solve_variant(
         tol=config.cg_tol,
         max_iters=max_iters,
     )
-    mask = annotated_mask(
-        matrices.q,
-        matrices.a if alpha else None,
-        matrices.b if beta else None,
-    )
+    mask = matrices.mask(bool(alpha), bool(beta))
     weights = CostVector(np.where(mask, values, 0.0), graph.n_edges, graph.n_tags)
     return weights, mask, info
 

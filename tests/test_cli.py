@@ -61,6 +61,21 @@ def test_annotate_end_to_end_and_deterministic(tmp_path):
     )
 
 
+def test_reports_carry_preconditioner_nnz(tmp_path):
+    data = _synth(tmp_path)
+    report_path = tmp_path / "report.json"
+    assert main(
+        ["annotate", *_dataset_args(data), "--out", str(tmp_path / "w.csv"),
+         "--report", str(report_path)]
+    ) == 0
+    assert "preconditioner_nnz" in json.loads(report_path.read_text())
+    out = tmp_path / "eval"
+    assert main(["evaluate", *_dataset_args(data), "--out-dir", str(out)]) == 0
+    solve_info = json.loads((out / "report.json").read_text())["solve_info"]
+    assert set(solve_info) == {"F1", "F2", "F3", "F4"}
+    assert all("factor_nnz" in info for info in solve_info.values())
+
+
 def test_annotate_weights_file_shape(tmp_path):
     data = _synth(tmp_path)
     weights = tmp_path / "weights.csv"

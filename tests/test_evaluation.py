@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
+import roadcost.evaluation as evaluation
 from roadcost.config import RunConfig
 from roadcost.evaluation import (
     alr,
     alr_curve,
+    build_constraints,
     edge_coverage,
     grid_search,
     run_comparison,
+    solve_variant,
     speed_limit_baseline,
     ssl,
     training_size_sweep,
 )
 from roadcost.graph import CostVector, RoadGraph, build_dual
+from roadcost.solver import annotated_mask
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, split_trips
 
@@ -218,3 +222,61 @@ class TestGridSearch:
         tiny = TripSet(tuple())
         with pytest.raises(ValueError, match="folds"):
             grid_search(tiny, graph, dual, RunConfig(), n_folds=3)
+
+    def test_one_mask_per_fold(self, small_experiment, monkeypatch):
+        graph, dual, _, trips, _, _ = small_experiment
+        calls = []
+
+        def counting_mask(*args, **kwargs):
+            calls.append(args)
+            return annotated_mask(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "annotated_mask", counting_mask)
+        grid_search(trips, graph, dual, RunConfig(), n_folds=3, seed=8)
+        assert len(calls) == 3  # 9 (alpha, beta) solves per fold share one F4 mask
+
+    def test_preconditioned_solves_stay_short(self, monkeypatch):
+        # plain CG took 169-688 iterations per solve on this dataset
+        spec = SyntheticSpec(rows=12, cols=12, n_trips=144, coverage=0.3, noise=0.05)
+        graph, _, trips = generate_synthetic(spec, seed=1)
+        iterations = []
+        solve = evaluation.solve_weights
+
+        def recording_solve(*args, **kwargs):
+            d, info = solve(*args, **kwargs)
+            iterations.append(info.iterations)
+            return d, info
+
+        monkeypatch.setattr(evaluation, "solve_weights", recording_solve)
+        grid_search(trips, graph, build_dual(graph), RunConfig(seed=1))
+        assert len(iterations) == 27
+        assert max(iterations) <= 50
+
+
+@pytest.mark.parametrize("n_trips,factored", [(144, True), (4000, False)])
+def test_trip_overlap_selects_the_solve_path(n_trips, factored):
+    # 2,000 training trips on a 12x12 grid put about 15 on each unknown,
+    # where plain CG beats the preconditioner's factor
+    spec = SyntheticSpec(rows=12, cols=12, n_trips=n_trips, coverage=0.3, noise=0.05)
+    graph, _, trips = generate_synthetic(spec, seed=1)
+    train, _ = split_trips(trips, 0.5, seed=1)
+    config = RunConfig(seed=1)
+    matrices = build_constraints(train, graph, build_dual(graph), config)
+    _, _, info = solve_variant(matrices, train.costs(), graph, config, "F4")
+    assert (info.factor_nnz > 0) == factored
+    assert info.residual <= config.cg_tol
+
+
+class TestConstraintMask:
+    def test_matches_annotated_mask_per_active_set(self, small_experiment):
+        graph, dual, _, _, train, _ = small_experiment
+        matrices = build_constraints(train, graph, dual, RunConfig())
+        for use_a in (False, True):
+            for use_b in (False, True):
+                mask = matrices.mask(use_a, use_b)
+                expected = annotated_mask(
+                    matrices.q, matrices.a if use_a else None, matrices.b if use_b else None
+                )
+                assert np.array_equal(mask, expected)
+                assert matrices.mask(use_a, use_b) is mask
+                assert not mask.flags.writeable

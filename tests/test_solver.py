@@ -6,6 +6,7 @@ from roadcost.errors import ConvergenceError
 from roadcost.graph import WEEKDAY, CostVector, RoadGraph, TagSchedule, build_dual
 from roadcost.pagerank import PageRankVector, dual_weights, pagerank, transition_matrices
 from roadcost.solver import (
+    PRECONDITIONER_FILL_LIMIT,
     SystemOperator,
     annotated_mask,
     build_a,
@@ -299,6 +300,13 @@ class TestQuadraticFormEquivalence:
             assert d @ (lap @ d) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+def _random_similarity(rng, n, density):
+    raw = rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < density)
+    sym = (raw + raw.T) / 2
+    np.fill_diagonal(sym, 0.0)
+    return sp.csr_matrix(sym)
+
+
 def _tiny_system():
     """1 edge, 1 tag, 1 trip fully covering the edge (length 1 m, cost 2)."""
     q = sp.csr_matrix(np.array([[1.0]]))
@@ -355,12 +363,47 @@ class TestSolve:
             assert np.linalg.norm(d - expected) <= 1e-7 * np.linalg.norm(expected)
 
     def test_non_convergence_raises(self):
+        # the preconditioner inverts Q Q^T and the diagonal, not the Laplacian
+        # coupling, so two steps cannot reach 1e-14 on this system
         rng = np.random.default_rng(2)
-        q = sp.csr_matrix(rng.uniform(0, 1, (10, 6)))
+        q = sp.csr_matrix(rng.uniform(0, 1, (30, 6)) * (rng.random((30, 6)) < 0.5))
+        l_a = laplacian(_random_similarity(rng, 30, 0.3))
+        l_b = laplacian(_random_similarity(rng, 30, 0.3))
         with pytest.raises(ConvergenceError) as err:
-            solve_weights(q, rng.uniform(0, 1, 6), None, None, 0.0, 0.0, 1e-8,
+            solve_weights(q, rng.uniform(0, 1, 6), l_a, l_b, 1.0, 2.0, 1e-3,
                           tol=1e-14, max_iters=2)
         assert err.value.residual > 0
+        assert err.value.iterations == 2
+
+    def test_unregularized_solves_in_one_iteration(self):
+        # alpha = beta = 0: the preconditioner is the system itself
+        rng = np.random.default_rng(4)
+        q = sp.csr_matrix(rng.uniform(0, 1, (10, 6)))
+        d, info = solve_weights(q, rng.uniform(0, 1, 6), None, None, 0.0, 0.0, 0.1)
+        assert info.iterations == 1
+        assert info.residual <= 1e-8
+        assert info.factor_nnz > 0
+
+    @pytest.mark.parametrize(
+        "n,t,gamma",
+        [(8, 20, 0.1), (20, 6, 1e-10)],
+        ids=["more-trips-than-unknowns", "tiny-gamma"],
+    )
+    def test_preconditioned_matches_dense(self, n, t, gamma):
+        rng = np.random.default_rng(n + t)
+        q = sp.csr_matrix(rng.uniform(0, 2, (n, t)) * (rng.random((n, t)) < 0.4))
+        path = sp.diags(np.ones(n - 1), 1)  # keeps L_A connected, so tiny gamma is harmless
+        l_a = laplacian(_random_similarity(rng, n, 0.2) + path + path.T)
+        l_b = laplacian(_random_similarity(rng, n, 0.2))
+        c = rng.uniform(0.5, 2, t)
+        d, info = solve_weights(q, c, l_a, l_b, 0.7, 1.3, gamma, tol=1e-12)
+        dense = (
+            (q @ q.T).toarray() + 0.7 * l_a.toarray() + 1.3 * l_b.toarray()
+            + gamma * np.eye(n)
+        )
+        expected = np.linalg.solve(dense, q @ c)
+        assert np.linalg.norm(d - expected) <= 1e-7 * np.linalg.norm(expected)
+        assert info.factor_nnz > 0
 
     def test_non_finite_costs_stop_at_once(self):
         rng = np.random.default_rng(2)
@@ -370,6 +413,43 @@ class TestSolve:
         with pytest.raises(ConvergenceError, match="non-finite residual") as err:
             solve_weights(q, costs, None, None, 0.0, 0.0, 1e-8)
         assert err.value.iterations == 0
+
+    def test_non_finite_matrix_stops_before_iterating(self):
+        q, c = _tiny_system()
+        lap = sp.csr_matrix(np.array([[np.nan]]))
+        with pytest.raises(ConvergenceError, match="factorization") as err:
+            solve_weights(q, c, lap, None, 1.0, 0.0, 0.1)
+        assert err.value.iterations == 0
+
+    def test_fill_estimate_decides_the_factor(self):
+        # every trip covers all 4 unknowns: the estimate 4 t^2 is held against
+        # the limit times the augmented matrix's 2 (4 t) + 4 + t nonzeros
+        def factored(t):
+            op = SystemOperator(q=sp.csr_matrix(np.ones((4, t))), l_a=None, l_b=None,
+                                alpha=0.0, beta=0.0, gamma=0.1)
+            return op.preconditioner() is not None
+
+        t_max = max(t for t in range(1, 1000)
+                    if 4 * t * t <= PRECONDITIONER_FILL_LIMIT * (9 * t + 4))
+        assert factored(t_max)
+        assert not factored(t_max + 1)
+
+    def test_heavy_overlap_runs_plain_cg(self):
+        # 60 trips over 12 unknowns, each through about 40 of them: the factor
+        # is skipped and plain CG still reaches the exact minimizer
+        rng = np.random.default_rng(9)
+        n, t = 12, 60
+        q = sp.csr_matrix(rng.uniform(0.5, 2, (n, t)) * (rng.random((n, t)) < 0.7))
+        l_a = laplacian(_random_similarity(rng, n, 0.3))
+        c = rng.uniform(0.5, 2, t)
+        op = SystemOperator(q=q, l_a=l_a, l_b=None, alpha=0.5, beta=0.0, gamma=1e-4)
+        assert op.preconditioner() is None
+        d, info = solve_weights(q, c, l_a, None, 0.5, 0.0, 1e-4, tol=1e-12)
+        dense = (q @ q.T).toarray() + 0.5 * l_a.toarray() + 1e-4 * np.eye(n)
+        expected = np.linalg.solve(dense, q @ c)
+        assert np.linalg.norm(d - expected) <= 1e-7 * np.linalg.norm(expected)
+        assert info.factor_nnz == 0
+        assert 1 < info.iterations <= n + 2  # CG's finite termination, with rounding slack
 
     def test_spd_property(self):
         rng = np.random.default_rng(21)
