@@ -10,23 +10,32 @@ File formats (UTF-8, comma separated, header row required):
 
 Loaders collect every violating row before raising, so one run reports all
 problems; writers are deterministic for identical inputs.
+
+The trip loader fills a ``TripSet``'s record table straight from the CSV
+columns: each check runs over whole columns, and ``Trip`` and ``LinkRecord``
+objects are built only for a row or trip that fails one (to word its
+diagnostic) or, lazily, when a caller iterates the set. ``save_trips`` and
+``write_weights`` likewise write from columns.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import LoadError
-from .graph import DAY_CLASSES, CostVector, RoadGraph, TagSchedule
-from .trips import LinkRecord, Trip, TripSet
+from .graph import DAY_CLASSES, MINUTES_PER_DAY, CostVector, RoadGraph, TagSchedule
+from .trips import LinkRecord, RecordTable, Trip, TripSet
 
 _FLOAT_FMT = "%.12g"
+# rows read or written at a time: bounds the CSV text held in memory
+_CHUNK_ROWS = 4096
 # unsigned decimal fields; 24:00 and 24:00:00 (end of day) pass the range checks
 _HHMM = re.compile(r"(\d+):([0-5]\d)", re.ASCII)
 _HHMMSS = re.compile(r"(\d+):([0-5]\d):([0-5]\d)", re.ASCII)
@@ -64,7 +73,26 @@ def format_hhmmss(minute: float) -> str:
     return f"{total // 3600:02d}:{total % 3600 // 60:02d}:{total % 60:02d}"
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> Iterable[tuple[int, list[str]]]:
+def _format_clock_column(minutes: np.ndarray) -> list[str]:
+    """``format_hhmmss`` of every entry of a column of minutes of day, built
+    as one byte array of hh:mm:ss."""
+    total = np.rint(np.asarray(minutes) * 60).astype(np.int64)
+    hours, rest = np.divmod(total, 3600)
+    text = np.full((len(total), 8), ord(":"), dtype=np.uint8)
+    for col, part in zip((0, 3, 6), (hours, *np.divmod(rest, 60))):
+        text[:, col] = part // 10 + ord("0")
+        text[:, col + 1] = part % 10 + ord("0")
+    return text.view("S8").ravel().astype("U8").tolist()
+
+
+def _read_chunks(
+    path: Path, expected_header: list[str]
+) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """Line numbers and fields of the non-blank rows after the header, at most
+    ``_CHUNK_ROWS`` rows at a time; the last chunk may be empty.
+
+    Line numbers count CSV records from the header's 1, blank rows included.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -76,9 +104,111 @@ def _read_rows(path: Path, expected_header: list[str]) -> Iterable[tuple[int, li
                 "malformed-row",
                 [f"{path}:1: expected header {','.join(expected_header)}"],
             )
-        for lineno, row in enumerate(reader, start=2):
-            if row:
-                yield lineno, row
+        lineno = 2
+        while True:
+            rows = list(itertools.islice(reader, _CHUNK_ROWS))
+            read = len(rows)
+            linenos: Sequence[int] = range(lineno, lineno + read)
+            lineno += read
+            if not all(rows):
+                linenos = [n for n, row in zip(linenos, rows) if row]
+                rows = [row for row in rows if row]
+            yield linenos, rows
+            if read < _CHUNK_ROWS:
+                return
+
+
+def _read_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    for linenos, rows in _read_chunks(path, expected_header):
+        yield from zip(linenos, rows)
+
+
+def _write_rows(writer, n_rows: int, rows_of: Callable[[slice], Iterable]) -> None:
+    """Write ``n_rows`` rows, built ``_CHUNK_ROWS`` at a time by ``rows_of``."""
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        writer.writerows(rows_of(slice(start, start + _CHUNK_ROWS)))
+
+
+def _columns(rows: list[list[str]], filler: tuple[str, ...]) -> tuple[dict[int, str], list]:
+    """The fields of ``rows`` as columns, and a message for each row whose
+    field count is wrong; such rows contribute ``filler`` to the columns."""
+    width = len(filler)
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    wrong = np.flatnonzero(counts != width).tolist()
+    if wrong:
+        rows = list(rows)
+        for i in wrong:
+            rows[i] = filler
+    messages = {i: f"expected {width} fields, got {counts[i]}" for i in wrong}
+    return messages, list(zip(*rows)) or [()] * width
+
+
+def _convert(texts: Sequence[str], convert) -> tuple[list, dict[int, str]]:
+    """``convert`` of every stripped field, and the error of each one that fails."""
+    try:
+        # int() and float() ignore surrounding whitespace themselves
+        return list(map(convert, texts)), {}
+    except ValueError:
+        pass
+    values, errors = [], {}
+    for i, text in enumerate(texts):
+        try:
+            values.append(convert(text.strip()))
+        except ValueError as exc:
+            values.append(convert("0"))
+            errors[i] = str(exc)
+    return values, errors
+
+
+def _clock_column(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, str]]:
+    """``parse_hhmmss`` of every field, and the error of each one that fails.
+
+    Fields of the form hh:mm:ss are decoded together as one byte array; any
+    other field goes through ``parse_hhmmss`` on its own.
+    """
+    n = len(texts)
+    fast = np.fromiter(map(len, texts), dtype=np.int64, count=n) == 8
+    chosen = texts if fast.all() else [t for t, f in zip(texts, fast.tolist()) if f]
+    raw = np.frombuffer("".join(chosen).encode("ascii", "replace"), dtype=np.uint8)
+    raw = raw.reshape(-1, 8)
+    digit = raw[:, [0, 1, 3, 4, 6, 7]].astype(np.int64) - ord("0")
+    seconds = (digit[:, 0] * 10 + digit[:, 1]) * 3600 + (digit[:, 2] * 10 + digit[:, 3]) * 60
+    seconds += digit[:, 4] * 10 + digit[:, 5]
+    good = (
+        (raw[:, 2] == ord(":"))
+        & (raw[:, 5] == ord(":"))
+        & ((digit >= 0) & (digit <= 9)).all(axis=1)
+        & (digit[:, 2] <= 5)
+        & (digit[:, 4] <= 5)
+        & (seconds <= 86_400)
+    )
+    fast[fast] = good
+    minutes = np.zeros(n)
+    minutes[fast] = seconds[good] / 60.0
+    errors = {}
+    for i in np.flatnonzero(~fast).tolist():
+        try:
+            minutes[i] = parse_hhmmss(texts[i].strip())
+        except ValueError as exc:
+            errors[i] = str(exc)
+    return minutes, errors
+
+
+def _codebook(lookup: Callable[[str], int]) -> Callable[[Sequence[str]], np.ndarray]:
+    """A function from a column of fields to ``lookup`` of each stripped field.
+
+    ``lookup`` runs once per distinct field text over every column passed, in
+    order of first appearance.
+    """
+    known: dict[str, int] = {}
+
+    def codes(texts: Sequence[str]) -> np.ndarray:
+        for text in dict.fromkeys(texts):
+            if text not in known:
+                known[text] = lookup(text.strip())
+        return np.fromiter(map(known.__getitem__, texts), dtype=np.int64, count=len(texts))
+
+    return codes
 
 
 def load_schedule(path: str | Path) -> TagSchedule:
@@ -181,113 +311,174 @@ def save_network(graph: RoadGraph, path: str | Path) -> None:
             )
 
 
-def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph) -> TripSet:
-    trips_path, costs_path = Path(trips_path), Path(costs_path)
+def _load_costs(path: Path) -> dict[str, float]:
     costs: dict[str, float] = {}
-    problems = []
-    for lineno, row in _read_rows(costs_path, ["trip_id", "cost"]):
-        if len(row) != 2:
-            problems.append(f"{costs_path}:{lineno}: expected 2 fields, got {len(row)}")
-            continue
-        trip_id, cost_text = (field.strip() for field in row)
-        try:
-            cost = float(cost_text)
-        except ValueError:
-            problems.append(f"{costs_path}:{lineno}: unparseable cost {cost_text!r}")
-            continue
-        if not 0 <= cost < math.inf:
-            problems.append(f"{costs_path}:{lineno}: cost {cost_text!r} negative or not finite")
-            continue
-        if trip_id in costs:
-            problems.append(f"{costs_path}:{lineno}: duplicate trip id {trip_id!r}")
-            continue
-        costs[trip_id] = cost
-    if problems:
-        raise LoadError("malformed-row", problems)
+    messages: dict[int, str] = {}  # by line
+    for linenos, rows in _read_chunks(path, ["trip_id", "cost"]):
+        bad, (id_texts, cost_texts) = _columns(rows, ("", "0"))
+        values, unparseable = _convert(cost_texts, float)
+        for i in unparseable:
+            bad.setdefault(i, f"unparseable cost {cost_texts[i].strip()!r}")
+        values = np.array(values, dtype=float)
+        for i in np.flatnonzero(~((0 <= values) & (values < math.inf))).tolist():
+            bad.setdefault(i, f"cost {cost_texts[i].strip()!r} negative or not finite")
+        for i, text in enumerate(id_texts):
+            if i not in bad:
+                trip_id = text.strip()
+                if trip_id in costs:
+                    bad[i] = f"duplicate trip id {trip_id!r}"
+                else:
+                    costs[trip_id] = float(values[i])
+        messages.update((linenos[i], message) for i, message in bad.items())
+    if messages:
+        raise LoadError(
+            "malformed-row", [f"{path}:{n}: {messages[n]}" for n in sorted(messages)]
+        )
+    return costs
 
-    rows_by_trip: dict[str, list[tuple[int, int, LinkRecord]]] = {}
-    order: list[str] = []
-    unknown_edges = []
-    for lineno, row in _read_rows(
+
+def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph) -> TripSet:
+    """Read a trip set straight into its record table.
+
+    The file is read ``_CHUNK_ROWS`` rows at a time, and every check runs over
+    a chunk's columns; a diagnostic is built only for a row or trip that fails
+    one, and reads as a row-by-row pass would report it: one reason per row,
+    the first that applies, in file order.
+    """
+    trips_path, costs_path = Path(trips_path), Path(costs_path)
+    costs = _load_costs(costs_path)
+
+    def edge_of(edge_id: str) -> int:
+        try:
+            return graph.edge_index(edge_id)
+        except KeyError:
+            return -1
+
+    day_index = {day: i for i, day in enumerate(DAY_CLASSES)}
+    trip_ids: dict[str, int] = {}  # trip number by first appearance
+    edge_codes = _codebook(edge_of)
+    day_codes = _codebook(lambda text: day_index.get(text, -1))
+    trip_codes = _codebook(lambda text: trip_ids.setdefault(text, len(trip_ids)))
+    messages: dict[int, str] = {}  # by line: the first check each row fails
+    unknown: list[str] = []
+    seq: list[int] = []
+    parts = []  # (line, trip, edge, day, enter, exit) of each chunk
+    for linenos, rows in _read_chunks(
         trips_path,
         ["trip_id", "seq", "edge_id", "day_class", "enter_hhmmss", "exit_hhmmss"],
     ):
-        if len(row) != 6:
-            problems.append(f"{trips_path}:{lineno}: expected 6 fields, got {len(row)}")
-            continue
-        trip_id, seq_text, edge_id, day, enter_text, exit_text = (
-            field.strip() for field in row
+        bad, (trip_texts, seq_texts, edge_texts, day_texts, enter_texts, exit_texts) = (
+            _columns(rows, ("", "0", "", "", "00:00:00", "00:00:01"))
         )
-        try:
-            seq = int(seq_text)
-            enter, exit_ = parse_hhmmss(enter_text), parse_hhmmss(exit_text)
-        except ValueError as exc:
-            problems.append(f"{trips_path}:{lineno}: {exc}")
-            continue
-        try:
-            edge = graph.edge_index(edge_id)
-        except KeyError:
-            unknown_edges.append(f"{trips_path}:{lineno}: unknown edge id {edge_id!r}")
-            continue
-        try:
-            record = LinkRecord(edge=edge, day_class=day, enter=enter, exit=exit_)
-        except ValueError as exc:
-            problems.append(f"{trips_path}:{lineno}: {exc}")
-            continue
-        if trip_id not in rows_by_trip:
-            rows_by_trip[trip_id] = []
-            order.append(trip_id)
-        rows_by_trip[trip_id].append((seq, lineno, record))
-    if problems:
-        raise LoadError("malformed-row", problems)
-    if unknown_edges:
-        raise LoadError("unknown-edge", unknown_edges)
-
-    missing = [t for t in order if t not in costs]
+        seq_values, seq_errors = _convert(seq_texts, int)
+        enter, enter_errors = _clock_column(enter_texts)
+        exit_, exit_errors = _clock_column(exit_texts)
+        for errors in (seq_errors, enter_errors, exit_errors):
+            for i, message in errors.items():
+                bad.setdefault(i, message)
+        edge, day = edge_codes(edge_texts), day_codes(day_texts)
+        parsed = np.ones(len(rows), dtype=bool)
+        parsed[list(bad)] = False
+        for i in np.flatnonzero(parsed & (edge < 0)).tolist():
+            unknown.append(f"{trips_path}:{linenos[i]}: unknown edge id {edge_texts[i].strip()!r}")
+        in_day = (0 <= enter) & (enter < exit_) & (exit_ <= MINUTES_PER_DAY)
+        for i in np.flatnonzero(parsed & (edge >= 0) & ((day < 0) | ~in_day)).tolist():
+            try:
+                LinkRecord(int(edge[i]), day_texts[i].strip(), float(enter[i]), float(exit_[i]))
+            except ValueError as exc:
+                bad[i] = str(exc)
+        messages.update((linenos[i], message) for i, message in bad.items())
+        seq += seq_values
+        line = np.asarray(linenos, dtype=np.int64)
+        parts.append((line, trip_codes(trip_texts), edge, day.astype(np.int8), enter, exit_))
+    if messages:
+        raise LoadError(
+            "malformed-row", [f"{trips_path}:{n}: {messages[n]}" for n in sorted(messages)]
+        )
+    if unknown:
+        raise LoadError("unknown-edge", unknown)
+    missing = [t for t in trip_ids if t not in costs]
     if missing:
         raise LoadError(
             "missing-cost", [f"{costs_path}: no cost for trip {t!r}" for t in missing]
         )
 
-    trips = []
-    bad_trips = []
-    for trip_id in order:
-        entries = sorted(rows_by_trip[trip_id])
-        records = tuple(record for _, _, record in entries)
-        try:
-            trips.append(Trip(records=records, cost=costs[trip_id]))
-        except ValueError as exc:
-            bad_trips.append(f"{trips_path}:{entries[0][1]}: trip {trip_id!r}: {exc}")
-    if bad_trips:
-        raise LoadError("bad-trip", bad_trips)
-    return TripSet(tuple(trips))
+    line, trip, edge, day, enter, exit_ = (np.concatenate(column) for column in zip(*parts))
+    try:
+        seq = np.array(seq, dtype=np.int64)
+    except OverflowError:  # only the order of seq values matters
+        rank = {value: r for r, value in enumerate(sorted(set(seq)))}
+        seq = np.array([rank[value] for value in seq], dtype=np.int64)
+    order = np.lexsort((line, seq, trip))
+    table = RecordTable(trip[order], edge[order], day[order], enter[order], exit_[order])
+    line = line[order]
+
+    first = np.flatnonzero(np.diff(table.trip, prepend=-1))  # each trip's first row
+    first_day = table.day[first][table.trip]
+    same = table.trip[1:] == table.trip[:-1]
+    bad = same & ((table.day[1:] != first_day[1:]) | (table.enter[1:] < table.exit[:-1]))
+    if bad.any():
+        ends = np.r_[first[1:], len(table.trip)]
+        names = list(trip_ids)
+        problems = []
+        for k in np.unique(table.trip[1:][bad]).tolist():
+            rows_k = range(first[k], ends[k])
+            try:
+                Trip(
+                    tuple(
+                        LinkRecord(
+                            int(table.edge[r]),
+                            DAY_CLASSES[table.day[r]],
+                            float(table.enter[r]),
+                            float(table.exit[r]),
+                        )
+                        for r in rows_k
+                    ),
+                    costs[names[k]],
+                )
+            except ValueError as exc:
+                problems.append(f"{trips_path}:{line[first[k]]}: trip {names[k]!r}: {exc}")
+        raise LoadError("bad-trip", problems)
+    return TripSet.from_table(table, np.array([costs[t] for t in trip_ids], dtype=float))
 
 
 def save_trips(
     trips: TripSet, graph: RoadGraph, trips_path: str | Path, costs_path: str | Path
 ) -> None:
+    table = trips.table
+    names = np.array([f"t{k:05d}" for k in range(len(trips))], dtype=object)
+    first = np.searchsorted(table.trip, np.arange(len(trips)))
+    seq = np.arange(len(table.trip)) - first[table.trip]
+    edge_ids = np.array(graph.edge_ids, dtype=object)
+    days = np.array(DAY_CLASSES, dtype=object)
     with open(trips_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["trip_id", "seq", "edge_id", "day_class", "enter_hhmmss", "exit_hhmmss"]
         )
-        for k, trip in enumerate(trips):
-            for seq, rec in enumerate(trip.records):
-                writer.writerow(
-                    [
-                        f"t{k:05d}",
-                        seq,
-                        graph.edge_ids[rec.edge],
-                        rec.day_class,
-                        format_hhmmss(rec.enter),
-                        format_hhmmss(rec.exit),
-                    ]
-                )
+        _write_rows(
+            writer,
+            len(table.trip),
+            lambda part: zip(
+                names[table.trip[part]].tolist(),
+                seq[part].tolist(),
+                edge_ids[table.edge[part]].tolist(),
+                days[table.day[part]].tolist(),
+                _format_clock_column(table.enter[part]),
+                _format_clock_column(table.exit[part]),
+            ),
+        )
+    costs = trips.costs()
     with open(costs_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["trip_id", "cost"])
-        for k, trip in enumerate(trips):
-            writer.writerow([f"t{k:05d}", _FLOAT_FMT % trip.cost])
+        _write_rows(
+            writer,
+            len(trips),
+            lambda part: zip(
+                names[part].tolist(), [_FLOAT_FMT % cost for cost in costs[part].tolist()]
+            ),
+        )
 
 
 def write_weights(
@@ -298,20 +489,24 @@ def write_weights(
 ) -> None:
     if not costs.matches(graph):
         raise ValueError("cost vector does not match the graph")
+    flags = np.ones(graph.n_entries, dtype=bool) if mask is None else np.asarray(mask, bool)
+    if flags.shape != (graph.n_entries,):
+        raise ValueError("mask must cover every (edge, tag) entry")
+    edge_ids = np.tile(np.array(graph.edge_ids, dtype=object), graph.n_tags)
+    tags = np.repeat(np.array(graph.tag_schedule.tags, dtype=object), graph.n_edges)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["edge_id", "tag", "cost_per_meter", "annotated_flag"])
-        for tag in range(graph.n_tags):
-            for edge in range(graph.n_edges):
-                flag = 1 if mask is None else int(bool(mask[tag * graph.n_edges + edge]))
-                writer.writerow(
-                    [
-                        graph.edge_ids[edge],
-                        graph.tag_schedule.tags[tag],
-                        _FLOAT_FMT % costs.entry(edge, tag),
-                        flag,
-                    ]
-                )
+        _write_rows(
+            writer,
+            graph.n_entries,
+            lambda part: zip(
+                edge_ids[part].tolist(),
+                tags[part].tolist(),
+                [_FLOAT_FMT % value for value in costs.values[part].tolist()],
+                flags[part].astype(np.int64).tolist(),
+            ),
+        )
 
 
 def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.ndarray]:

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import VARIANTS, RunConfig
-from .graph import CostVector, DualGraph, RoadGraph
+from .graph import DAY_CLASSES, CostVector, DualGraph, RoadGraph
 from .pagerank import pagerank, transition_matrices
 from .solver import (
     SolveInfo,
@@ -194,11 +194,13 @@ def run_comparison(
     """
     zero_cost = np.flatnonzero(test.costs() <= 0)
     if len(zero_cost):
-        first = test[int(zero_cost[0])].records[0]
+        table = test.table
+        first = np.searchsorted(table.trip, zero_cost[0])  # the trip's first record
         raise ValueError(
             f"{len(zero_cost)} test trip(s) have cost 0, but the absolute loss ratio "
             f"needs a positive actual cost; first: test trip {zero_cost[0]}, starting on "
-            f"edge {graph.edge_ids[first.edge]!r} on a {first.day_class} at minute {first.enter:g}"
+            f"edge {graph.edge_ids[table.edge[first]]!r} on a "
+            f"{DAY_CLASSES[table.day[first]]} at minute {float(table.enter[first]):g}"
         )
     matrices = build_constraints(train, graph, dual, config)
     train_costs = train.costs()
@@ -262,9 +264,10 @@ def grid_search(
     ]
     scores = {combo: [] for combo in combos}
     for k in range(n_folds):
-        val_idx = set(folds[k].tolist())
-        fold_train = TripSet(tuple(trips[i] for i in range(n) if i not in val_idx))
-        fold_val = TripSet(tuple(trips[i] for i in range(n) if i in val_idx))
+        in_val = np.zeros(n, dtype=bool)
+        in_val[folds[k]] = True
+        fold_train = trips.subset(np.flatnonzero(~in_val))
+        fold_val = trips.subset(np.flatnonzero(in_val))
         matrices = build_constraints(fold_train, graph, dual, base_config)
         train_costs = fold_train.costs()
         for combo in combos:
@@ -310,7 +313,7 @@ def training_size_sweep(
     results = []
     for fraction in fractions:
         n = max(1, int(round(fraction * len(pool))))
-        subset = TripSet(tuple(pool[int(i)] for i in order[:n]))
+        subset = pool.subset(order[:n])
         matrices = build_constraints(subset, graph, dual, config)
         weights, _, _ = solve_variant(matrices, subset.costs(), graph, config, variant)
         results.append((float(fraction), ssl(test, graph, weights)))

@@ -244,10 +244,10 @@ def generate_synthetic(
             or covered.mean() >= spec.coverage - 1e-12
             or spec.cover_all_entries
         ):
-            drafts = TripSet(tuple(Trip(records, 0.0) for records, _ in trips))
-            base = trip_costs(drafts, graph, truth)
-            priced = (Trip(r, float(c * f)) for (r, f), c in zip(trips, base))
-            return graph, truth, TripSet(tuple(priced))
+            drafts = TripSet(Trip(records, 0.0) for records, _ in trips)
+            factors = np.array([f for _, f in trips], dtype=float)
+            priced = trip_costs(drafts, graph, truth) * factors
+            return graph, truth, TripSet.from_table(drafts.table, priced)
     raise GenerationError(
         f"could not reach edge coverage {spec.coverage:.2f} with "
         f"{spec.n_trips} trips of length {spec.trip_len} (got {covered.mean():.2f})"

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,10 +70,6 @@ class Trip:
                     f"records out of order: exit {prev.exit} after enter {cur.enter}"
                 )
 
-    @property
-    def day_class(self) -> str:
-        return self.records[0].day_class
-
 
 class RecordTable(NamedTuple):
     """Link records as columns; row i is one record, ordered trip by trip."""
@@ -86,14 +81,68 @@ class RecordTable(NamedTuple):
     exit: np.ndarray
 
 
-@dataclass(frozen=True)
 class TripSet:
-    """A bag of trips that all reference the same road graph."""
+    """A bag of trips that all reference the same road graph, held as columns.
 
-    trips: tuple[Trip, ...]
+    The record table and the cost column are the whole state; the ``Trip``
+    objects are built from them on first use and kept. ``TripSet(trips)``
+    takes validated ``Trip`` objects; ``TripSet.from_table`` takes columns
+    that were checked elsewhere (the CSV loader, ``subset``).
+    """
+
+    __slots__ = ("table", "_costs", "_trips")
+
+    def __init__(self, trips: Iterable[Trip] = ()):
+        trips = tuple(trips)
+        records = [rec for trip in trips for rec in trip.records]
+        day_index = {day: i for i, day in enumerate(DAY_CLASSES)}
+        table = RecordTable(
+            np.repeat(np.arange(len(trips)), [len(t.records) for t in trips]),
+            np.array([rec.edge for rec in records], dtype=np.int64),
+            np.array([day_index[rec.day_class] for rec in records], dtype=np.int8),
+            np.array([rec.enter for rec in records], dtype=float),
+            np.array([rec.exit for rec in records], dtype=float),
+        )
+        self._init(table, np.array([t.cost for t in trips], dtype=float), trips)
+
+    @classmethod
+    def from_table(cls, table: RecordTable, costs: np.ndarray) -> "TripSet":
+        """A trip set over already-checked columns.
+
+        Row i of ``table`` is a record of trip ``table.trip[i]``; trips are
+        numbered 0..len(costs)-1, each has at least one record, and its
+        records are contiguous and in order, as the ``Trip`` checks require.
+        """
+        trips = cls.__new__(cls)
+        trips._init(table, costs, None)
+        return trips
+
+    def _init(self, table: RecordTable, costs: np.ndarray, trips) -> None:
+        self.table = RecordTable(*(_freeze(np.asarray(column)) for column in table))
+        self._costs = _freeze(np.asarray(costs, dtype=float))
+        self._trips = trips
+
+    @property
+    def trips(self) -> tuple[Trip, ...]:
+        """The trips as ``Trip`` objects, built from the columns once."""
+        if self._trips is None:
+            t = self.table
+            days = [DAY_CLASSES[d] for d in t.day.tolist()]
+            records = list(
+                map(LinkRecord, t.edge.tolist(), days, t.enter.tolist(), t.exit.tolist())
+            )
+            ends = np.cumsum(np.bincount(t.trip, minlength=len(self))).tolist()
+            self._trips = tuple(
+                Trip(tuple(records[start:end]), cost)
+                for start, end, cost in zip([0, *ends], ends, self._costs.tolist())
+            )
+        return self._trips
 
     def __len__(self) -> int:
-        return len(self.trips)
+        return len(self._costs)
+
+    def __repr__(self) -> str:
+        return f"TripSet({len(self)} trips, {len(self.table.trip)} records)"
 
     def __iter__(self):
         return iter(self.trips)
@@ -102,27 +151,37 @@ class TripSet:
         return self.trips[i]
 
     def costs(self) -> np.ndarray:
-        return np.array([t.cost for t in self.trips], dtype=float)
+        """Total cost of every trip, in order (read-only)."""
+        return self._costs
 
-    @cached_property
-    def table(self) -> RecordTable:
-        """Every link record of the set as read-only columns, in trip order."""
-        records = [rec for trip in self.trips for rec in trip.records]
-        day_index = {day: i for i, day in enumerate(DAY_CLASSES)}
-        columns = (
-            np.repeat(np.arange(len(self.trips)), [len(t.records) for t in self.trips]),
-            np.array([rec.edge for rec in records], dtype=np.int64),
-            np.array([day_index[rec.day_class] for rec in records], dtype=np.int8),
-            np.array([rec.enter for rec in records], dtype=float),
-            np.array([rec.exit for rec in records], dtype=float),
-        )
-        return RecordTable(*(_freeze(column) for column in columns))
+    def subset(self, indices) -> "TripSet":
+        """The trips at ``indices``, in that order, sliced from the columns.
+
+        ``Trip`` objects already built are shared with the subset.
+        """
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        t = self.table
+        counts = np.bincount(t.trip, minlength=len(self))
+        starts = np.cumsum(counts) - counts
+        sizes = counts[indices]
+        offsets = np.cumsum(sizes) - sizes  # first row of each picked trip in the subset
+        rows = np.repeat(starts[indices] - offsets, sizes) + np.arange(sizes.sum())
+        trip = np.repeat(np.arange(len(indices)), sizes)
+        table = RecordTable(trip, t.edge[rows], t.day[rows], t.enter[rows], t.exit[rows])
+        sub = TripSet.from_table(table, self._costs[indices])
+        if self._trips is not None:
+            sub._trips = tuple(self._trips[i] for i in indices.tolist())
+        return sub
 
     def validate_against(self, graph: RoadGraph) -> None:
-        for k, trip in enumerate(self.trips):
-            for rec in trip.records:
-                if not 0 <= rec.edge < graph.n_edges:
-                    raise ValueError(f"trip {k} references unknown edge index {rec.edge}")
+        edge = self.table.edge
+        bad = np.flatnonzero((edge < 0) | (edge >= graph.n_edges))
+        if len(bad):
+            first = bad[0]
+            raise ValueError(
+                f"trip {int(self.table.trip[first])} references unknown edge index "
+                f"{int(edge[first])}"
+            )
 
 
 def _tag_parts(table: RecordTable, schedule: TagSchedule):
@@ -198,10 +257,7 @@ def partition_by_tag(trips: TripSet, schedule: TagSchedule) -> list[TripSet]:
     per_tag = np.zeros((len(trips), schedule.n_tags))
     np.add.at(per_tag, (trip, tag), minutes)
     labels = per_tag.argmax(axis=1)
-    return [
-        TripSet(tuple(t for t, label in zip(trips, labels) if label == k))
-        for k in range(schedule.n_tags)
-    ]
+    return [trips.subset(np.flatnonzero(labels == k)) for k in range(schedule.n_tags)]
 
 
 def split_trips(trips: TripSet, train_fraction: float, seed: int) -> tuple[TripSet, TripSet]:
@@ -218,6 +274,4 @@ def split_trips(trips: TripSet, train_fraction: float, seed: int) -> tuple[TripS
     n_train = int(math.floor(train_fraction * n + 0.5))
     n_train = min(max(n_train, 1), n - 1)
     order = np.random.default_rng(seed).permutation(n)
-    train = tuple(trips[int(i)] for i in order[:n_train])
-    test = tuple(trips[int(i)] for i in order[n_train:])
-    return TripSet(train), TripSet(test)
+    return trips.subset(order[:n_train]), trips.subset(order[n_train:])

@@ -180,6 +180,23 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="variant"):
             run_comparison(train, test, graph, dual, RunConfig(), variants=("F9",))
 
+    def test_zero_cost_message_names_the_first_record(self, small_experiment):
+        graph, dual, _, _, train, _ = small_experiment
+        trips = tripset(
+            Trip((LinkRecord(1, "weekday", 600.0, 601.0), LinkRecord(2, "weekday", 601.0, 603.0)),
+                 2.0),
+            Trip((LinkRecord(3, "weekend", 1000.5, 1002.0),), 0.0),
+            Trip((LinkRecord(5, "weekday", 30.0, 31.0), LinkRecord(6, "weekday", 31.0, 32.0)),
+                 0.0),
+        )
+        with pytest.raises(ValueError) as err:
+            run_comparison(train, trips.subset([0, 2, 1]), graph, dual, RunConfig())
+        assert str(err.value) == (
+            "2 test trip(s) have cost 0, but the absolute loss ratio needs a positive "
+            f"actual cost; first: test trip 1, starting on edge {graph.edge_ids[5]!r} "
+            "on a weekday at minute 30"
+        )
+
     def test_deterministic(self, small_experiment):
         graph, dual, _, _, train, test = small_experiment
         r1 = run_comparison(train, test, graph, dual, RunConfig(), variants=("F1", "F4"))
