@@ -20,7 +20,6 @@ from .graph import (
     RoadGraph,
     TagSchedule,
     build_dual,
-    flat_index,
     peak_offpeak_schedule,
 )
 from .pagerank import (
@@ -40,7 +39,6 @@ from .solver import (
     build_q,
     laplacian,
     objective_terms,
-    similarity,
     solve_weights,
 )
 from .synth import SyntheticSpec, generate_synthetic

@@ -45,8 +45,8 @@ file formats (CSV, UTF-8, header row required):
   costs:    trip_id,cost
   weights:  edge_id,tag,cost_per_meter,annotated_flag
 config file: key=value lines (alpha, beta, gamma, similarity_threshold,
-  similarity_method, highway_cutoff_kmh, cg_tol, cg_max_iters, pr_tol,
-  seed, variant); command-line flags override file values.
+  highway_cutoff_kmh, cg_tol, cg_max_iters, pr_tol, seed, variant);
+  command-line flags override file values.
 """
 
 
@@ -63,11 +63,6 @@ def _add_config_args(parser: argparse.ArgumentParser):
     parser.add_argument("--beta", type=float)
     parser.add_argument("--gamma", type=float)
     parser.add_argument("--similarity-threshold", type=float, dest="similarity_threshold")
-    parser.add_argument(
-        "--similarity-method",
-        choices=("exact", "sweep", "auto"),
-        dest="similarity_method",
-    )
     parser.add_argument("--highway-cutoff-kmh", type=float, dest="highway_cutoff_kmh")
     parser.add_argument("--cg-tol", type=float, dest="cg_tol")
     parser.add_argument("--cg-max-iters", type=int, dest="cg_max_iters")
@@ -83,9 +78,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = {
         name: getattr(args, name)
         for name in (
-            "alpha", "beta", "gamma", "similarity_threshold", "similarity_method",
-            "highway_cutoff_kmh", "cg_tol", "cg_max_iters", "pr_tol", "seed",
-            "variant",
+            "alpha", "beta", "gamma", "similarity_threshold", "highway_cutoff_kmh",
+            "cg_tol", "cg_max_iters", "pr_tol", "seed", "variant",
         )
         if getattr(args, name, None) is not None
     }

@@ -33,7 +33,6 @@ class RunConfig:
     beta: float = 1.0
     gamma: float = 1e-4
     similarity_threshold: float = 0.95
-    similarity_method: str = "auto"  # exact | sweep | auto
     highway_cutoff_kmh: float = 90.0
     cg_tol: float = DEFAULT_CG_TOL
     cg_max_iters: int = 0  # 0 = 10x number of unknowns
@@ -50,8 +49,6 @@ class RunConfig:
             raise ValueError("similarity threshold must be in (0, 1]")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {sorted(VARIANTS)}")
-        if self.similarity_method not in ("exact", "sweep", "auto"):
-            raise ValueError("similarity method must be exact, sweep, or auto")
 
     def variant_coefficients(self, variant: str) -> tuple[float, float]:
         """(alpha, beta) actually applied under a given variant."""

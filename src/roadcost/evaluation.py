@@ -12,9 +12,9 @@ from .config import VARIANTS, RunConfig
 from .graph import DAY_CLASSES, CostVector, DualGraph, RoadGraph
 from .pagerank import pagerank, transition_matrices
 from .solver import (
+    SimilarityLaplacian,
     SolveInfo,
     annotated_mask,
-    build_a,
     build_b,
     build_q,
     laplacian,
@@ -114,12 +114,11 @@ class EvalReport:
 
 @dataclass
 class ConstraintMatrices:
-    """Q, thresholded similarity/adjacency matrices, and their Laplacians."""
+    """Q, the similarity Laplacian, the adjacency matrix and its Laplacian."""
 
     q: sp.csr_matrix
-    a: sp.csr_matrix
+    l_a: SimilarityLaplacian
     b: sp.csr_matrix
-    l_a: sp.csr_matrix
     l_b: sp.csr_matrix
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -137,6 +136,11 @@ class ConstraintMatrices:
             self._masks[key] = mask
         return self._masks[key]
 
+    @property
+    def a(self) -> sp.csr_matrix:
+        """A sparse graph with the similarity matrix's connected components."""
+        return self.l_a.chain()
+
 
 def build_constraints(
     train: TripSet, graph: RoadGraph, dual: DualGraph, config: RunConfig
@@ -145,10 +149,10 @@ def build_constraints(
     partitions = partition_by_tag(train, graph.tag_schedule)
     transitions = transition_matrices(dual, partitions)
     prs = [pagerank(tm, tol=config.pr_tol) for tm in transitions]
-    a = build_a(prs, config.similarity_threshold, method=config.similarity_method)
+    l_a = SimilarityLaplacian(prs, config.similarity_threshold)
     b = build_b(transitions, dual, graph.is_highway(config.highway_cutoff_kmh))
     q = build_q(train, graph)
-    return ConstraintMatrices(q=q, a=a, b=b, l_a=laplacian(a), l_b=laplacian(b))
+    return ConstraintMatrices(q=q, l_a=l_a, b=b, l_b=laplacian(b))
 
 
 def solve_variant(

@@ -106,20 +106,6 @@ def peak_offpeak_schedule() -> TagSchedule:
     return TagSchedule(tags=tags, rules=rules)
 
 
-def flat_index(edge_index: int, tag_index: int, n_edges: int, n_tags: int) -> int:
-    """1-based position of cost variable (edge, tag) in the flat cost vector.
-
-    The vector is laid out tag-block by tag-block: all edges for tag 1,
-    then all edges for tag 2, and so on, which keeps each tag's block
-    contiguous for the block-diagonal penalty matrices.
-    """
-    if not 1 <= edge_index <= n_edges:
-        raise IndexError(f"edge index {edge_index} outside 1..{n_edges}")
-    if not 1 <= tag_index <= n_tags:
-        raise IndexError(f"tag index {tag_index} outside 1..{n_tags}")
-    return (tag_index - 1) * n_edges + edge_index
-
-
 @dataclass(frozen=True)
 class RoadGraph:
     """Directed primal road graph with per-edge lengths and a tag schedule.
@@ -263,10 +249,6 @@ class CostVector:
     def entry(self, edge: int, tag: int) -> float:
         return float(self.values[tag * self.n_edges + edge])
 
-    def as_matrix(self) -> np.ndarray:
-        """View shaped (n_tags, n_edges)."""
-        return self.values.reshape(self.n_tags, self.n_edges)
-
 
 @dataclass(frozen=True)
 class DualGraph:
@@ -282,12 +264,11 @@ class DualGraph:
     graph: RoadGraph
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    shared_vertex: np.ndarray
     out_indptr: np.ndarray
     reverse_mask: np.ndarray
 
     def __post_init__(self):
-        for name in ("edge_src", "edge_dst", "shared_vertex", "out_indptr", "reverse_mask"):
+        for name in ("edge_src", "edge_dst", "out_indptr", "reverse_mask"):
             _freeze(getattr(self, name))
 
     @property
@@ -297,14 +278,6 @@ class DualGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edge_src)
-
-    def primal_edge(self, dual_vertex: int) -> tuple[int, int]:
-        """Primal (tail, head) vertex pair of the edge this dual vertex mirrors."""
-        return int(self.graph.tails[dual_vertex]), int(self.graph.heads[dual_vertex])
-
-    def shared_junction(self, dual_edge: int) -> int:
-        """Primal vertex shared by the two segments a dual edge connects."""
-        return int(self.shared_vertex[dual_edge])
 
     @cached_property
     def edge_keys(self) -> np.ndarray:
@@ -323,13 +296,6 @@ class DualGraph:
 
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.edge_dst, minlength=self.n_vertices)
-
-    def reverse_pair(self, u: int, v: int) -> bool:
-        """True when the primal edges of u and v are (a, b) and (b, a)."""
-        g = self.graph
-        return bool(
-            g.tails[u] == g.heads[v] and g.heads[u] == g.tails[v]
-        )
 
 
 def build_dual(graph: RoadGraph) -> DualGraph:
@@ -353,7 +319,6 @@ def build_dual(graph: RoadGraph) -> DualGraph:
 
     src_a = np.asarray(src, dtype=np.int64)
     dst_a = np.asarray(dst, dtype=np.int64)
-    shared = graph.heads[src_a] if len(src_a) else np.zeros(0, dtype=np.int64)
     reverse = (
         graph.heads[dst_a] == graph.tails[src_a]
         if len(src_a)
@@ -363,7 +328,6 @@ def build_dual(graph: RoadGraph) -> DualGraph:
         graph=graph,
         edge_src=src_a,
         edge_dst=dst_a,
-        shared_vertex=np.asarray(shared, dtype=np.int64),
         out_indptr=indptr,
         reverse_mask=np.asarray(reverse, dtype=bool),
     )

@@ -12,6 +12,10 @@ directions of one physical road excluded). Setting the gradient to zero
 gives the SPD system (Q Q^T + alpha L_A + beta L_B + gamma I) d = Q c,
 solved by preconditioned conjugate gradient.
 
+A links every pair of a tag's segments whose PageRank ratio min/max reaches
+the threshold, at every network size. The solve never forms it:
+SimilarityLaplacian applies L_A in linear time from sorted PageRank values.
+
 The preconditioner is P = D + Q Q^T with D = gamma + alpha diag(L_A) +
 beta diag(L_B): it inverts the misfit term exactly, so CG is left with only
 the off-diagonal Laplacian coupling. Q Q^T is never formed. P^-1 v is read
@@ -49,98 +53,130 @@ DEFAULT_CG_TOL = 1e-8
 # than plain CG (which missed tol on F1 at 7,000 trips on 30x30); at 7.2-10,
 # 15-21 trips per unknown on average, plain CG was 1.3-6.2x faster.
 PRECONDITIONER_FILL_LIMIT = 6.0
-EXACT_SIMILARITY_LIMIT = 2000
 
 
-def similarity(pr_i: float, pr_j: float) -> float:
-    """Flow similarity of two segments: ratio of their PageRank values in (0, 1]."""
-    if pr_i <= 0 or pr_j <= 0:
-        raise ValueError("similarity needs positive PageRank values")
-    return min(pr_i, pr_j) / max(pr_i, pr_j)
+def _similarity_windows(pageranks: Sequence[PageRankVector], threshold: float):
+    """Per tag: (index, sv, lo, hi) of its entries with positive PageRank.
 
-
-def _similar_pairs_exact(values: np.ndarray, threshold: float):
-    """All index pairs whose value ratio meets the threshold.
-
-    Sorted two-pointer construction: cost is linear in the output size, but
-    the output itself is quadratic when many values coincide, so this path
-    is reserved for small edge counts.
+    ``index`` holds their flat indices sorted by value (stable) and ``sv``
+    their values. Sorted position i is similar, min/max >= threshold, to
+    exactly the positions j != i in [lo[i], hi[i]): the ratio is monotone
+    along sorted values, so the window is contiguous. searchsorted on
+    sv * threshold and sv / threshold finds it up to rounding; the ratio test
+    then settles each boundary, where product and ratio can differ by an ulp.
     """
-    positive = np.nonzero(values > 0)[0]
-    order = positive[np.argsort(values[positive], kind="stable")]
-    sv = values[order]
-    n = len(sv)
-    if n < 2:
-        return np.zeros(0, int), np.zeros(0, int), np.zeros(0)
-    starts = np.searchsorted(sv, sv * threshold, side="left")
-    counts = np.maximum(np.arange(n) - starts, 0)
-    total = int(counts.sum())
-    jj = np.repeat(np.arange(n), counts)
-    offsets = np.repeat(counts.cumsum() - counts, counts)
-    tt = np.arange(total) - offsets + starts[jj]
-    sims = sv[tt] / sv[jj]
-    keep = sims >= threshold
-    return order[tt[keep]], order[jj[keep]], sims[keep]
-
-
-def _similar_pairs_sweep(values: np.ndarray, threshold: float):
-    """Consecutive pairs in PageRank-sorted order whose ratio meets the threshold.
-
-    Linear-size under-approximation of the all-pairs construction: runs of
-    similar values stay chained together through their neighbors, which
-    preserves the connected similarity structure without the quadratic
-    blow-up of dense value clusters.
-    """
-    positive = np.nonzero(values > 0)[0]
-    order = positive[np.argsort(values[positive], kind="stable")]
-    sv = values[order]
-    if len(sv) < 2:
-        return np.zeros(0, int), np.zeros(0, int), np.zeros(0)
-    sims = sv[:-1] / sv[1:]
-    keep = sims >= threshold
-    return order[:-1][keep], order[1:][keep], sims[keep]
+    if not 0 < threshold <= 1:
+        raise ValueError(f"similarity threshold must be in (0, 1], got {threshold}")
+    ne = len(pageranks[0].values)
+    windows = []
+    for k, pr in enumerate(pageranks):
+        if pr.tag != k:
+            raise ValueError("PageRank vectors must be ordered by tag")
+        positive = np.flatnonzero(pr.values > 0)
+        order = positive[np.argsort(pr.values[positive], kind="stable")]
+        sv = pr.values[order]
+        n = len(sv)
+        pos, last = np.arange(n), max(n - 1, 0)
+        lo = np.searchsorted(sv, sv * threshold, side="left")
+        hi = np.searchsorted(sv, sv / threshold, side="right")
+        while True:
+            lo_up = (lo < pos) & (sv[lo.clip(max=last)] / sv < threshold)
+            lo_down = (lo > 0) & (sv[lo - 1] / sv >= threshold)
+            hi_up = (hi < n) & (sv / sv[hi.clip(max=last)] >= threshold)
+            hi_down = (hi > pos + 1) & (sv / sv[hi - 1] < threshold)
+            if not (lo_up | lo_down | hi_up | hi_down).any():
+                break
+            lo += lo_up.astype(int) - lo_down
+            hi += hi_up.astype(int) - hi_down
+        windows.append((k * ne + order, sv, lo, hi))
+    return windows
 
 
 def build_a(
     pageranks: Sequence[PageRankVector],
     threshold: float,
-    method: str = "auto",
+    method: str = "exact",
 ) -> sp.csr_matrix:
     """Block-diagonal flow-similarity matrix over all (edge, tag) entries.
 
-    Within each tag's block, entry (i, j) is the PageRank ratio of edges i
-    and j when it reaches the threshold, else 0; the diagonal stays 0.
-    ``method`` selects the pair construction: "exact" (all qualifying
-    pairs), "sweep" (consecutive sorted pairs only), or "auto" (exact up to
-    2000 edges, sweep beyond).
+    Within each tag's block, entry (i, j) is the PageRank ratio min/max of
+    edges i and j when it reaches the threshold, else 0; the diagonal stays
+    0. Where PageRank values crowd together that is quadratic in the edge
+    count, so the pipeline applies L_A through SimilarityLaplacian instead;
+    this explicit matrix is its reference. "exact" is the only ``method``.
     """
-    if not 0 < threshold <= 1:
-        raise ValueError(f"similarity threshold must be in (0, 1], got {threshold}")
-    n_tags = len(pageranks)
-    ne = len(pageranks[0].values)
-    if method == "auto":
-        method = "exact" if ne <= EXACT_SIMILARITY_LIMIT else "sweep"
-    if method not in ("exact", "sweep"):
+    if method != "exact":
         raise ValueError(f"unknown similarity method {method!r}")
-    builder = _similar_pairs_exact if method == "exact" else _similar_pairs_sweep
-
     rows, cols, data = [], [], []
-    for k, pr in enumerate(pageranks):
-        if pr.tag != k:
-            raise ValueError("PageRank vectors must be ordered by tag")
-        lo, hi, sims = builder(pr.values, threshold)
-        base = k * ne
-        rows.append(base + lo)
-        cols.append(base + hi)
-        data.append(sims)
-        rows.append(base + hi)
-        cols.append(base + lo)
-        data.append(sims)
-    size = n_tags * ne
+    for index, sv, lo, _ in _similarity_windows(pageranks, threshold):
+        counts = np.arange(len(sv)) - lo  # partners below each sorted position
+        upper = np.repeat(np.arange(len(sv)), counts)
+        offsets = np.repeat(counts.cumsum() - counts, counts)
+        lower = np.arange(len(upper)) - offsets + lo[upper]
+        sims = sv[lower] / sv[upper]
+        rows += [index[lower], index[upper]]
+        cols += [index[upper], index[lower]]
+        data += [sims, sims]
+    size = len(pageranks) * len(pageranks[0].values)
     return sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(size, size),
     )
+
+
+class SimilarityLaplacian:
+    """L_A = diag(A 1) - A for build_a's matrix A, applied without forming A.
+
+    Within a tag, with positive PageRank values v sorted, the entries
+    similar to position i fill its window [lo_i, hi_i), and the weight
+    min/max is v_j / v_i below i and v_i / v_j above it (ties weigh 1). So
+
+        (A x)_i = sum_{lo_i <= j < i} v_j x_j / v_i + v_i sum_{i < j < hi_i} x_j / v_j,
+
+    two window sums cut from prefix sums, O(n) per product. The lower sum
+    accumulates upward and the upper one downward, so each window is the
+    largest part of its prefix and the subtraction keeps its digits. Entries
+    with zero PageRank (transient dual vertices) have zero rows.
+    """
+
+    def __init__(self, pageranks: Sequence[PageRankVector], threshold: float):
+        n = len(pageranks) * len(pageranks[0].values)
+        self.shape = (n, n)
+        self._windows = _similarity_windows(pageranks, threshold)
+        self._degree = self._adjacency(np.ones(n))
+
+    def _adjacency(self, x: np.ndarray) -> np.ndarray:
+        y = np.zeros(self.shape[0])
+        for index, sv, lo, hi in self._windows:
+            xs = x[index]
+            below = np.zeros(len(sv) + 1)
+            np.cumsum(sv * xs, out=below[1:])
+            above = np.zeros(len(sv) + 1)
+            np.cumsum((xs / sv)[::-1], out=above[-2::-1])
+            y[index] = (below[:-1] - below[lo]) / sv + sv * (above[1:] - above[hi])
+        return y
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return self._degree * x - self._adjacency(x)
+
+    def diagonal(self) -> np.ndarray:
+        return self._degree.copy()
+
+    def chain(self) -> sp.csr_matrix:
+        """Sorted neighbours that are similar, linked: A's connected components.
+
+        The components of a threshold graph on sorted one-dimensional values
+        are its maximal runs of consecutive similar values, so this chain of
+        at most n - 1 links connects exactly what A connects.
+        """
+        rows, cols = [], []
+        for index, sv, _, hi in self._windows:
+            linked = hi[:-1] > np.arange(1, len(sv))
+            rows.append(index[:-1][linked])
+            cols.append(index[1:][linked])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=self.shape)
 
 
 def build_b(
@@ -204,7 +240,7 @@ class SystemOperator:
     """
 
     q: sp.csr_matrix
-    l_a: Optional[sp.csr_matrix]
+    l_a: Optional[sp.spmatrix | SimilarityLaplacian]
     l_b: Optional[sp.csr_matrix]
     alpha: float
     beta: float
@@ -274,7 +310,7 @@ class SolveInfo:
 def solve_weights(
     q: sp.csr_matrix,
     costs: np.ndarray,
-    l_a: Optional[sp.csr_matrix],
+    l_a: Optional[sp.spmatrix | SimilarityLaplacian],
     l_b: Optional[sp.csr_matrix],
     alpha: float,
     beta: float,
@@ -376,7 +412,7 @@ def objective_terms(
     d: np.ndarray,
     q: sp.csr_matrix,
     costs: np.ndarray,
-    l_a: Optional[sp.csr_matrix],
+    l_a: Optional[sp.spmatrix | SimilarityLaplacian],
     l_b: Optional[sp.csr_matrix],
     alpha: float,
     beta: float,

@@ -44,10 +44,6 @@ class LinkRecord:
                 f"got [{self.enter}, {self.exit}]"
             )
 
-    @property
-    def duration(self) -> float:
-        return self.exit - self.enter
-
 
 @dataclass(frozen=True, slots=True)
 class Trip:

@@ -228,6 +228,29 @@ def test_config_file_with_flag_override(tmp_path):
     assert report["variant"] == "F2"
 
 
+def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
+    data = _synth(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("alpha=0.25\nsimilarity_method=exact\n")
+    code = main(
+        ["annotate", *_dataset_args(data), "--config", str(config),
+         "--out", str(tmp_path / "w.csv"), "--report", str(tmp_path / "report.json")]
+    )
+    assert code == 2
+    assert "run.cfg:2: unknown config key 'similarity_method'" in capsys.readouterr().err
+
+
+def test_unknown_flag_exits_2(tmp_path, capsys):
+    data = _synth(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["annotate", *_dataset_args(data), "--similarity-method", "exact",
+             "--out", str(tmp_path / "w.csv"), "--report", str(tmp_path / "report.json")]
+        )
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --similarity-method" in capsys.readouterr().err
+
+
 def test_unreachable_coverage_exits_2(tmp_path, capsys):
     code = main(
         ["synth", "--out", str(tmp_path / "d"), "--rows", "6", "--cols", "6",

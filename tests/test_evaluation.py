@@ -16,9 +16,10 @@ from roadcost.evaluation import (
     training_size_sweep,
 )
 from roadcost.graph import CostVector, RoadGraph, build_dual
-from roadcost.solver import annotated_mask
+from roadcost.pagerank import pagerank, transition_matrices
+from roadcost.solver import annotated_mask, build_a
 from roadcost.synth import SyntheticSpec, generate_synthetic
-from roadcost.trips import LinkRecord, Trip, TripSet, split_trips
+from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, split_trips
 
 from conftest import make_trip, tripset
 
@@ -297,3 +298,26 @@ class TestConstraintMask:
                 assert np.array_equal(mask, expected)
                 assert matrices.mask(use_a, use_b) is mask
                 assert not mask.flags.writeable
+
+    @pytest.mark.parametrize("instance", ["small_experiment", "grid12"])
+    def test_matches_the_exact_similarity_graph(self, instance, small_experiment):
+        if instance == "grid12":
+            spec = SyntheticSpec(rows=12, cols=12, n_trips=144, coverage=0.3, noise=0.05)
+            graph, _, trips = generate_synthetic(spec, seed=1)
+            dual, train = build_dual(graph), split_trips(trips, 0.5, seed=1)[0]
+        else:
+            graph, dual, _, _, train, _ = small_experiment
+        config = RunConfig()
+        matrices = build_constraints(train, graph, dual, config)
+        transitions = transition_matrices(dual, partition_by_tag(train, graph.tag_schedule))
+        prs = [pagerank(tm, tol=config.pr_tol) for tm in transitions]
+        a = build_a(prs, config.similarity_threshold, method="exact")
+        masks = set()
+        for use_a in (False, True):
+            for use_b in (False, True):
+                expected = annotated_mask(
+                    matrices.q, a if use_a else None, matrices.b if use_b else None
+                )
+                assert np.array_equal(matrices.mask(use_a, use_b), expected)
+                masks.add(expected.tobytes())
+        assert len(masks) > 1  # the active set matters on this instance

@@ -38,7 +38,7 @@ def overlap_weights_loop(record, schedule):
         overlap = min(record.exit, end) - max(record.enter, start)
         if overlap > 0:
             acc[tag] = acc.get(tag, 0.0) + overlap
-    return [(tag, total / record.duration) for tag, total in sorted(acc.items())]
+    return [(tag, total / (record.exit - record.enter)) for tag, total in sorted(acc.items())]
 
 
 def q_loop(trips, graph):
@@ -65,7 +65,7 @@ def majority_labels_loop(trips, schedule):
         per_tag = np.zeros(schedule.n_tags)
         for rec in trip.records:
             for tag, weight in overlap_weights_loop(rec, schedule):
-                per_tag[tag] += weight * rec.duration
+                per_tag[tag] += weight * (rec.exit - rec.enter)
         labels.append(int(np.argmax(per_tag)))
     return labels
 

@@ -7,6 +7,7 @@ from roadcost.graph import WEEKDAY, CostVector, RoadGraph, TagSchedule, build_du
 from roadcost.pagerank import PageRankVector, dual_weights, pagerank, transition_matrices
 from roadcost.solver import (
     PRECONDITIONER_FILL_LIMIT,
+    SimilarityLaplacian,
     SystemOperator,
     annotated_mask,
     build_a,
@@ -14,9 +15,9 @@ from roadcost.solver import (
     build_q,
     laplacian,
     objective_terms,
-    similarity,
     solve_weights,
 )
+from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, trip_cost
 
 from conftest import make_trip, tripset
@@ -124,20 +125,6 @@ class TestBuildQ:
             np.testing.assert_allclose(estimated, direct, rtol=1e-9)
 
 
-class TestSimilarity:
-    def test_equal_values(self):
-        assert similarity(0.37, 0.37) == 1.0
-
-    def test_ratio_and_symmetry(self):
-        assert similarity(0.2, 0.1) == 0.5
-        assert similarity(0.1, 0.2) == 0.5
-
-    @pytest.mark.parametrize("pi,pj", [(0.0, 0.1), (0.1, 0.0), (-0.2, 0.3)])
-    def test_non_positive_rejected(self, pi, pj):
-        with pytest.raises(ValueError):
-            similarity(pi, pj)
-
-
 def _prs(values_per_tag):
     return [
         PageRankVector(tag=k, values=np.asarray(v, dtype=float))
@@ -170,20 +157,6 @@ class TestBuildA:
         assert not dense[2:, :2].any()
         assert dense[0, 1] == 1.0 and dense[2, 3] == 1.0
 
-    def test_sweep_links_consecutive_only(self):
-        values = [1.0, 0.99, 0.98, 0.5]
-        exact = build_a(_prs([values]), threshold=0.95, method="exact").toarray()
-        sweep = build_a(_prs([values]), threshold=0.95, method="sweep").toarray()
-        assert exact[0, 2] > 0  # all-pairs links the ends of the run
-        assert sweep[0, 2] == 0  # sweep keeps only the chain
-        assert sweep[0, 1] > 0 and sweep[1, 2] > 0
-        # connected structure is preserved
-        from scipy.sparse.csgraph import connected_components
-
-        n_exact, lab_exact = connected_components(sp.csr_matrix(exact), directed=False)
-        n_sweep, lab_sweep = connected_components(sp.csr_matrix(sweep), directed=False)
-        assert n_exact == n_sweep
-
     def test_symmetry_random(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0.01, 1.0, 40)
@@ -194,6 +167,98 @@ class TestBuildA:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             build_a(_prs([[0.5]]), threshold=0.0)
+
+    @pytest.mark.parametrize("method", ["sweep", "auto"])
+    def test_exact_is_the_only_method(self, method):
+        with pytest.raises(ValueError, match="method"):
+            build_a(_prs([[0.5, 0.5]]), threshold=0.9, method=method)
+
+
+# (smaller, larger, threshold): the ratio test and searchsorted on the product
+# or the quotient disagree by an ulp at the window's edge
+ULP_PAIRS = {
+    "ratio-fails-product-passes": (0.0008330179786091529, 0.0008768610301148979, 0.95),
+    "ratio-passes-product-fails": (0.00626613568117995, 0.008951622401685644, 0.7),
+    "ratio-passes-quotient-fails": (0.0054034206658504745, 0.007719172379786393, 0.7),
+}
+
+
+def _grid_pageranks(rows=12, seed=1):
+    spec = SyntheticSpec(rows=rows, cols=rows, n_trips=144, coverage=0.3, noise=0.05)
+    graph, _, trips = generate_synthetic(spec, seed=seed)
+    transitions = transition_matrices(build_dual(graph), partition_by_tag(trips, graph.tag_schedule))
+    return [pagerank(tm) for tm in transitions]
+
+
+def _assert_matches_exact(prs, threshold, rng):
+    op = SimilarityLaplacian(prs, threshold)
+    lap = laplacian(build_a(prs, threshold, method="exact"))
+    assert op.shape == lap.shape
+    scale = max(np.abs(lap.diagonal()).max(), 1.0)
+    assert np.abs(op.diagonal() - lap.diagonal()).max() <= 1e-12 * scale
+    for x in (rng.standard_normal(lap.shape[0]), np.arange(lap.shape[0], dtype=float)):
+        expected = lap @ x
+        assert np.linalg.norm(op @ x - expected) <= 1e-12 * max(np.linalg.norm(expected), 1.0)
+
+
+class TestSimilarityLaplacian:
+    @pytest.mark.parametrize("threshold", [0.5, 0.8, 0.95])
+    def test_matches_exact_laplacian_on_random_instances(self, threshold):
+        for seed in range(12):
+            graph, dual, trips, rng = random_instance(seed)
+            transitions = transition_matrices(dual, partition_by_tag(trips, graph.tag_schedule))
+            _assert_matches_exact([pagerank(tm) for tm in transitions], threshold, rng)
+
+    def test_matches_exact_laplacian_on_grid(self):
+        _assert_matches_exact(_grid_pageranks(), 0.95, np.random.default_rng(0))
+
+    def test_all_values_equal_is_complete_graph(self):
+        op = SimilarityLaplacian(_prs([[0.25] * 4]), 0.95)
+        x = np.array([1.0, -2.0, 0.5, 3.0])
+        np.testing.assert_allclose(op @ x, 4 * x - x.sum(), rtol=1e-15, atol=1e-15)
+        assert op.diagonal().tolist() == [3.0] * 4
+
+    def test_zero_pagerank_entries_are_in_no_pair(self):
+        prs = _prs([[0.0, 0.3, 0.3, 0.0, 0.4], [0.5, 0.0, 0.5, 0.0, 0.0]])
+        op = SimilarityLaplacian(prs, 0.7)
+        assert op.diagonal()[[0, 3, 6, 8, 9]].tolist() == [0.0] * 5
+        for zero in (0, 3, 6, 8, 9):
+            unit = np.zeros(10)
+            unit[zero] = 1.0
+            assert not (op @ unit).any()
+        _assert_matches_exact(prs, 0.7, np.random.default_rng(1))
+
+    def test_one_positive_value(self):
+        op = SimilarityLaplacian(_prs([[0.0, 0.5, 0.0]]), 0.5)
+        assert not (op @ np.array([1.0, 2.0, 3.0])).any()
+        assert not op.diagonal().any()
+        assert op.chain().nnz == 0
+
+    def test_threshold_one_links_ties_only(self):
+        values = [0.2, 0.5, 0.2, np.nextafter(0.2, 1), 0.5, 0.1]
+        op = SimilarityLaplacian(_prs([values]), 1.0)
+        np.testing.assert_allclose(op.diagonal(), [1, 1, 1, 0, 1, 0], rtol=1e-15)
+        x = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+        np.testing.assert_allclose(op @ x, [1 - 4, 2 - 16, 4 - 1, 0, 16 - 2, 0], rtol=1e-15)
+        _assert_matches_exact(_prs([values]), 1.0, np.random.default_rng(2))
+
+    @pytest.mark.parametrize("smaller,larger,threshold", ULP_PAIRS.values(), ids=ULP_PAIRS)
+    def test_window_edge_follows_the_ratio_test(self, smaller, larger, threshold):
+        similar = smaller / larger >= threshold
+        values = [larger, 0.5, smaller]
+        op = SimilarityLaplacian(_prs([values]), threshold)
+        weight = smaller / larger if similar else 0.0
+        assert op.diagonal().tolist() == [weight, 0.0, weight]
+        x = np.array([1.0, 0.0, -1.0])
+        np.testing.assert_allclose(op @ x, [2 * weight, 0.0, -2 * weight], rtol=1e-15)
+        assert build_a(_prs([values]), threshold, method="exact").nnz == 2 * similar
+        assert op.chain().nnz == similar
+
+    def test_bad_threshold_and_tag_order(self):
+        with pytest.raises(ValueError, match="threshold"):
+            SimilarityLaplacian(_prs([[0.5]]), 1.5)
+        with pytest.raises(ValueError, match="ordered by tag"):
+            SimilarityLaplacian(_prs([[0.5], [0.5]])[::-1], 0.9)
 
 
 class TestBuildB:
@@ -281,11 +346,11 @@ class TestQuadraticFormEquivalence:
             partitions = partition_by_tag(trips, graph.tag_schedule)
             transitions = transition_matrices(dual, partitions)
             prs = [pagerank(tm) for tm in transitions]
-            a = build_a(prs, threshold, method="exact")
-            lap = laplacian(a)
             d = rng.uniform(-1, 1, graph.n_entries)
             expected = similarity_penalty_oracle(prs, d, threshold)
-            assert d @ (lap @ d) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            exact = laplacian(build_a(prs, threshold, method="exact"))
+            for lap in (exact, SimilarityLaplacian(prs, threshold)):
+                assert d @ (lap @ d) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_adjacency_penalty_matches_oracle(self):
         for seed in range(12):
