@@ -27,6 +27,7 @@ from .errors import ConvergenceError, GenerationError, LoadError
 from .evaluation import (
     build_constraints,
     edge_coverage,
+    pool_fractions,
     run_comparison,
     solve_variant,
     training_size_sweep,
@@ -45,7 +46,7 @@ file formats (CSV, UTF-8, header row required):
   costs:    trip_id,cost
   weights:  edge_id,tag,cost_per_meter,annotated_flag
 config file: key=value lines (alpha, beta, gamma, similarity_threshold,
-  highway_cutoff_kmh, cg_tol, cg_max_iters, pr_tol, seed, variant);
+  highway_cutoff_kmh, cg_tol, pr_tol, seed, variant);
   command-line flags override file values.
 """
 
@@ -65,7 +66,6 @@ def _add_config_args(parser: argparse.ArgumentParser):
     parser.add_argument("--similarity-threshold", type=float, dest="similarity_threshold")
     parser.add_argument("--highway-cutoff-kmh", type=float, dest="highway_cutoff_kmh")
     parser.add_argument("--cg-tol", type=float, dest="cg_tol")
-    parser.add_argument("--cg-max-iters", type=int, dest="cg_max_iters")
     parser.add_argument("--pr-tol", type=float, dest="pr_tol")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--variant", choices=sorted(VARIANTS))
@@ -79,7 +79,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         name: getattr(args, name)
         for name in (
             "alpha", "beta", "gamma", "similarity_threshold", "highway_cutoff_kmh",
-            "cg_tol", "cg_max_iters", "pr_tol", "seed", "variant",
+            "cg_tol", "pr_tol", "seed", "variant",
         )
         if getattr(args, name, None) is not None
     }
@@ -175,6 +175,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    fractions = pool_fractions(args.sweep_fractions.split(",")) if args.sweep_fractions else ()
     graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
     trips.validate_against(graph)
     dual = build_dual(graph)
@@ -193,8 +194,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         ["variant", "coverage"],
         [(v, "%.6f" % c) for v, c in sorted(report.coverage_per_variant.items())],
     )
-    if args.sweep_fractions:
-        fractions = tuple(float(x) for x in args.sweep_fractions.split(","))
+    if fractions:
         sweep = training_size_sweep(
             trips, graph, dual, config,
             fractions=fractions,
@@ -215,13 +215,15 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
     trips.validate_against(graph)
+    tag_names = graph.tag_schedule.tags
+    if args.tag and args.tag not in tag_names:
+        raise ValueError(f"unknown tag {args.tag!r}; known tags: {', '.join(tag_names)}")
     dual = build_dual(graph)
     partitions = partition_by_tag(trips, graph.tag_schedule)
     transitions = transition_matrices(dual, partitions)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    tag_names = graph.tag_schedule.tags
     tag = tag_names.index(args.tag) if args.tag else 0
     pr = pagerank(transitions[tag], tol=config.pr_tol)
     percentages, _ = pagerank_stats(pr)

@@ -35,7 +35,6 @@ class RunConfig:
     similarity_threshold: float = 0.95
     highway_cutoff_kmh: float = 90.0
     cg_tol: float = DEFAULT_CG_TOL
-    cg_max_iters: int = 0  # 0 = 10x number of unknowns
     pr_tol: float = DEFAULT_TOL
     seed: int = 0
     variant: str = "F4"
@@ -60,7 +59,7 @@ _FLOAT_FIELDS = {
     "alpha", "beta", "gamma", "similarity_threshold", "highway_cutoff_kmh",
     "cg_tol", "pr_tol",
 }
-_INT_FIELDS = {"cg_max_iters", "seed"}
+_INT_FIELDS = {"seed"}
 
 
 def parse_config_file(path: str | Path, base: RunConfig | None = None) -> RunConfig:

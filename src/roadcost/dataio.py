@@ -536,6 +536,9 @@ def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.nda
             problems.append(f"{path}:{lineno}: unparseable value")
             continue
         pos = tag_index[tag_name] * graph.n_edges + edge
+        if filled[pos]:
+            problems.append(f"{path}:{lineno}: duplicate row for edge {edge_id!r}, tag {tag_name!r}")
+            continue
         values[pos] = value
         mask[pos] = flag
         filled[pos] = True

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,8 +92,6 @@ class EvalReport:
     coverage_per_variant: dict[str, float]
     alr_curve: list[tuple[int, float]]
     solve_info: dict[str, SolveInfo] = field(default_factory=dict)
-    weights: dict[str, CostVector] = field(default_factory=dict, repr=False)
-    entry_masks: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -164,7 +162,6 @@ def solve_variant(
 ) -> tuple[CostVector, np.ndarray, SolveInfo]:
     """Solve one objective variant; returns weights, annotated mask, stats."""
     alpha, beta = config.variant_coefficients(variant)
-    max_iters = config.cg_max_iters or None
     values, info = solve_weights(
         matrices.q,
         train_costs,
@@ -174,7 +171,6 @@ def solve_variant(
         beta,
         config.gamma,
         tol=config.cg_tol,
-        max_iters=max_iters,
     )
     mask = matrices.mask(bool(alpha), bool(beta))
     weights = CostVector(np.where(mask, values, 0.0), graph.n_edges, graph.n_tags)
@@ -209,7 +205,7 @@ def run_comparison(
     matrices = build_constraints(train, graph, dual, config)
     train_costs = train.costs()
 
-    ssl_per, coverage_per, infos, weights_per, masks = {}, {}, {}, {}, {}
+    ssl_per, coverage_per, infos, weights_per = {}, {}, {}, {}
     for variant in variants:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
@@ -218,7 +214,6 @@ def run_comparison(
         coverage_per[variant] = edge_coverage(graph, mask)
         infos[variant] = info
         weights_per[variant] = weights
-        masks[variant] = mask
 
     base = ssl_per.get("F1")
     ratios = {
@@ -232,8 +227,6 @@ def run_comparison(
         coverage_per_variant=coverage_per,
         alr_curve=curve,
         solve_info=infos,
-        weights=weights_per,
-        entry_masks=masks,
     )
 
 
@@ -296,6 +289,15 @@ def grid_search(
     return best_config, table
 
 
+def pool_fractions(values: Iterable) -> tuple[float, ...]:
+    """Training-pool fractions as floats; each must lie in (0, 1]."""
+    fractions = tuple(float(v) for v in values)
+    bad = [f for f in fractions if not 0 < f <= 1]
+    if bad:
+        raise ValueError(f"training-pool fractions must be in (0, 1], got {bad}")
+    return fractions
+
+
 def training_size_sweep(
     trips: TripSet,
     graph: RoadGraph,
@@ -311,6 +313,7 @@ def training_size_sweep(
     Reserves a fixed test set, then reuses prefixes of one shuffled training
     pool so larger fractions strictly contain smaller ones.
     """
+    fractions = pool_fractions(fractions)
     seed = config.seed if seed is None else seed
     pool, test = split_trips(trips, 1.0 - test_fraction, seed)
     order = np.random.default_rng(seed + 1).permutation(len(pool))

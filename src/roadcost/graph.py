@@ -258,7 +258,7 @@ class DualGraph:
     exactly when the primal edge of u ends where the primal edge of v
     starts, i.e. the two road segments can be traversed consecutively.
     U-turn dual edges (a segment followed by its own reverse) are included;
-    they are only filtered later where reverse pairs must be decoupled.
+    ``build_b`` and the synthetic walks drop them through ``reverse_mask``.
     """
 
     graph: RoadGraph

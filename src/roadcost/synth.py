@@ -2,8 +2,9 @@
 
 Real trip datasets with ground truth are rarely shareable, so experiments
 and tests run on generated grids: bidirectional rectangular road grids,
-per-(edge, tag) ground-truth unit costs, and random-walk trips whose costs
-come from the trip-cost model itself (plus optional multiplicative noise).
+per-(edge, tag) ground-truth unit costs, and trips that walk the dual graph
+(``build_dual``, no u-turns), written as one record table whose costs come
+from the trip-cost model itself (plus optional multiplicative noise).
 Everything is deterministic for a fixed seed.
 """
 
@@ -23,8 +24,9 @@ from .graph import (
     CostVector,
     RoadGraph,
     TagSchedule,
+    build_dual,
 )
-from .trips import LinkRecord, Trip, TripSet, trip_costs
+from .trips import RecordTable, TripSet, trip_costs
 
 _SECONDS_PER_DAY = 86_400
 
@@ -126,87 +128,61 @@ def _draw_truth(spec: SyntheticSpec, graph: RoadGraph, rng: np.random.Generator)
     return CostVector(values, graph.n_edges, graph.n_tags)
 
 
-def _walk_edges(
-    graph: RoadGraph,
-    successors: list[np.ndarray],
-    start: int,
-    n_edges: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Random walk over consecutive edges, refusing immediate u-turns."""
+def _walk(onward: list[list[int]], start: int, n: int, rng: np.random.Generator) -> list[int]:
+    """Random walk of up to ``n`` edges, each drawn from the last one's ``onward`` list."""
     walk = [start]
-    current = start
-    for _ in range(n_edges - 1):
-        options = successors[graph.heads[current]]
-        options = options[
-            ~(
-                (graph.tails[options] == graph.heads[current])
-                & (graph.heads[options] == graph.tails[current])
-            )
-        ]
-        if len(options) == 0:
+    for _ in range(n - 1):
+        options = onward[walk[-1]]
+        if not options:
             break
-        current = int(rng.choice(options))
-        walk.append(current)
+        walk.append(options[rng.integers(len(options))])
     return walk
 
 
-def _make_trip(
-    graph: RoadGraph,
-    edge_walk: list[int],
-    day_class: str,
-    noise: float,
-    rng: np.random.Generator,
-) -> tuple[tuple[LinkRecord, ...], float]:
-    """Timed records of one walk and the noise factor of its cost."""
-    durations = []
-    for e in edge_walk:
-        speed_kmh = rng.uniform(25.0, 65.0)
-        durations.append(max(1, int(round(3.6 * graph.lengths[e] / speed_kmh))))
-    total = sum(durations)
-    start_s = int(rng.integers(0, max(1, _SECONDS_PER_DAY - total)))
-    records = []
-    t = start_s
-    for e, dur in zip(edge_walk, durations):
-        records.append(
-            LinkRecord(edge=e, day_class=day_class, enter=t / 60.0, exit=(t + dur) / 60.0)
-        )
-        t += dur
-    factor = max(0.05, 1.0 + noise * rng.standard_normal()) if noise else 1.0
-    return tuple(records), factor
+def _clock(graph: RoadGraph, walk: list[int], rng: np.random.Generator) -> list[int]:
+    """Second of day a walk enters each edge, then leaves the last, driven at
+    random speeds from a random start that ends it within the day."""
+    speeds = rng.uniform(25.0, 65.0, size=len(walk))
+    durations = np.maximum(1, np.rint(3.6 * graph.lengths[walk] / speeds)).astype(np.int64)
+    total = int(durations.sum())
+    if total > _SECONDS_PER_DAY:
+        raise GenerationError(f"a walk of {len(walk)} edges takes {total} s, more than a day")
+    start = int(rng.integers(0, max(1, _SECONDS_PER_DAY - total)))
+    return [start, *(start + np.cumsum(durations)).tolist()]
 
 
-def _entry_topup_trips(
-    graph: RoadGraph,
-    noise: float,
-    rng: np.random.Generator,
-) -> list[tuple[tuple[LinkRecord, ...], float]]:
-    """One single-record trip per (edge, tag) entry.
+def _entry_topups(
+    graph: RoadGraph, noise: float, first_trip: int, rng: np.random.Generator
+) -> tuple[RecordTable, np.ndarray]:
+    """One single-record trip per (edge, tag) entry, tag by tag, numbered
+    from ``first_trip``, and their noise factors.
 
     Walks alone can leave entries collinear (e.g. a boundary-straddling
     record observed only once pins a combination of two entries, not each);
     a singleton observation per entry makes every cost variable
     identifiable.
     """
-    schedule = graph.tag_schedule
-    trips = []
+    schedule, n = graph.tag_schedule, graph.n_edges
+    days, enters, exits, factors = [], [], [], []
     for tag in range(graph.n_tags):
-        day, interval = None, None
-        for candidate in DAY_CLASSES:
-            intervals = schedule.intervals_of(tag, candidate)
-            if intervals:
-                day, interval = candidate, intervals[0]
-                break
-        if interval is None:
+        scheduled = [d for d, name in enumerate(DAY_CLASSES) if schedule.intervals_of(tag, name)]
+        if not scheduled:
             raise GenerationError(f"tag {schedule.tags[tag]!r} has no schedule interval")
-        start, end = interval
+        start, end = schedule.intervals_of(tag, DAY_CLASSES[scheduled[0]])[0]
         mid = (start + end) / 2.0
-        dur = min(1.0, (end - start) / 4.0)
-        for edge in range(graph.n_edges):
-            record = LinkRecord(edge=edge, day_class=day, enter=mid, exit=mid + dur)
-            factor = max(0.05, 1.0 + noise * rng.standard_normal()) if noise else 1.0
-            trips.append(((record,), factor))
-    return trips
+        days.append(scheduled[0])
+        enters.append(mid)
+        exits.append(mid + min(1.0, (end - start) / 4.0))
+        z = rng.standard_normal(n) if noise else np.zeros(n)
+        factors.append(np.maximum(0.05, 1.0 + noise * z))
+    table = RecordTable(
+        first_trip + np.arange(graph.n_entries),
+        np.tile(np.arange(n), graph.n_tags),
+        np.repeat(np.array(days, dtype=np.int8), n),
+        np.repeat(enters, n),
+        np.repeat(exits, n),
+    )
+    return table, np.concatenate(factors)
 
 
 def generate_synthetic(
@@ -214,40 +190,54 @@ def generate_synthetic(
 ) -> tuple[RoadGraph, CostVector, TripSet]:
     """Generate (graph, ground-truth weights, trips) for one spec and seed.
 
-    Trip costs are the trip-cost model evaluated on the ground truth, times
-    multiplicative noise when requested. Raises GenerationError when the
-    coverage target cannot be met after bounded retries.
+    Trips are random walks over the dual graph (``build_dual``), timed at
+    random speeds, and written straight into a record table. Their costs are
+    the trip-cost model evaluated on the ground truth, times multiplicative
+    noise when requested. Raises GenerationError when the coverage target
+    cannot be met after bounded retries.
     """
     for attempt in range(3):
         rng = np.random.default_rng([seed, attempt])
         graph = _grid_graph(spec, rng)
         truth = _draw_truth(spec, graph, rng)
-        successors: list[np.ndarray] = [
-            np.nonzero(graph.tails == v)[0] for v in range(graph.n_vertices)
-        ]
+        # each edge's dual-graph successors but its u-turn, in ascending edge index
+        dual = build_dual(graph)
+        ptr, dst = dual.out_indptr.tolist(), dual.edge_dst.tolist()
+        keep = (~dual.reverse_mask).tolist()
+        onward = [[v for v, k in zip(dst[a:b], keep[a:b]) if k] for a, b in zip(ptr, ptr[1:])]
         covered = np.zeros(graph.n_edges, dtype=bool)
-        trips: list[tuple[tuple[LinkRecord, ...], float]] = []
+        walks, clocks, factors = [], [], []
         for _ in range(spec.n_trips):
             if spec.coverage is not None and covered.mean() < spec.coverage:
                 start = int(rng.choice(np.nonzero(~covered)[0]))
             else:
                 start = int(rng.integers(graph.n_edges))
             n = int(rng.integers(spec.trip_len[0], spec.trip_len[1] + 1))
-            walk = _walk_edges(graph, successors, start, n, rng)
-            trips.append(_make_trip(graph, walk, spec.day_class, spec.noise, rng))
-            covered[walk] = True
+            walks.append(_walk(onward, start, n, rng))
+            clocks.append(_clock(graph, walks[-1], rng))
+            z = rng.standard_normal() if spec.noise else 0.0
+            factors.append(max(0.05, 1.0 + spec.noise * z))
+            covered[walks[-1]] = True
+        edges = [e for walk in walks for e in walk]
+        table = RecordTable(
+            np.repeat(np.arange(len(walks)), [len(walk) for walk in walks]),
+            np.array(edges, dtype=np.int64),
+            np.full(len(edges), DAY_CLASSES.index(spec.day_class), dtype=np.int8),
+            np.array([t for clock in clocks for t in clock[:-1]], dtype=np.int64) / 60.0,
+            np.array([t for clock in clocks for t in clock[1:]], dtype=np.int64) / 60.0,
+        )
         if spec.cover_all_entries:
-            trips.extend(_entry_topup_trips(graph, spec.noise, rng))
+            topups, topup_factors = _entry_topups(graph, spec.noise, len(walks), rng)
+            table = RecordTable(*map(np.concatenate, zip(table, topups)))
+            factors = np.concatenate([factors, topup_factors])
         if (
             spec.n_trips == 0
             or spec.coverage is None
             or covered.mean() >= spec.coverage - 1e-12
             or spec.cover_all_entries
         ):
-            drafts = TripSet(Trip(records, 0.0) for records, _ in trips)
-            factors = np.array([f for _, f in trips], dtype=float)
-            priced = trip_costs(drafts, graph, truth) * factors
-            return graph, truth, TripSet.from_table(drafts.table, priced)
+            priced = trip_costs(TripSet.from_table(table, np.zeros(len(factors))), graph, truth)
+            return graph, truth, TripSet.from_table(table, priced * factors)
     raise GenerationError(
         f"could not reach edge coverage {spec.coverage:.2f} with "
         f"{spec.n_trips} trips of length {spec.trip_len} (got {covered.mean():.2f})"

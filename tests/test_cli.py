@@ -231,24 +231,57 @@ def test_config_file_with_flag_override(tmp_path):
 def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
     data = _synth(tmp_path)
     config = tmp_path / "run.cfg"
-    config.write_text("alpha=0.25\nsimilarity_method=exact\n")
-    code = main(
-        ["annotate", *_dataset_args(data), "--config", str(config),
-         "--out", str(tmp_path / "w.csv"), "--report", str(tmp_path / "report.json")]
-    )
-    assert code == 2
-    assert "run.cfg:2: unknown config key 'similarity_method'" in capsys.readouterr().err
+    for key, value in (("similarity_method", "exact"), ("cg_max_iters", "50")):
+        config.write_text(f"alpha=0.25\n{key}={value}\n")
+        code = main(
+            ["annotate", *_dataset_args(data), "--config", str(config),
+             "--out", str(tmp_path / "w.csv"), "--report", str(tmp_path / "report.json")]
+        )
+        assert code == 2
+        assert f"run.cfg:2: unknown config key '{key}'" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(tmp_path, capsys):
     data = _synth(tmp_path)
-    with pytest.raises(SystemExit) as exit_info:
-        main(
-            ["annotate", *_dataset_args(data), "--similarity-method", "exact",
-             "--out", str(tmp_path / "w.csv"), "--report", str(tmp_path / "report.json")]
-        )
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --similarity-method" in capsys.readouterr().err
+    for flag, value in (("--similarity-method", "exact"), ("--cg-max-iters", "50")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["annotate", *_dataset_args(data), flag, value, "--out",
+                 str(tmp_path / "w.csv"), "--report", str(tmp_path / "report.json")]
+            )
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fractions, message",
+    [
+        ("0,1.5,-2", "training-pool fractions must be in (0, 1], got [0.0, 1.5, -2.0]"),
+        ("0.5,nan", "training-pool fractions must be in (0, 1], got [nan]"),
+        ("0.5,half", "could not convert string to float: 'half'"),
+    ],
+)
+def test_bad_sweep_fractions_exit_2_before_any_output(tmp_path, capsys, fractions, message):
+    data = _synth(tmp_path)
+    out = tmp_path / "eval"
+    code = main(
+        ["evaluate", *_dataset_args(data), "--sweep-fractions", fractions,
+         "--out-dir", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_pagerank_stats_unknown_tag_exits_2(tmp_path, capsys):
+    data = _synth(tmp_path)
+    out = tmp_path / "stats"
+    code = main(["pagerank-stats", *_dataset_args(data), "--tag", "NOPE", "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: unknown tag 'NOPE'; known tags: OFFPEAK, PEAK\n"
+    )
+    assert not out.exists()
 
 
 def test_unreachable_coverage_exits_2(tmp_path, capsys):

@@ -286,6 +286,22 @@ class TestWeightsIO:
         with pytest.raises(LoadError, match="missing"):
             load_weights(path, graph)
 
+    def test_duplicate_entry_rejected(self, tmp_path, synth_dataset):
+        # a second row for an entry used to overwrite the first without a word
+        graph, truth, _ = synth_dataset
+        path = tmp_path / "weights.csv"
+        write_weights(path, graph, truth, np.ones(graph.n_entries, dtype=bool))
+        lines = path.read_text().splitlines()
+        edge_id, tag = lines[1].split(",")[:2]
+        lines.insert(2, f"{edge_id},{tag},9.99,1")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError) as err:
+            load_weights(path, graph)
+        assert err.value.code == "malformed-row"
+        assert err.value.problems == [
+            f"{path}:3: duplicate row for edge {edge_id!r}, tag {tag!r}"
+        ]
+
 
 def test_full_dataset_round_trip(tmp_path, synth_dataset):
     graph, truth, trips = synth_dataset

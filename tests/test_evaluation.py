@@ -214,6 +214,20 @@ def test_training_size_sweep_shape(small_experiment):
     assert all(s >= 0 for _, s in results)
 
 
+@pytest.mark.parametrize("fractions", [(0.0,), (0.5, 1.5), (-2.0,), (float("nan"),)])
+def test_training_size_sweep_rejects_fractions_outside_unit_interval(
+    small_experiment, fractions, monkeypatch
+):
+    graph, dual, _, trips, _, _ = small_experiment
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("build_constraints called")
+
+    monkeypatch.setattr("roadcost.evaluation.build_constraints", no_fit)
+    with pytest.raises(ValueError, match=r"fractions must be in \(0, 1\]"):
+        training_size_sweep(trips, graph, dual, RunConfig(), fractions=fractions)
+
+
 class TestGridSearch:
     def test_picks_grid_minimum(self, small_experiment):
         graph, dual, _, trips, _, _ = small_experiment

@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from roadcost.dataio import save_dataset
 from roadcost.errors import GenerationError
+from roadcost.graph import build_dual
 from roadcost.solver import build_q, solve_weights
 from roadcost.synth import SyntheticSpec, equal_split_schedule, generate_synthetic
 from roadcost.trips import record_tag_weights
@@ -73,6 +77,7 @@ class TestGenerationBasics:
     def test_no_immediate_u_turns(self):
         spec = SyntheticSpec(rows=5, cols=5, n_trips=60, trip_len=(5, 10))
         graph, _, trips = generate_synthetic(spec, seed=3)
+        dual = build_dual(graph)
         for trip in trips:
             for r1, r2 in zip(trip.records, trip.records[1:]):
                 reverse = (
@@ -80,6 +85,16 @@ class TestGenerationBasics:
                     and graph.heads[r1.edge] == graph.tails[r2.edge]
                 )
                 assert not reverse
+                k = dual.dual_edge_index(r1.edge, r2.edge)
+                assert k is not None and not dual.reverse_mask[k]
+
+    def test_walk_longer_than_a_day_raises(self):
+        # 3 km segments at <= 65 km/h take >= 166 s each; 600 of them exceed a day
+        spec = SyntheticSpec(
+            rows=3, cols=3, n_trips=1, trip_len=(600, 600), length_range=(3000.0, 3000.0)
+        )
+        with pytest.raises(GenerationError, match="more than a day"):
+            generate_synthetic(spec, seed=0)
 
     def test_timestamps_on_second_grid(self):
         # HH:MM:SS serialization is lossless only for whole-second times
@@ -150,3 +165,63 @@ class TestSpecValidation:
         assert schedule.tag_of("weekday", 0.0) == 0
         assert schedule.tag_of("weekday", 500.0) == 1
         assert schedule.tag_of("weekend", 720.0) == 0
+
+
+# sha256 of every file ``save_dataset`` writes, for specs that together take
+# every branch of the generator (coverage steering, noise, speed-limit truth,
+# the weekend day class, entry top-ups over three tags). Computed with numpy
+# 2.4.6; a change to the draw order, the timing or the record columns fails.
+PINNED_DATASETS = {
+    "coverage-noise-limit-truth": (
+        SyntheticSpec(
+            rows=4, cols=5, n_trips=40, trip_len=(3, 8), coverage=0.6, noise=0.1,
+            speed_limit_choices=(50.0, 110.0), truth_from_speed_limits=True,
+        ),
+        11,
+        {
+            "costs": "c72b3609e7afa4027a72356c43e7dd4f7e477334b57f9558ac54c0cff71ea480",
+            "network": "d2b554c6a1a29fcc99a208afd6a3c32c942314f627210a501de35b24e5e81ccd",
+            "schedule": "35ac0f446497d35a812d8410a516d2ad46482c9a9600d5812c3176aeea997e6c",
+            "trips": "21e2ff259909d74fa05e109aa0a181ec05b9801e568164c65539bc4bbe92e868",
+            "truth": "0e429b9382345ef1962766efde4e4f4ee0253c397f327427ce853a7c5e96bcd5",
+        },
+    ),
+    "weekend-all-entries-three-tags": (
+        SyntheticSpec(
+            rows=3, cols=4, n_trips=12, tags=("A", "B", "C"),
+            weight_ranges=((0.04, 0.10), (0.08, 0.20), (0.10, 0.30)), noise=0.2,
+            day_class="weekend", cover_all_entries=True,
+        ),
+        12,
+        {
+            "costs": "62b92be944d6f3d74ce7ab46b7f33748ffd68ee36e26bb15c019c686c4048c79",
+            "network": "3ccaabc14ba324f0bb27a554033de0f7809d4636c1c8232651044cad21de705b",
+            "schedule": "6bba7ab70faa3b4b12f769ebd09a681e90678bcdc5975ae761e2695a0852fb48",
+            "trips": "00a0fc6170887c5f926d35a932a8ca7cb6a7ecafdbf15c3eb161874ebebcd54b",
+            "truth": "296dc7477607481f4e3ec82dd164cc0e48c5eff68497e278a90507f06cdcab44",
+        },
+    ),
+    "benchmark-shape": (
+        SyntheticSpec(
+            rows=6, cols=6, n_trips=60, coverage=0.3, noise=0.05,
+            speed_limit_choices=(50.0, 100.0),
+        ),
+        13,
+        {
+            "costs": "3430723bc327fc0e943f23bbdf20f07592d14f0d9488c5b6b37d610e57d1ea40",
+            "network": "7cf20c61c08c1c126c91422844a67a84706eddbe06d7c2b09acafae30e6a6f97",
+            "schedule": "35ac0f446497d35a812d8410a516d2ad46482c9a9600d5812c3176aeea997e6c",
+            "trips": "77b9641ab422bead59478ef246ee92504ce5e836c6f307d76c5297f686860742",
+            "truth": "9556700be0824b9eaf62ae434a046f451f97113f2f07c5270b8b490926b42e30",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DATASETS))
+def test_saved_dataset_bytes_are_pinned(tmp_path, name):
+    spec, seed, digests = PINNED_DATASETS[name]
+    graph, truth, trips = generate_synthetic(spec, seed)
+    paths = save_dataset(graph, trips, tmp_path, truth=truth)
+    written = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
+    assert written == digests
