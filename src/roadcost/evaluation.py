@@ -12,6 +12,7 @@ from .config import VARIANTS, RunConfig
 from .graph import DAY_CLASSES, CostVector, DualGraph, RoadGraph
 from .pagerank import pagerank, transition_matrices
 from .solver import (
+    AugmentedPattern,
     SimilarityLaplacian,
     SolveInfo,
     annotated_mask,
@@ -119,6 +120,16 @@ class ConstraintMatrices:
     b: sp.csr_matrix
     l_b: sp.csr_matrix
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pattern: Optional[AugmentedPattern] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def pattern(self) -> AugmentedPattern:
+        """Q's preconditioner pattern: one factor ordering for every solve here."""
+        if self._pattern is None:
+            self._pattern = AugmentedPattern(self.q)
+        return self._pattern
 
     def mask(self, use_a: bool, use_b: bool) -> np.ndarray:
         """Annotated mask under the active constraints, computed once per pair.
@@ -171,6 +182,7 @@ def solve_variant(
         beta,
         config.gamma,
         tol=config.cg_tol,
+        pattern=matrices.pattern,
     )
     mask = matrices.mask(bool(alpha), bool(beta))
     weights = CostVector(np.where(mask, values, 0.0), graph.n_edges, graph.n_tags)

@@ -21,7 +21,7 @@ beta diag(L_B): it inverts the misfit term exactly, so CG is left with only
 the off-diagonal Laplacian coupling. Q Q^T is never formed. P^-1 v is read
 off one sparse LU of the (n + t) x (n + t) augmented matrix
 [[D, Q], [Q^T, -I]], which is quasi-definite (D positive, -I negative) and
-therefore factors stably under a symmetric ordering without pivoting
+therefore factors stably under any symmetric ordering without pivoting
 (Vanderbei, "Symmetric quasidefinite matrices", SIAM J. Optim., 1995).
 That factor fills as trips overlap. When an estimate of its fill, taken
 from Q's row counts before anything is factored, exceeds
@@ -29,6 +29,13 @@ PRECONDITIONER_FILL_LIMIT times the augmented matrix's own nonzeros, the
 solve runs plain CG instead: on the grids measured, that many trips per
 unknown left Q Q^T well enough conditioned for plain CG to be the faster
 and leaner path.
+
+Solves with the same Q (the objective variants, a grid of coefficients)
+differ only in D, so AugmentedPattern keeps what Q alone decides: Q^T, the
+fill verdict, and the fill-reducing ordering of the first factor. Every
+later factor permutes the matrix symmetrically by that ordering and pays
+only for the numeric factorization, with the same fill. Each solve still
+factors its own D: the preconditioner is the same matrix as before.
 """
 
 from __future__ import annotations
@@ -53,6 +60,11 @@ DEFAULT_CG_TOL = 1e-8
 # than plain CG (which missed tol on F1 at 7,000 trips on 30x30); at 7.2-10,
 # 15-21 trips per unknown on average, plain CG was 1.3-6.2x faster.
 PRECONDITIONER_FILL_LIMIT = 6.0
+# SuperLU settings of every preconditioner factor: diagonal pivots, no
+# supernodes (the augmented matrix is quasi-definite and sparse).
+_SPLU_OPTIONS = dict(
+    diag_pivot_thresh=0.0, panel_size=1, relax=1, options={"SymmetricMode": True}
+)
 
 
 def _similarity_windows(pageranks: Sequence[PageRankVector], threshold: float):
@@ -231,6 +243,85 @@ def laplacian(s: sp.spmatrix) -> sp.csr_matrix:
     return (sp.diags(row_sums) - s).tocsr()
 
 
+class _PermutedFactor:
+    """Solves K x = v with the LU of K[inv][:, inv], the symmetric permutation of K."""
+
+    def __init__(self, lu, inv: np.ndarray):
+        self.lu = lu
+        self.inv = inv
+
+    @property
+    def nnz(self) -> int:
+        return self.lu.nnz
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        x = np.empty_like(v)
+        x[self.inv] = self.lu.solve(v[self.inv])
+        return x
+
+
+class AugmentedPattern:
+    """What Q alone decides about the preconditioner, shared by Q's solves.
+
+    Holds Q^T, the fill gate's verdict (``factored``) and, after the first
+    factor, that factor's fill-reducing ordering (SuperLU MMD on A^T + A).
+    The second factor builds once the augmented matrix permuted
+    symmetrically by that ordering; from then on each factor copies it,
+    writes its own D and factors it in the given order, the numeric step
+    only. The fill is the first factor's, and no factor is kept.
+    """
+
+    def __init__(self, q: sp.csr_matrix):
+        n, t = q.shape
+        self.q = q
+        self.qt = q.T.tocsr()
+        trips_per_unknown = q.getnnz(axis=1).astype(float)
+        fill_estimate = trips_per_unknown @ trips_per_unknown
+        self.factored = bool(fill_estimate <= PRECONDITIONER_FILL_LIMIT * (2 * q.nnz + n + t))
+        self._inv = None  # argsort of the first factor's column permutation
+        self._template = None  # the augmented matrix, permuted
+        self._diag_pos = None  # position in its data of each unknown's D entry
+
+    def _augmented(self, diag: np.ndarray) -> sp.csc_matrix:
+        t = self.q.shape[1]
+        return sp.bmat([[sp.diags(diag), self.q], [self.qt, -sp.identity(t)]], format="csc")
+
+    def _build_template(self) -> None:
+        n = self.q.shape[0]
+        # ones on the D block: sp.diags would drop explicit zeros
+        k = self._augmented(np.ones(n)).tocoo()
+        perm = np.argsort(self._inv)  # new position of each row and column
+        template = sp.csc_matrix((k.data, (perm[k.row], perm[k.col])), shape=k.shape)
+        template.sort_indices()
+        cols = np.repeat(np.arange(k.shape[1]), np.diff(template.indptr))
+        on_diag = np.flatnonzero(template.indices == cols)
+        entry = self._inv[cols[on_diag]]
+        d_block = entry < n
+        self._diag_pos = np.empty(n, dtype=np.int64)
+        self._diag_pos[entry[d_block]] = on_diag[d_block]
+        self._template = template
+
+    def factor(self, diag: np.ndarray):
+        """An LU of [[diag(D), Q], [Q^T, -I]]: its solve(v) solves that system.
+
+        The first call orders and factors; later calls reuse the ordering.
+        Raises RuntimeError (from SuperLU) on a zero pivot.
+        """
+        if self._inv is None:
+            lu = splu(self._augmented(diag), permc_spec="MMD_AT_PLUS_A", **_SPLU_OPTIONS)
+            # a new array: perm_c is a view whose base is the LU itself
+            self._inv = np.argsort(lu.perm_c)
+            return lu
+        if self._template is None:
+            self._build_template()
+        data = self._template.data.copy()
+        data[self._diag_pos] = diag
+        permuted = sp.csc_matrix(
+            (data, self._template.indices, self._template.indptr), shape=self._template.shape
+        )
+        return _PermutedFactor(splu(permuted, permc_spec="NATURAL", **_SPLU_OPTIONS), self._inv)
+
+
 @dataclass
 class SystemOperator:
     """Matrix-free application of Q Q^T + alpha L_A + beta L_B + gamma I.
@@ -245,9 +336,14 @@ class SystemOperator:
     alpha: float
     beta: float
     gamma: float
+    pattern: Optional[AugmentedPattern] = None  # Q's, shared with other solves
 
     def __post_init__(self):
-        self._qt = self.q.T.tocsr()
+        if self.pattern is None:
+            self.pattern = AugmentedPattern(self.q)
+        elif self.pattern.q is not self.q:
+            raise ValueError("the augmented pattern belongs to another Q")
+        self._qt = self.pattern.qt
         if self.alpha and self.l_a is None:
             raise ValueError("alpha > 0 requires a similarity Laplacian")
         if self.beta and self.l_b is None:
@@ -275,29 +371,16 @@ class SystemOperator:
         it, so sum_i r_i^2 estimates the factor's fill before it is paid for
         (measured L + U: 1.4-7.6 times the estimate). Above
         PRECONDITIONER_FILL_LIMIT per nonzero of the augmented matrix this
-        returns None.
+        returns None. The factor reuses the ordering of ``pattern``'s first.
         """
-        n, t = self.q.shape
-        trips_per_unknown = self.q.getnnz(axis=1).astype(float)
-        augmented_nnz = 2 * self.q.nnz + n + t
-        if trips_per_unknown @ trips_per_unknown > PRECONDITIONER_FILL_LIMIT * augmented_nnz:
+        if not self.pattern.factored:
             return None
-        diag = np.full(n, self.gamma)
+        diag = np.full(self.n, self.gamma)
         if self.alpha:
             diag += self.alpha * self.l_a.diagonal()
         if self.beta:
             diag += self.beta * self.l_b.diagonal()
-        kkt = sp.bmat(
-            [[sp.diags(diag), self.q], [self._qt, -sp.identity(t)]], format="csc"
-        )
-        return splu(
-            kkt,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            panel_size=1,
-            relax=1,
-            options={"SymmetricMode": True},
-        )
+        return self.pattern.factor(diag)
 
 
 @dataclass(frozen=True)
@@ -317,22 +400,28 @@ def solve_weights(
     gamma: float,
     tol: float = DEFAULT_CG_TOL,
     max_iters: Optional[int] = None,
+    pattern: Optional[AugmentedPattern] = None,
 ) -> tuple[np.ndarray, SolveInfo]:
     """Minimize the full objective by preconditioned CG on its normal system.
 
     gamma must be positive: it makes the operator positive definite and the
-    minimizer unique. The preconditioner (see the module docstring) is
-    factored once per call, unless its estimated fill is too large, in which
-    case CG runs unpreconditioned. Returns the cost vector and solve
-    statistics; raises ConvergenceError when the relative residual does not
-    reach tol within max_iters (default 10x the number of unknowns), at the
-    first non-finite residual, and when the factorization meets a zero pivot.
+    minimizer unique. Each call factors its own preconditioner (see the
+    module docstring), unless its estimated fill is too large, in which case
+    CG runs unpreconditioned. Pass ``pattern``, Q's AugmentedPattern, to
+    share Q^T, the fill verdict and the factor's ordering with other solves
+    on the same Q: after the first, each factor is numeric only. Returns the
+    cost vector and solve statistics; raises ConvergenceError when the
+    relative residual does not reach tol within max_iters (default 10x the
+    number of unknowns), at the first non-finite residual, and when the
+    factorization meets a zero pivot.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive for a positive-definite system")
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be non-negative")
-    op = SystemOperator(q=q, l_a=l_a, l_b=l_b, alpha=alpha, beta=beta, gamma=gamma)
+    op = SystemOperator(
+        q=q, l_a=l_a, l_b=l_b, alpha=alpha, beta=beta, gamma=gamma, pattern=pattern
+    )
     b = q @ np.asarray(costs, dtype=float)
     b_norm = float(np.linalg.norm(b))
     n = op.n

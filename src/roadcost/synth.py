@@ -206,18 +206,21 @@ def generate_synthetic(
         keep = (~dual.reverse_mask).tolist()
         onward = [[v for v, k in zip(dst[a:b], keep[a:b]) if k] for a, b in zip(ptr, ptr[1:])]
         covered = np.zeros(graph.n_edges, dtype=bool)
+        n_covered = 0  # covered.sum(), kept as walks add edges
         walks, clocks, factors = [], [], []
         for _ in range(spec.n_trips):
-            if spec.coverage is not None and covered.mean() < spec.coverage:
+            if spec.coverage is not None and n_covered / graph.n_edges < spec.coverage:
                 start = int(rng.choice(np.nonzero(~covered)[0]))
             else:
                 start = int(rng.integers(graph.n_edges))
             n = int(rng.integers(spec.trip_len[0], spec.trip_len[1] + 1))
-            walks.append(_walk(onward, start, n, rng))
-            clocks.append(_clock(graph, walks[-1], rng))
+            walk = _walk(onward, start, n, rng)
+            walks.append(walk)
+            clocks.append(_clock(graph, walk, rng))
             z = rng.standard_normal() if spec.noise else 0.0
             factors.append(max(0.05, 1.0 + spec.noise * z))
-            covered[walks[-1]] = True
+            n_covered += len({e for e in walk if not covered[e]})
+            covered[walk] = True
         edges = [e for walk in walks for e in walk]
         table = RecordTable(
             np.repeat(np.arange(len(walks)), [len(walk) for walk in walks]),
@@ -233,12 +236,12 @@ def generate_synthetic(
         if (
             spec.n_trips == 0
             or spec.coverage is None
-            or covered.mean() >= spec.coverage - 1e-12
+            or n_covered / graph.n_edges >= spec.coverage - 1e-12
             or spec.cover_all_entries
         ):
             priced = trip_costs(TripSet.from_table(table, np.zeros(len(factors))), graph, truth)
             return graph, truth, TripSet.from_table(table, priced * factors)
     raise GenerationError(
         f"could not reach edge coverage {spec.coverage:.2f} with "
-        f"{spec.n_trips} trips of length {spec.trip_len} (got {covered.mean():.2f})"
+        f"{spec.n_trips} trips of length {spec.trip_len} (got {n_covered / graph.n_edges:.2f})"
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import roadcost.solver as solver
 from roadcost.graph import WEEKDAY, WEEKEND, RoadGraph, TagSchedule, peak_offpeak_schedule
 from roadcost.trips import LinkRecord, Trip, TripSet
 
@@ -46,6 +47,19 @@ def junction_graph(two_tag_schedule) -> RoadGraph:
         [100.0, 100.0, 120.0, 120.0, 80.0],
         two_tag_schedule,
     )
+
+
+@pytest.fixture
+def splu_calls(monkeypatch) -> list[str]:
+    """The permc_spec of every preconditioner factorization, in call order."""
+    specs, factor = [], solver.splu
+
+    def recording(matrix, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return factor(matrix, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", recording)
+    return specs
 
 
 def make_trip(edge_pairs: list[int], start: float = 600.0, day: str = WEEKDAY,

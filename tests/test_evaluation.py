@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import roadcost.evaluation as evaluation
-from roadcost.config import RunConfig
+import roadcost.solver as solver
+from roadcost.config import VARIANTS, RunConfig
 from roadcost.evaluation import (
     alr,
     alr_curve,
@@ -17,7 +20,7 @@ from roadcost.evaluation import (
 )
 from roadcost.graph import CostVector, RoadGraph, build_dual
 from roadcost.pagerank import pagerank, transition_matrices
-from roadcost.solver import annotated_mask, build_a
+from roadcost.solver import annotated_mask, build_a, solve_weights
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, split_trips
 
@@ -297,6 +300,73 @@ def test_trip_overlap_selects_the_solve_path(n_trips, factored):
     _, _, info = solve_variant(matrices, train.costs(), graph, config, "F4")
     assert (info.factor_nnz > 0) == factored
     assert info.residual <= config.cg_tol
+
+
+def _grid12(n_trips=144):
+    spec = SyntheticSpec(rows=12, cols=12, n_trips=n_trips, coverage=0.3, noise=0.05)
+    graph, _, trips = generate_synthetic(spec, seed=1)
+    return graph, build_dual(graph), *split_trips(trips, 0.5, seed=1)
+
+
+class TestSharedOrdering:
+    def test_variants_keep_the_iterations_of_fresh_factors(self):
+        graph, dual, train, _ = _grid12()
+        config = RunConfig(seed=1)
+        matrices = build_constraints(train, graph, dual, config)
+        for variant in VARIANTS:
+            alpha, beta = config.variant_coefficients(variant)
+            _, _, shared = solve_variant(matrices, train.costs(), graph, config, variant)
+            _, fresh = solve_weights(
+                matrices.q, train.costs(), matrices.l_a if alpha else None,
+                matrices.l_b if beta else None, alpha, beta, config.gamma, tol=config.cg_tol,
+            )
+            assert (shared.iterations, shared.factor_nnz) == (fresh.iterations, fresh.factor_nnz)
+            assert shared.factor_nnz > 0
+
+    def test_one_ordering_per_comparison(self, splu_calls):
+        graph, dual, train, test = _grid12()
+        run_comparison(train, test, graph, dual, RunConfig(seed=1))
+        assert splu_calls == ["MMD_AT_PLUS_A"] + 3 * ["NATURAL"]
+
+    def test_one_ordering_per_fold(self, splu_calls):
+        spec = SyntheticSpec(rows=12, cols=12, n_trips=144, coverage=0.3, noise=0.05)
+        graph, _, trips = generate_synthetic(spec, seed=1)
+        grid_search(trips, graph, build_dual(graph), RunConfig(seed=1), n_folds=3)
+        assert splu_calls.count("MMD_AT_PLUS_A") == 3
+        assert splu_calls.count("NATURAL") == 24
+        assert len(splu_calls) == 27
+
+    def test_gated_training_set_never_factors(self, splu_calls):
+        graph, dual, train, test = _grid12(n_trips=4000)
+        report = run_comparison(train, test, graph, dual, RunConfig(seed=1))
+        assert splu_calls == []
+        assert all(info.factor_nnz == 0 for info in report.solve_info.values())
+
+    def test_no_factor_outlives_its_solve(self, monkeypatch):
+        class Tracked:
+            """Forwards to a SuperLU factor; unlike it, takes weak references."""
+
+            def __init__(self, lu):
+                self._lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self._lu, name)
+
+        refs, factor = [], solver.splu
+
+        def tracking(*args, **kwargs):
+            lu = Tracked(factor(*args, **kwargs))
+            refs.append(weakref.ref(lu))
+            return lu
+
+        monkeypatch.setattr(solver, "splu", tracking)
+        graph, dual, train, _ = _grid12()
+        config = RunConfig(seed=1)
+        matrices = build_constraints(train, graph, dual, config)
+        for k, variant in enumerate(VARIANTS, start=1):
+            solve_variant(matrices, train.costs(), graph, config, variant)
+            assert len(refs) == k
+            assert all(ref() is None for ref in refs)
 
 
 class TestConstraintMask:

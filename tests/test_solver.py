@@ -7,6 +7,7 @@ from roadcost.graph import WEEKDAY, CostVector, RoadGraph, TagSchedule, build_du
 from roadcost.pagerank import PageRankVector, dual_weights, pagerank, transition_matrices
 from roadcost.solver import (
     PRECONDITIONER_FILL_LIMIT,
+    AugmentedPattern,
     SimilarityLaplacian,
     SystemOperator,
     annotated_mask,
@@ -528,6 +529,49 @@ class TestSolve:
         for _ in range(20):
             x = rng.standard_normal(15)
             assert x @ op.apply(x) >= gamma * (x @ x) * (1 - 1e-12)
+
+
+def _grid_q():
+    spec = SyntheticSpec(rows=12, cols=12, n_trips=144, coverage=0.3, noise=0.05)
+    graph, _, trips = generate_synthetic(spec, seed=1)
+    return build_q(trips, graph), trips.costs()
+
+
+class TestAugmentedPattern:
+    def test_reused_ordering_keeps_the_fill_and_the_solve(self, splu_calls):
+        q, _ = _grid_q()
+        n, t = q.shape
+        rng = np.random.default_rng(5)
+        pattern = AugmentedPattern(q)
+        pattern.factor(np.full(n, 1e-4))
+        for _ in range(4):
+            diag = 10.0 ** rng.uniform(-4, 1, n)  # gamma up to gamma + alpha L_A + beta L_B
+            reused = pattern.factor(diag)
+            fresh = AugmentedPattern(q).factor(diag)
+            assert reused.nnz == fresh.nnz
+            for _ in range(3):
+                v = np.concatenate((rng.standard_normal(n), np.zeros(t)))
+                expected = fresh.solve(v)[:n]
+                got = reused.solve(v)[:n]
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert splu_calls == ["MMD_AT_PLUS_A"] + 4 * ["NATURAL", "MMD_AT_PLUS_A"]
+
+    def test_non_finite_diagonal_on_the_reused_ordering(self, splu_calls):
+        q, c = _grid_q()
+        n = q.shape[0]
+        pattern = AugmentedPattern(q)
+        lap = sp.csr_matrix((n, n))
+        solve_weights(q, c, lap, None, 1.0, 0.0, 0.1, pattern=pattern)
+        lap = sp.diags(np.r_[np.nan, np.zeros(n - 1)]).tocsr()
+        with pytest.raises(ConvergenceError, match="preconditioner factorization failed") as err:
+            solve_weights(q, c, lap, None, 1.0, 0.0, 0.1, pattern=pattern)
+        assert err.value.iterations == 0
+        assert splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
+
+    def test_pattern_of_another_q_rejected(self):
+        q, c = _tiny_system()
+        with pytest.raises(ValueError, match="another Q"):
+            solve_weights(q, c, None, None, 0.0, 0.0, 0.1, pattern=AugmentedPattern(q.copy()))
 
 
 class TestObjectiveTerms:
