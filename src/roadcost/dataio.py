@@ -298,17 +298,21 @@ def save_network(graph: RoadGraph, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["edge_id", "tail", "head", "length_m", "speed_limit_kmh"])
-        for e in range(graph.n_edges):
-            limit = graph.speed_limits[e]
-            writer.writerow(
+        vertex_ids = np.array(graph.vertex_ids, dtype=object)
+        _write_rows(
+            writer,
+            graph.n_edges,
+            lambda part: zip(
+                graph.edge_ids[part],
+                vertex_ids[graph.tails[part]].tolist(),
+                vertex_ids[graph.heads[part]].tolist(),
+                [_FLOAT_FMT % length for length in graph.lengths[part].tolist()],
                 [
-                    graph.edge_ids[e],
-                    graph.vertex_ids[graph.tails[e]],
-                    graph.vertex_ids[graph.heads[e]],
-                    _FLOAT_FMT % graph.lengths[e],
-                    "" if np.isnan(limit) else _FLOAT_FMT % limit,
-                ]
-            )
+                    "" if limit != limit else _FLOAT_FMT % limit  # NaN: no limit
+                    for limit in graph.speed_limits[part].tolist()
+                ],
+            ),
+        )
 
 
 def _load_costs(path: Path) -> dict[str, float]:

@@ -5,15 +5,40 @@ and tests run on generated grids: bidirectional rectangular road grids,
 per-(edge, tag) ground-truth unit costs, and trips that walk the dual graph
 (``build_dual``, no u-turns), written as one record table whose costs come
 from the trip-cost model itself (plus optional multiplicative noise).
-Everything is deterministic for a fixed seed.
+
+Stream contract: a dataset is a function of (spec, seed) through the order
+of its draws from one ``Generator`` per attempt, ``default_rng([seed,
+attempt])``. The draws, in order, are:
+
+1. road lengths: one ``uniform(lo, hi, size=n_roads)``; with speed limits,
+   per road (row by row, the rightward road before the downward one) a
+   ``uniform(lo, hi)`` and then an ``integers(len(choices))`` limit index;
+2. ground truth: one ``uniform(lo, hi, size=n_edges)`` per tag, none when
+   it comes from the speed limits;
+3. per trip: the start edge (``choice`` of the uncovered edges while the
+   coverage target is unmet, else ``integers(n_edges)``), the length
+   ``integers(lo, hi + 1)``, one ``integers(k)`` per walk step with k > 1
+   onward options, the speeds ``uniform(25, 65, size=len(walk))``, the start
+   second ``integers(0, max(1, 86400 - total))`` and, with noise, one
+   ``standard_normal()``;
+4. entry top-ups, with noise: one ``standard_normal(n_edges)`` per tag.
+
+Changing this order changes every dataset; the pinned digests in the tests
+catch it. Two rewrites keep the stream: a sized ``uniform`` yields the
+doubles of as many scalar calls, and numpy draws a bounded integer by
+Lemire's method, so ``integers(k)`` takes one 32-bit word per try (as does
+``choice`` of k items) and ``integers(1)`` takes none, which is why
+single-option walk steps make no call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import GenerationError
 from .graph import (
@@ -59,19 +84,27 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.rows < 2 or self.cols < 2:
             raise ValueError("grid needs at least 2x2 junctions")
+        if not self.tags:
+            raise ValueError("need at least one tag")
         if len(self.weight_ranges) != len(self.tags):
             raise ValueError("need one weight range per tag")
         for lo, hi in self.weight_ranges:
-            if not 0 < lo <= hi:
+            if not 0 < lo <= hi < inf:
                 raise ValueError(f"bad weight range ({lo}, {hi})")
         if self.n_trips < 0:
             raise ValueError("trip count must be non-negative")
         if not 1 <= self.trip_len[0] <= self.trip_len[1]:
             raise ValueError("bad trip length bounds")
-        if self.noise < 0:
-            raise ValueError("noise level must be non-negative")
+        if not 0 <= self.noise < inf:
+            raise ValueError(f"noise level {self.noise} not non-negative and finite")
         if self.coverage is not None and not 0 < self.coverage <= 1:
             raise ValueError("coverage target must be in (0, 1]")
+        lo, hi = self.length_range
+        if not 0 < lo <= hi < inf:
+            raise ValueError(f"bad length range ({lo}, {hi})")
+        for limit in self.speed_limit_choices or ():
+            if not 0 < limit < inf:
+                raise ValueError(f"speed limit {limit} not positive and finite")
         if self.truth_from_speed_limits and not self.speed_limit_choices:
             raise ValueError("speed-limit ground truth needs speed_limit_choices")
         if self.day_class not in DAY_CLASSES:
@@ -96,22 +129,21 @@ def _grid_graph(spec: SyntheticSpec, rng: np.random.Generator) -> RoadGraph:
                 roads.append((f"v{r}_{c}", f"v{r}_{c + 1}"))
             if r + 1 < spec.rows:
                 roads.append((f"v{r}_{c}", f"v{r + 1}_{c}"))
-    edges, lengths, limits = [], [], []
-    for a, b in roads:
-        length = rng.uniform(*spec.length_range)
-        limit = (
-            float(rng.choice(spec.speed_limit_choices))
-            if spec.speed_limit_choices
-            else None
-        )
-        for tail, head in ((a, b), (b, a)):
-            edges.append((tail, head))
-            lengths.append(length)
-            limits.append(limit)
+    choices = spec.speed_limit_choices
+    if choices:
+        drawn = [
+            (rng.uniform(*spec.length_range), choices[rng.integers(len(choices))])
+            for _ in roads
+        ]
+        lengths = [length for length, _ in drawn]
+        limits = [limit for _, limit in drawn for _ in (0, 1)]
+    else:
+        lengths = rng.uniform(*spec.length_range, size=len(roads))
+        limits = None
     return RoadGraph.from_edges(
         vertices,
-        edges,
-        lengths,
+        [edge for a, b in roads for edge in ((a, b), (b, a))],
+        np.repeat(lengths, 2),
         equal_split_schedule(spec.tags),
         speed_limits=limits,
     )
@@ -129,26 +161,50 @@ def _draw_truth(spec: SyntheticSpec, graph: RoadGraph, rng: np.random.Generator)
 
 
 def _walk(onward: list[list[int]], start: int, n: int, rng: np.random.Generator) -> list[int]:
-    """Random walk of up to ``n`` edges, each drawn from the last one's ``onward`` list."""
-    walk = [start]
+    """Random walk of up to ``n`` edges, each drawn from the last one's
+    ``onward`` list; a single option is taken without a draw."""
+    walk, edge = [start], start
     for _ in range(n - 1):
-        options = onward[walk[-1]]
-        if not options:
+        options = onward[edge]
+        k = len(options)
+        if k > 1:
+            edge = options[rng.integers(k)]
+        elif k:
+            edge = options[0]
+        else:
             break
-        walk.append(options[rng.integers(len(options))])
+        walk.append(edge)
     return walk
 
 
-def _clock(graph: RoadGraph, walk: list[int], rng: np.random.Generator) -> list[int]:
-    """Second of day a walk enters each edge, then leaves the last, driven at
-    random speeds from a random start that ends it within the day."""
-    speeds = rng.uniform(25.0, 65.0, size=len(walk))
-    durations = np.maximum(1, np.rint(3.6 * graph.lengths[walk] / speeds)).astype(np.int64)
-    total = int(durations.sum())
+def _drive(scaled: list[float], walk: list[int], rng: np.random.Generator) -> tuple[list[int], int]:
+    """Whole seconds a walk spends on each edge at random speeds, and a
+    random start second that ends it within the day.
+
+    ``scaled`` is ``3.6 * lengths``; each edge takes ``scaled / speed``
+    seconds rounded half to even and at least one (``round`` is never
+    negative here, so ``or 1`` is ``max(1, .)``), the float operations and
+    rounding of ``np.maximum(1, np.rint(3.6 * lengths / speeds))``.
+    """
+    speeds = rng.uniform(25.0, 65.0, size=len(walk)).tolist()
+    seconds = [round(scaled[e] / s) or 1 for e, s in zip(walk, speeds)]
+    total = sum(seconds)
     if total > _SECONDS_PER_DAY:
         raise GenerationError(f"a walk of {len(walk)} edges takes {total} s, more than a day")
-    start = int(rng.integers(0, max(1, _SECONDS_PER_DAY - total)))
-    return [start, *(start + np.cumsum(durations)).tolist()]
+    return seconds, int(rng.integers(0, max(1, _SECONDS_PER_DAY - total)))
+
+
+def _clock_minutes(
+    seconds: list[int], starts: list[int], sizes: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minute of day each record is entered and left, for walks of ``sizes``
+    records back to back in ``seconds`` that start at ``starts``."""
+    seconds = np.array(seconds, dtype=np.int64)
+    sizes = np.array(sizes, dtype=np.int64)
+    leave = np.cumsum(seconds)
+    enter = leave - seconds  # seconds before each record, over all walks
+    shift = np.repeat(np.array(starts, dtype=np.int64) - enter[np.cumsum(sizes) - sizes], sizes)
+    return (enter + shift) / 60.0, (leave + shift) / 60.0
 
 
 def _entry_topups(
@@ -196,47 +252,57 @@ def generate_synthetic(
     noise when requested. Raises GenerationError when the coverage target
     cannot be met after bounded retries.
     """
+    lo, hi = spec.trip_len
     for attempt in range(3):
-        rng = np.random.default_rng([seed, attempt])
+        rng = default_rng([seed, attempt])
         graph = _grid_graph(spec, rng)
         truth = _draw_truth(spec, graph, rng)
         # each edge's dual-graph successors but its u-turn, in ascending edge index
         dual = build_dual(graph)
-        ptr, dst = dual.out_indptr.tolist(), dual.edge_dst.tolist()
-        keep = (~dual.reverse_mask).tolist()
-        onward = [[v for v, k in zip(dst[a:b], keep[a:b]) if k] for a, b in zip(ptr, ptr[1:])]
-        covered = np.zeros(graph.n_edges, dtype=bool)
-        n_covered = 0  # covered.sum(), kept as walks add edges
-        walks, clocks, factors = [], [], []
+        kept = ~dual.reverse_mask
+        # each edge's first position among the kept dual edges
+        ptr = np.r_[0, np.cumsum(kept)][dual.out_indptr].tolist()
+        dst = dual.edge_dst[kept].tolist()
+        onward = [dst[a:b] for a, b in zip(ptr, ptr[1:])]
+        scaled, n_edges = (3.6 * graph.lengths).tolist(), graph.n_edges
+        # Coverage is counted only while the target is unmet: once met it stays
+        # met, and nothing reads the count again but the final check.
+        covered = np.zeros(n_edges, dtype=bool)
+        n_covered = 0
+        edges, seconds, starts, sizes, factors = [], [], [], [], []
         for _ in range(spec.n_trips):
-            if spec.coverage is not None and n_covered / graph.n_edges < spec.coverage:
+            steering = spec.coverage is not None and n_covered / n_edges < spec.coverage
+            if steering:
                 start = int(rng.choice(np.nonzero(~covered)[0]))
             else:
-                start = int(rng.integers(graph.n_edges))
-            n = int(rng.integers(spec.trip_len[0], spec.trip_len[1] + 1))
-            walk = _walk(onward, start, n, rng)
-            walks.append(walk)
-            clocks.append(_clock(graph, walk, rng))
+                start = int(rng.integers(n_edges))
+            walk = _walk(onward, start, int(rng.integers(lo, hi + 1)), rng)
+            walk_seconds, start_second = _drive(scaled, walk, rng)
+            edges += walk
+            seconds += walk_seconds
+            starts.append(start_second)
+            sizes.append(len(walk))
             z = rng.standard_normal() if spec.noise else 0.0
             factors.append(max(0.05, 1.0 + spec.noise * z))
-            n_covered += len({e for e in walk if not covered[e]})
-            covered[walk] = True
-        edges = [e for walk in walks for e in walk]
+            if steering:
+                covered[walk] = True
+                n_covered = int(np.count_nonzero(covered))
+        enter, leave = _clock_minutes(seconds, starts, sizes)
         table = RecordTable(
-            np.repeat(np.arange(len(walks)), [len(walk) for walk in walks]),
+            np.repeat(np.arange(len(sizes)), sizes),
             np.array(edges, dtype=np.int64),
             np.full(len(edges), DAY_CLASSES.index(spec.day_class), dtype=np.int8),
-            np.array([t for clock in clocks for t in clock[:-1]], dtype=np.int64) / 60.0,
-            np.array([t for clock in clocks for t in clock[1:]], dtype=np.int64) / 60.0,
+            enter,
+            leave,
         )
         if spec.cover_all_entries:
-            topups, topup_factors = _entry_topups(graph, spec.noise, len(walks), rng)
+            topups, topup_factors = _entry_topups(graph, spec.noise, spec.n_trips, rng)
             table = RecordTable(*map(np.concatenate, zip(table, topups)))
             factors = np.concatenate([factors, topup_factors])
         if (
             spec.n_trips == 0
             or spec.coverage is None
-            or n_covered / graph.n_edges >= spec.coverage - 1e-12
+            or n_covered / n_edges >= spec.coverage - 1e-12
             or spec.cover_all_entries
         ):
             priced = trip_costs(TripSet.from_table(table, np.zeros(len(factors))), graph, truth)

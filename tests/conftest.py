@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import roadcost.solver as solver
+import roadcost.synth as synth
 from roadcost.graph import WEEKDAY, WEEKEND, RoadGraph, TagSchedule, peak_offpeak_schedule
 from roadcost.trips import LinkRecord, Trip, TripSet
 
@@ -60,6 +63,28 @@ def splu_calls(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(solver, "splu", recording)
     return specs
+
+
+@pytest.fixture
+def rng_calls(monkeypatch) -> Counter:
+    """Draw calls on the synthetic generator's random generators, by method."""
+    counts, make = Counter(), synth.default_rng
+
+    class Counting:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, name):
+            draw = getattr(self._rng, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return draw(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(synth, "default_rng", lambda seed: Counting(make(seed)))
+    return counts
 
 
 def make_trip(edge_pairs: list[int], start: float = 600.0, day: str = WEEKDAY,

@@ -292,3 +292,21 @@ def test_unreachable_coverage_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "coverage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # 1 + nan*z is nan and max(0.05, nan) is 0.05: every cost would be x0.05
+        (["--noise", "nan"], "noise level nan"),
+        (["--weight-ranges", "0.04:inf,0.08:0.20"], "bad weight range (0.04, inf)"),
+        (["--speed-limits", "nan"], "speed limit nan"),
+        (["--speed-limits", "50,inf", "--truth-from-speed-limits"], "speed limit inf"),
+    ],
+)
+def test_synth_rejects_non_finite_bounds(tmp_path, capsys, extra, message):
+    out = tmp_path / "d"
+    code = main(["synth", "--out", str(out), "--rows", "3", "--cols", "3", *extra])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

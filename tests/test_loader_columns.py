@@ -23,11 +23,12 @@ from roadcost.dataio import (
     load_trips,
     load_weights,
     parse_hhmmss,
+    save_network,
     save_trips,
     write_weights,
 )
 from roadcost.errors import LoadError
-from roadcost.graph import WEEKDAY, WEEKEND
+from roadcost.graph import WEEKDAY, WEEKEND, RoadGraph
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, split_trips
 
@@ -286,6 +287,39 @@ def write_weights_rowwise(path, graph, costs, mask=None):
                 flag = 1 if mask is None else int(bool(mask[tag * graph.n_edges + edge]))
                 writer.writerow([graph.edge_ids[edge], graph.tag_schedule.tags[tag],
                                  "%.12g" % costs.entry(edge, tag), flag])
+
+
+def save_network_rowwise(graph, path):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["edge_id", "tail", "head", "length_m", "speed_limit_kmh"])
+        for e in range(graph.n_edges):
+            limit = graph.speed_limits[e]
+            writer.writerow([graph.edge_ids[e], graph.vertex_ids[graph.tails[e]],
+                             graph.vertex_ids[graph.heads[e]], "%.12g" % graph.lengths[e],
+                             "" if np.isnan(limit) else "%.12g" % limit])
+
+
+def test_save_network_matches_row_by_row_writer(tmp_path):
+    graph, _, _ = generate_synthetic(
+        SyntheticSpec(rows=4, cols=5, n_trips=0, speed_limit_choices=(30.0, 50.0, 80.5),
+                      length_range=(1e-3, 1e7)), seed=3
+    )
+    # ids that need quoting, every third edge without a limit
+    limits = graph.speed_limits.copy()
+    limits[::3] = np.nan
+    quoted = replace(
+        graph,
+        edge_ids=tuple(f'e,{i}"' for i in range(graph.n_edges)),
+        vertex_ids=tuple(f'"v {i}' for i in range(graph.n_vertices)),
+        speed_limits=limits,
+    )
+    unlimited = replace(graph, speed_limits=np.full(graph.n_edges, np.nan))
+    empty = RoadGraph.from_edges(["a"], [], [], graph.tag_schedule)
+    for g in (graph, quoted, unlimited, empty):
+        save_network(g, tmp_path / "network.csv")
+        save_network_rowwise(g, tmp_path / "network0.csv")
+        assert (tmp_path / "network.csv").read_bytes() == (tmp_path / "network0.csv").read_bytes()
 
 
 def test_writers_match_row_by_row_writers(tmp_path):
