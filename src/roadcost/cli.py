@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+import textwrap
 from pathlib import Path
 
 from .config import VARIANTS, RunConfig, parse_config_file
@@ -45,10 +46,13 @@ file formats (CSV, UTF-8, header row required):
   trips:    trip_id,seq,edge_id,day_class,enter_hhmmss,exit_hhmmss
   costs:    trip_id,cost
   weights:  edge_id,tag,cost_per_meter,annotated_flag
-config file: key=value lines (alpha, beta, gamma, similarity_threshold,
-  highway_cutoff_kmh, cg_tol, pr_tol, seed, variant);
-  command-line flags override file values.
-"""
+""" + textwrap.fill(
+    "config file: key=value lines ("
+    + ", ".join(f.name for f in dataclasses.fields(RunConfig))
+    + "); command-line flags override file values.",
+    width=72,
+    subsequent_indent="  ",
+) + "\n"
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser, trips_required: bool = True):
@@ -60,15 +64,9 @@ def _add_dataset_args(parser: argparse.ArgumentParser, trips_required: bool = Tr
 
 def _add_config_args(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--similarity-threshold", type=float, dest="similarity_threshold")
-    parser.add_argument("--highway-cutoff-kmh", type=float, dest="highway_cutoff_kmh")
-    parser.add_argument("--cg-tol", type=float, dest="cg_tol")
-    parser.add_argument("--pr-tol", type=float, dest="pr_tol")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--variant", choices=sorted(VARIANTS))
+    for f in dataclasses.fields(RunConfig):
+        kind = {"choices": sorted(VARIANTS)} if f.name == "variant" else {"type": type(f.default)}
+        parser.add_argument("--" + f.name.replace("_", "-"), **kind)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -76,12 +74,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         config = parse_config_file(args.config, config)
     overrides = {
-        name: getattr(args, name)
-        for name in (
-            "alpha", "beta", "gamma", "similarity_threshold", "highway_cutoff_kmh",
-            "cg_tol", "pr_tol", "seed", "variant",
-        )
-        if getattr(args, name, None) is not None
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunConfig)
+        if getattr(args, f.name) is not None
     }
     return dataclasses.replace(config, **overrides)
 

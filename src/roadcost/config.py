@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -26,7 +27,8 @@ class RunConfig:
     penalty, gamma the ridge term (must stay positive). The similarity
     threshold filters segment pairs by PageRank ratio; the highway cutoff
     splits edges into highway/urban categories for the adjacency penalty and
-    the speed-limit baseline.
+    the speed-limit baseline. These fields are the one list of run settings:
+    the config-file keys and the command-line flags are read off them.
     """
 
     alpha: float = 1.0
@@ -40,10 +42,14 @@ class RunConfig:
     variant: str = "F4"
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        for name in ("gamma", "highway_cutoff_kmh", "cg_tol", "pr_tol"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0 < self.similarity_threshold <= 1:
             raise ValueError("similarity threshold must be in (0, 1]")
         if self.variant not in VARIANTS:
@@ -55,18 +61,14 @@ class RunConfig:
         return (self.alpha if use_a else 0.0, self.beta if use_b else 0.0)
 
 
-_FLOAT_FIELDS = {
-    "alpha", "beta", "gamma", "similarity_threshold", "highway_cutoff_kmh",
-    "cg_tol", "pr_tol",
-}
-_INT_FIELDS = {"seed"}
-
-
 def parse_config_file(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    """Read key=value lines (# comments allowed) on top of a base config."""
+    """Read key=value lines (# comments allowed) on top of a base config.
+
+    Each value takes the type of its field's default and is validated as it
+    is read, so a bad one is reported as ``path:line``.
+    """
     config = base or RunConfig()
-    overrides: dict[str, object] = {}
-    known = {f.name for f in fields(RunConfig)}
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -74,12 +76,10 @@ def parse_config_file(path: str | Path, base: RunConfig | None = None) -> RunCon
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in _FLOAT_FIELDS:
-            overrides[key] = float(value)
-        elif key in _INT_FIELDS:
-            overrides[key] = int(value)
-        else:
-            overrides[key] = value
-    return replace(config, **overrides)
+        try:
+            config = replace(config, **{key: types[key](value)})
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}={value}: {exc}") from None
+    return config

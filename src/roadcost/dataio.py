@@ -252,6 +252,7 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
     path = Path(path)
     vertices: list[str] = []
     seen = set()
+    edge_lines: dict[str, int] = {}
     edge_ids, edges, lengths, limits = [], [], [], []
     problems = []
     for lineno, row in _read_rows(
@@ -261,6 +262,12 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
             problems.append(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
             continue
         edge_id, tail, head, length_text, limit_text = (field.strip() for field in row)
+        first = edge_lines.setdefault(edge_id, lineno)
+        if first != lineno:
+            problems.append(
+                f"{path}:{lineno}: duplicate edge id {edge_id!r} (first on line {first})"
+            )
+            continue
         try:
             length = float(length_text)
             limit = float(limit_text) if limit_text else None

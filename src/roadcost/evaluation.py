@@ -113,23 +113,14 @@ class EvalReport:
 
 @dataclass
 class ConstraintMatrices:
-    """Q, the similarity Laplacian, the adjacency matrix and its Laplacian."""
+    """Q, the similarity Laplacian, the adjacency matrix, its Laplacian, and Q's pattern."""
 
     q: sp.csr_matrix
     l_a: SimilarityLaplacian
     b: sp.csr_matrix
     l_b: sp.csr_matrix
+    pattern: AugmentedPattern  # Q's: one factor ordering for every solve here
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pattern: Optional[AugmentedPattern] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @property
-    def pattern(self) -> AugmentedPattern:
-        """Q's preconditioner pattern: one factor ordering for every solve here."""
-        if self._pattern is None:
-            self._pattern = AugmentedPattern(self.q)
-        return self._pattern
 
     def mask(self, use_a: bool, use_b: bool) -> np.ndarray:
         """Annotated mask under the active constraints, computed once per pair.
@@ -161,7 +152,7 @@ def build_constraints(
     l_a = SimilarityLaplacian(prs, config.similarity_threshold)
     b = build_b(transitions, dual, graph.is_highway(config.highway_cutoff_kmh))
     q = build_q(train, graph)
-    return ConstraintMatrices(q=q, l_a=l_a, b=b, l_b=laplacian(b))
+    return ConstraintMatrices(q=q, l_a=l_a, b=b, l_b=laplacian(b), pattern=AugmentedPattern(q))
 
 
 def solve_variant(
@@ -262,6 +253,8 @@ def grid_search(
     folds per combination), deterministically for a fixed seed.
     """
     seed = base_config.seed if seed is None else seed
+    if n_folds < 2:
+        raise ValueError(f"cross-validation needs at least 2 folds, got {n_folds}")
     n = len(trips)
     if n < n_folds:
         raise ValueError(f"{n} trips cannot form {n_folds} folds")

@@ -9,8 +9,10 @@ flow-similarity matrix (segments with similar stationary flow are pulled
 together), and L_B is the Laplacian of the directional-adjacency matrix
 (consecutive segments in the same tag are pulled together, opposite
 directions of one physical road excluded). Setting the gradient to zero
-gives the SPD system (Q Q^T + alpha L_A + beta L_B + gamma I) d = Q c,
-solved by preconditioned conjugate gradient.
+gives the SPD system (Q Q^T + alpha L_A + beta L_B + gamma I) d = Q c.
+solve_weights solves it by preconditioned conjugate gradient, applying the
+operator and forming the preconditioner's D itself; AugmentedPattern is the
+only state a solve shares with others on the same Q.
 
 A links every pair of a tag's segments whose PageRank ratio min/max reaches
 the threshold, at every network size. The solve never forms it:
@@ -18,7 +20,8 @@ SimilarityLaplacian applies L_A in linear time from sorted PageRank values.
 
 The preconditioner is P = D + Q Q^T with D = gamma + alpha diag(L_A) +
 beta diag(L_B): it inverts the misfit term exactly, so CG is left with only
-the off-diagonal Laplacian coupling. Q Q^T is never formed. P^-1 v is read
+the off-diagonal Laplacian coupling. Q Q^T is never formed: each product
+with the operator is a handful of sparse mat-vecs. P^-1 v is read
 off one sparse LU of the (n + t) x (n + t) augmented matrix
 [[D, Q], [Q^T, -I]], which is quasi-definite (D positive, -I negative) and
 therefore factors stably under any symmetric ordering without pivoting
@@ -54,7 +57,7 @@ from .trips import build_q  # noqa: F401  (public path: roadcost.solver.build_q)
 
 DEFAULT_CG_TOL = 1e-8
 # Largest estimated fill of the preconditioner's factor, per nonzero of the
-# augmented matrix, that is still factored (SystemOperator.preconditioner).
+# augmented matrix, that is still factored (AugmentedPattern.factored).
 # On synthetic 12x12 to 60x60 grids with 72-7,000 training trips the estimate
 # read 0.35-5.1 and the preconditioned F1 + F4 solves were 1.4-6.2x faster
 # than plain CG (which missed tol on F1 at 7,000 trips on 30x30); at 7.2-10,
@@ -263,6 +266,14 @@ class _PermutedFactor:
 class AugmentedPattern:
     """What Q alone decides about the preconditioner, shared by Q's solves.
 
+    The preconditioner D + Q Q^T is the leading n-block of the augmented
+    matrix's inverse: eliminating the trip block y = Q^T x from
+    [[D, Q], [Q^T, -I]] [x; y] = [v; 0] leaves (D + Q Q^T) x = v.
+    Eliminating unknown i joins the r_i trips through it, so sum_i r_i^2
+    estimates the factor's fill before it is paid for (measured L + U:
+    1.4-7.6 times the estimate). Above PRECONDITIONER_FILL_LIMIT per nonzero
+    of the augmented matrix, ``factored`` is False and the solves run plain CG.
+
     Holds Q^T, the fill gate's verdict (``factored``) and, after the first
     factor, that factor's fill-reducing ordering (SuperLU MMD on A^T + A).
     The second factor builds once the augmented matrix permuted
@@ -322,67 +333,6 @@ class AugmentedPattern:
         return _PermutedFactor(splu(permuted, permc_spec="NATURAL", **_SPLU_OPTIONS), self._inv)
 
 
-@dataclass
-class SystemOperator:
-    """Matrix-free application of Q Q^T + alpha L_A + beta L_B + gamma I.
-
-    Q Q^T is dense whenever trips overlap heavily, so it is never
-    materialized; each application costs a handful of sparse mat-vecs.
-    """
-
-    q: sp.csr_matrix
-    l_a: Optional[sp.spmatrix | SimilarityLaplacian]
-    l_b: Optional[sp.csr_matrix]
-    alpha: float
-    beta: float
-    gamma: float
-    pattern: Optional[AugmentedPattern] = None  # Q's, shared with other solves
-
-    def __post_init__(self):
-        if self.pattern is None:
-            self.pattern = AugmentedPattern(self.q)
-        elif self.pattern.q is not self.q:
-            raise ValueError("the augmented pattern belongs to another Q")
-        self._qt = self.pattern.qt
-        if self.alpha and self.l_a is None:
-            raise ValueError("alpha > 0 requires a similarity Laplacian")
-        if self.beta and self.l_b is None:
-            raise ValueError("beta > 0 requires an adjacency Laplacian")
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        y = self.q @ (self._qt @ x)
-        if self.alpha:
-            y += self.alpha * (self.l_a @ x)
-        if self.beta:
-            y += self.beta * (self.l_b @ x)
-        y += self.gamma * x
-        return y
-
-    def preconditioner(self):
-        """Sparse LU of [[D, Q], [Q^T, -I]], or None when it would fill too much.
-
-        Its leading n-block solves D + Q Q^T: eliminating the trip block
-        y = Q^T x from [[D, Q], [Q^T, -I]] [x; y] = [v; 0] leaves
-        (D + Q Q^T) x = v. Eliminating unknown i joins the r_i trips through
-        it, so sum_i r_i^2 estimates the factor's fill before it is paid for
-        (measured L + U: 1.4-7.6 times the estimate). Above
-        PRECONDITIONER_FILL_LIMIT per nonzero of the augmented matrix this
-        returns None. The factor reuses the ordering of ``pattern``'s first.
-        """
-        if not self.pattern.factored:
-            return None
-        diag = np.full(self.n, self.gamma)
-        if self.alpha:
-            diag += self.alpha * self.l_a.diagonal()
-        if self.beta:
-            diag += self.beta * self.l_b.diagonal()
-        return self.pattern.factor(diag)
-
-
 @dataclass(frozen=True)
 class SolveInfo:
     iterations: int
@@ -404,7 +354,8 @@ def solve_weights(
 ) -> tuple[np.ndarray, SolveInfo]:
     """Minimize the full objective by preconditioned CG on its normal system.
 
-    gamma must be positive: it makes the operator positive definite and the
+    alpha, beta and gamma must be finite, alpha and beta non-negative and
+    gamma positive: gamma makes the operator positive definite and the
     minimizer unique. Each call factors its own preconditioner (see the
     module docstring), unless its estimated fill is too large, in which case
     CG runs unpreconditioned. Pass ``pattern``, Q's AugmentedPattern, to
@@ -415,25 +366,51 @@ def solve_weights(
     number of unknowns), at the first non-finite residual, and when the
     factorization meets a zero pivot.
     """
+    if not np.isfinite([alpha, beta, gamma]).all():
+        raise ValueError("alpha, beta and gamma must be finite")
     if gamma <= 0:
         raise ValueError("gamma must be positive for a positive-definite system")
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be non-negative")
-    op = SystemOperator(
-        q=q, l_a=l_a, l_b=l_b, alpha=alpha, beta=beta, gamma=gamma, pattern=pattern
-    )
+    if pattern is None:
+        pattern = AugmentedPattern(q)
+    elif pattern.q is not q:
+        raise ValueError("the augmented pattern belongs to another Q")
+    if alpha and l_a is None:
+        raise ValueError("alpha > 0 requires a similarity Laplacian")
+    if beta and l_b is None:
+        raise ValueError("beta > 0 requires an adjacency Laplacian")
+    qt = pattern.qt
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        """Q Q^T x + alpha L_A x + beta L_B x + gamma x, Q Q^T never formed."""
+        y = q @ (qt @ x)
+        if alpha:
+            y += alpha * (l_a @ x)
+        if beta:
+            y += beta * (l_b @ x)
+        y += gamma * x
+        return y
+
     b = q @ np.asarray(costs, dtype=float)
     b_norm = float(np.linalg.norm(b))
-    n = op.n
+    n = q.shape[0]
     if max_iters is None:
         max_iters = 10 * n
     if b_norm == 0.0:
         return np.zeros(n), SolveInfo(iterations=0, residual=0.0)
 
-    try:
-        lu = op.preconditioner()
-    except RuntimeError as err:  # SuperLU: a zero pivot (non-finite or degenerate input)
-        raise ConvergenceError(f"preconditioner factorization failed: {err}", 1.0, 0) from err
+    lu = None
+    if pattern.factored:
+        diag = np.full(n, gamma)  # D = gamma + alpha diag(L_A) + beta diag(L_B)
+        if alpha:
+            diag += alpha * l_a.diagonal()
+        if beta:
+            diag += beta * l_b.diagonal()
+        try:
+            lu = pattern.factor(diag)
+        except RuntimeError as err:  # SuperLU: a zero pivot (non-finite or degenerate input)
+            raise ConvergenceError(f"preconditioner factorization failed: {err}", 1.0, 0) from err
     factor_nnz = 0 if lu is None else lu.nnz
     pad = np.zeros(q.shape[1])
 
@@ -455,7 +432,7 @@ def solve_weights(
                 res_norm / b_norm,
                 iterations,
             )
-        ap = op.apply(p)
+        ap = apply(p)
         p_ap = float(p @ ap)
         if p_ap <= 0:
             raise ConvergenceError(
@@ -469,7 +446,7 @@ def solve_weights(
         iterations += 1
         res_norm = float(np.linalg.norm(r))
         if res_norm <= tol * b_norm:
-            true_r = b - op.apply(x)
+            true_r = b - apply(x)
             true_norm = float(np.linalg.norm(true_r))
             if true_norm <= tol * b_norm:
                 return x, SolveInfo(

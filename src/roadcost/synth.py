@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -82,6 +83,11 @@ class SyntheticSpec:
     cover_all_entries: bool = False
 
     def __post_init__(self):
+        counts = dict(rows=self.rows, cols=self.cols, n_trips=self.n_trips)
+        counts.update(zip(("trip_len[0]", "trip_len[1]"), self.trip_len))
+        for name, value in counts.items():
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rows < 2 or self.cols < 2:
             raise ValueError("grid needs at least 2x2 junctions")
         if not self.tags:

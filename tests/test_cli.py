@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import roadcost.cli as cli
 from roadcost.cli import main
 
 
@@ -310,3 +311,47 @@ def test_synth_rejects_non_finite_bounds(tmp_path, capsys, extra, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, file_text, message",
+    [
+        (["--alpha", "inf"], None, "alpha must be finite and non-negative, got inf"),
+        (["--beta", "inf"], None, "beta must be finite and non-negative, got inf"),
+        (["--gamma", "inf"], None, "gamma must be positive and finite, got inf"),
+        (["--alpha", "nan"], None, "alpha must be finite and non-negative, got nan"),
+        (["--cg-tol", "0"], None, "cg_tol must be positive and finite, got 0.0"),
+        (["--cg-tol", "-1"], None, "cg_tol must be positive and finite, got -1.0"),
+        (["--cg-tol", "nan"], None, "cg_tol must be positive and finite, got nan"),
+        (["--pr-tol", "-1"], None, "pr_tol must be positive and finite, got -1.0"),
+        (["--highway-cutoff-kmh", "nan"], None,
+         "highway_cutoff_kmh must be positive and finite, got nan"),
+        ([], "seed = 1.5\n",
+         "run.cfg:1: seed=1.5: invalid literal for int() with base 10: '1.5'"),
+        ([], "# tuned\nalpha = abc\n",
+         "run.cfg:2: alpha=abc: could not convert string to float: 'abc'"),
+        ([], "alpha=0.5\ngamma=0\n",
+         "run.cfg:2: gamma=0: gamma must be positive and finite, got 0.0"),
+    ],
+)
+def test_bad_run_setting_exits_2_before_loading(
+    tmp_path, capsys, monkeypatch, flags, file_text, message
+):
+    data = _synth(tmp_path)
+    if file_text is not None:
+        config = tmp_path / "run.cfg"
+        config.write_text(file_text)
+        flags = [*flags, "--config", str(config)]
+        message = message.replace("run.cfg", str(config))
+    loads, load = [], cli.load_dataset
+    monkeypatch.setattr(cli, "load_dataset", lambda *args: loads.append(args) or load(*args))
+    out = tmp_path / "out"
+    code = main(
+        ["annotate", *_dataset_args(data), *flags,
+         "--out", str(out / "w.csv"), "--report", str(out / "report.json")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert loads == []
+    assert not out.exists()
+

@@ -1,0 +1,83 @@
+"""RunConfig is the one list of run settings: flags, file keys and help follow it."""
+
+import dataclasses
+import json
+
+import pytest
+
+from roadcost.cli import main
+from roadcost.config import RunConfig, parse_config_file
+
+# a valid value, other than the default, for every run setting
+SETTINGS = {
+    "alpha": 0.25,
+    "beta": 3.0,
+    "gamma": 2e-4,
+    "similarity_threshold": 0.9,
+    "highway_cutoff_kmh": 80.0,
+    "cg_tol": 1e-9,
+    "pr_tol": 1e-11,
+    "seed": 5,
+    "variant": "F2",
+}
+
+
+def test_settings_cover_every_field():
+    defaults = dataclasses.asdict(RunConfig())
+    assert set(SETTINGS) == set(defaults)
+    assert all(SETTINGS[name] != defaults[name] for name in SETTINGS)
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data")
+    assert main(
+        ["synth", "--out", str(out), "--rows", "6", "--cols", "6", "--n-trips", "60",
+         "--coverage", "0.4", "--noise", "0.05", "--seed", "0"]
+    ) == 0
+    return [
+        arg
+        for name in ("network", "schedule", "trips", "costs")
+        for arg in (f"--{name}", str(out / f"{name}.csv"))
+    ]
+
+
+def _reported_config(tmp_path, dataset, settings_args):
+    report = tmp_path / "report.json"
+    assert main(
+        ["annotate", *dataset, *settings_args, "--out", str(tmp_path / "w.csv"),
+         "--report", str(report)]
+    ) == 0
+    return json.loads(report.read_text())["config"]
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_flag_reaches_the_report(tmp_path, dataset, name):
+    flag = "--" + name.replace("_", "-")
+    config = _reported_config(tmp_path, dataset, [flag, str(SETTINGS[name])])
+    assert config == {**dataclasses.asdict(RunConfig()), name: SETTINGS[name]}
+
+
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_file_key_reaches_the_report(tmp_path, dataset, name):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# one setting\n{name} = {SETTINGS[name]}\n")
+    config = _reported_config(tmp_path, dataset, ["--config", str(path)])
+    assert config == {**dataclasses.asdict(RunConfig()), name: SETTINGS[name]}
+
+
+def test_unknown_key_message(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("alpha=0.25\nsimilarity_method=exact\n")
+    with pytest.raises(ValueError) as err:
+        parse_config_file(path)
+    assert str(err.value) == f"{path}:2: unknown config key 'similarity_method'"
+
+
+def test_help_epilog_lists_every_setting(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    epilog = capsys.readouterr().out.split("config file:", 1)[1]
+    listed = epilog.split("(", 1)[1].split(")", 1)[0]
+    assert [key.strip() for key in listed.split(",")] == list(SETTINGS)

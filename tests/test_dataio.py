@@ -178,6 +178,19 @@ class TestNetworkIO:
         assert err.value.code == "malformed-row"
         assert err.value.problems == [f"{path}:2: speed limit {value!r} not positive and finite"]
 
+    def test_duplicate_edge_id_reported_with_row(self, tmp_path, two_tag_schedule):
+        path = tmp_path / "network.csv"
+        path.write_text(
+            "edge_id,tail,head,length_m,speed_limit_kmh\n"
+            "AB,A,B,100,50\n"
+            "BC,B,C,120,\n"
+            "AB,B,A,100,50\n"
+        )
+        with pytest.raises(LoadError) as err:
+            load_network(path, two_tag_schedule)
+        assert err.value.code == "malformed-row"
+        assert err.value.problems == [f"{path}:4: duplicate edge id 'AB' (first on line 2)"]
+
     def test_wrong_header(self, tmp_path, two_tag_schedule):
         path = tmp_path / "network.csv"
         path.write_text("a,b,c\n1,2,3\n")

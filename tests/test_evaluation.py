@@ -258,6 +258,17 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="folds"):
             grid_search(tiny, graph, dual, RunConfig(), n_folds=3)
 
+    @pytest.mark.parametrize("n_folds", [1, 0, -2])
+    def test_fewer_than_two_folds_rejected(self, small_experiment, monkeypatch, n_folds):
+        graph, dual, _, trips, _, _ = small_experiment
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("folds are checked before any fit")
+
+        monkeypatch.setattr(evaluation, "build_constraints", no_fit)
+        with pytest.raises(ValueError, match=f"at least 2 folds, got {n_folds}"):
+            grid_search(trips, graph, dual, RunConfig(), n_folds=n_folds)
+
     def test_one_mask_per_fold(self, small_experiment, monkeypatch):
         graph, dual, _, trips, _, _ = small_experiment
         calls = []

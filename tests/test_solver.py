@@ -9,7 +9,6 @@ from roadcost.solver import (
     PRECONDITIONER_FILL_LIMIT,
     AugmentedPattern,
     SimilarityLaplacian,
-    SystemOperator,
     annotated_mask,
     build_a,
     build_b,
@@ -405,6 +404,17 @@ class TestSolve:
         with pytest.raises(ValueError, match="gamma"):
             solve_weights(q, c, None, None, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "alpha,beta,gamma",
+        [(np.inf, 0.0, 0.1), (0.0, np.inf, 0.1), (0.0, 0.0, np.inf), (np.nan, 0.0, 0.1),
+         (0.0, np.nan, 0.1), (0.0, 0.0, np.nan)],
+    )
+    def test_non_finite_coefficients_rejected(self, alpha, beta, gamma):
+        q, c = _tiny_system()
+        lap = laplacian(sp.csr_matrix((q.shape[0], q.shape[0])))
+        with pytest.raises(ValueError, match="finite"):
+            solve_weights(q, c, lap, lap, alpha, beta, gamma)
+
     def test_matches_dense_solve(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
@@ -491,9 +501,7 @@ class TestSolve:
         # every trip covers all 4 unknowns: the estimate 4 t^2 is held against
         # the limit times the augmented matrix's 2 (4 t) + 4 + t nonzeros
         def factored(t):
-            op = SystemOperator(q=sp.csr_matrix(np.ones((4, t))), l_a=None, l_b=None,
-                                alpha=0.0, beta=0.0, gamma=0.1)
-            return op.preconditioner() is not None
+            return AugmentedPattern(sp.csr_matrix(np.ones((4, t)))).factored
 
         t_max = max(t for t in range(1, 1000)
                     if 4 * t * t <= PRECONDITIONER_FILL_LIMIT * (9 * t + 4))
@@ -508,8 +516,7 @@ class TestSolve:
         q = sp.csr_matrix(rng.uniform(0.5, 2, (n, t)) * (rng.random((n, t)) < 0.7))
         l_a = laplacian(_random_similarity(rng, n, 0.3))
         c = rng.uniform(0.5, 2, t)
-        op = SystemOperator(q=q, l_a=l_a, l_b=None, alpha=0.5, beta=0.0, gamma=1e-4)
-        assert op.preconditioner() is None
+        assert not AugmentedPattern(q).factored
         d, info = solve_weights(q, c, l_a, None, 0.5, 0.0, 1e-4, tol=1e-12)
         dense = (q @ q.T).toarray() + 0.5 * l_a.toarray() + 1e-4 * np.eye(n)
         expected = np.linalg.solve(dense, q @ c)
@@ -518,6 +525,9 @@ class TestSolve:
         assert 1 < info.iterations <= n + 2  # CG's finite termination, with rounding slack
 
     def test_spd_property(self):
+        # the system is Q Q^T + alpha L_A + gamma I, SPD with smallest eigenvalue
+        # at least gamma; the preconditioned and the plain CG path both reach
+        # its dense solution
         rng = np.random.default_rng(21)
         q = sp.csr_matrix(rng.uniform(0, 2, (15, 8)) * (rng.random((15, 8)) < 0.4))
         raw = rng.uniform(0, 1, (15, 15)) * (rng.random((15, 15)) < 0.3)
@@ -525,10 +535,16 @@ class TestSolve:
         np.fill_diagonal(sym, 0.0)
         lap = laplacian(sp.csr_matrix(sym))
         gamma = 0.3
-        op = SystemOperator(q=q, l_a=lap, l_b=None, alpha=1.2, beta=0.0, gamma=gamma)
-        for _ in range(20):
-            x = rng.standard_normal(15)
-            assert x @ op.apply(x) >= gamma * (x @ x) * (1 - 1e-12)
+        dense = (q @ q.T).toarray() + 1.2 * lap.toarray() + gamma * np.eye(15)
+        assert np.linalg.eigvalsh(dense).min() >= gamma * (1 - 1e-12)
+        c = rng.uniform(0.5, 2, 8)
+        expected = np.linalg.solve(dense, q @ c)
+        for factored in (True, False):
+            pattern = AugmentedPattern(q)
+            pattern.factored = factored
+            d, info = solve_weights(q, c, lap, None, 1.2, 0.0, gamma, tol=1e-12, pattern=pattern)
+            assert np.linalg.norm(d - expected) <= 1e-9 * np.linalg.norm(expected)
+            assert (info.factor_nnz > 0) == factored
 
 
 def _grid_q():

@@ -186,6 +186,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=message):
             SyntheticSpec(**fields)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"rows": 3.5}, "rows"),
+            ({"cols": 4.0}, "cols"),
+            ({"n_trips": 5.5}, "n_trips"),
+            ({"trip_len": (1.5, 3)}, r"trip_len\[0\]"),
+            ({"trip_len": (2, 3.9)}, r"trip_len\[1\]"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SyntheticSpec(**fields)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = SyntheticSpec(
+            rows=np.int64(3), cols=3, n_trips=np.int32(4), trip_len=(np.int64(1), 2)
+        )
+        assert len(generate_synthetic(spec, seed=0)[2]) == 4
+
     def test_equal_split_schedule_partitions(self):
         schedule = equal_split_schedule(("A", "B", "C"))
         assert schedule.n_tags == 3
