@@ -6,8 +6,9 @@ split of a trips file), ``annotate`` (fit edge weights and write them out),
 ``pagerank-stats`` (dual-graph PageRank and degree statistics).
 
 Exit codes: 0 success, 2 input validation failure, 3 solver non-convergence,
-4 I/O error. Diagnostics go to stderr only. Set ROADCOST_LOG to a level name
-(debug, info, warning, error) to control log verbosity.
+4 I/O error. Settings are checked and output directories created before any
+input is loaded. Diagnostics go to stderr only. Set ROADCOST_LOG to a level
+name (debug, info, warning, error) to control log verbosity.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import textwrap
 from pathlib import Path
 
 from .config import VARIANTS, RunConfig, parse_config_file
-from .dataio import load_dataset, save_dataset, save_trips, write_weights
+from .dataio import load_dataset, load_schedule, save_dataset, save_trips, write_weights
 from .errors import ConvergenceError, GenerationError, LoadError
 from .evaluation import (
     build_constraints,
@@ -37,7 +38,7 @@ from .graph import build_dual
 from .pagerank import degree_stats, pagerank, pagerank_stats, transition_matrices
 from .solver import objective_terms
 from .synth import SyntheticSpec, generate_synthetic
-from .trips import partition_by_tag, split_trips
+from .trips import check_split, partition_by_tag, split_trips
 
 _FORMATS_EPILOG = """\
 file formats (CSV, UTF-8, header row required):
@@ -121,10 +122,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
-    train, test = split_trips(trips, args.train_fraction, args.seed)
+    check_split(args.train_fraction, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
+    train, test = split_trips(trips, args.train_fraction, args.seed)
     save_trips(train, graph, out / "train_trips.csv", out / "train_costs.csv")
     save_trips(test, graph, out / "test_trips.csv", out / "test_costs.csv")
     print(f"{len(train)} train / {len(test)} test")
@@ -133,6 +135,8 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    for path in (args.out, args.report):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
     trips.validate_against(graph)
     dual = build_dual(graph)
@@ -171,13 +175,14 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     fractions = pool_fractions(args.sweep_fractions.split(",")) if args.sweep_fractions else ()
+    check_split(args.train_fraction, config.seed)  # annotate uses no seed: RunConfig takes any
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
     trips.validate_against(graph)
     dual = build_dual(graph)
     train, test = split_trips(trips, args.train_fraction, config.seed)
     report = run_comparison(train, test, graph, dual, config)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report.as_dict(), indent=2) + "\n")
     _write_csv(
         out / "alr_curve.csv",
@@ -208,16 +213,16 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     # trips are optional here: without them every transition matrix falls
     # back to the uniform random walk on the dual graph
     config = _config_from_args(args)
-    graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
-    trips.validate_against(graph)
-    tag_names = graph.tag_schedule.tags
+    tag_names = load_schedule(args.schedule).tags
     if args.tag and args.tag not in tag_names:
         raise ValueError(f"unknown tag {args.tag!r}; known tags: {', '.join(tag_names)}")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
+    trips.validate_against(graph)
     dual = build_dual(graph)
     partitions = partition_by_tag(trips, graph.tag_schedule)
     transitions = transition_matrices(dual, partitions)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     tag = tag_names.index(args.tag) if args.tag else 0
     pr = pagerank(transitions[tag], tol=config.pr_tol)

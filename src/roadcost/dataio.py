@@ -11,11 +11,12 @@ File formats (UTF-8, comma separated, header row required):
 Loaders collect every violating row before raising, so one run reports all
 problems; writers are deterministic for identical inputs.
 
-The trip loader fills a ``TripSet``'s record table straight from the CSV
-columns: each check runs over whole columns, and ``Trip`` and ``LinkRecord``
-objects are built only for a row or trip that fails one (to word its
-diagnostic) or, lazily, when a caller iterates the set. ``save_trips`` and
-``write_weights`` likewise write from columns.
+Every loader is columnar: it checks ``_CHUNK_ROWS`` rows at a time, column
+by column, and words a diagnostic only for a row that fails, as a row-by-row
+pass would (its first failed check, in file order). The network loader fills
+the ``RoadGraph`` arrays, the trip loader a ``TripSet``'s record table; ``Trip``
+objects are built only to word a bad trip's diagnostic or, lazily, when a
+caller iterates the set. The writers likewise write from columns.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import csv
 import itertools
 import math
 import re
+import types
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -118,15 +120,18 @@ def _read_chunks(
                 return
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    for linenos, rows in _read_chunks(path, expected_header):
-        yield from zip(linenos, rows)
-
-
 def _write_rows(writer, n_rows: int, rows_of: Callable[[slice], Iterable]) -> None:
     """Write ``n_rows`` rows, built ``_CHUNK_ROWS`` at a time by ``rows_of``."""
     for start in range(0, n_rows, _CHUNK_ROWS):
         writer.writerows(rows_of(slice(start, start + _CHUNK_ROWS)))
+
+
+def _csv_fields(texts: Sequence[str], suffix: str) -> np.ndarray:
+    """Each text as ``csv.writer`` writes it as one field of a row of several
+    (quoted where it must be), followed by ``suffix``."""
+    lines: list[str] = []
+    csv.writer(types.SimpleNamespace(write=lines.append)).writerows((t, "") for t in texts)
+    return np.array([line[: -len(",\r\n")] + suffix for line in lines], dtype=object)
 
 
 def _columns(rows: list[list[str]], filler: tuple[str, ...]) -> tuple[dict[int, str], list]:
@@ -144,9 +149,10 @@ def _columns(rows: list[list[str]], filler: tuple[str, ...]) -> tuple[dict[int, 
 
 
 def _convert(texts: Sequence[str], convert) -> tuple[list, dict[int, str]]:
-    """``convert`` of every stripped field, and the error of each one that fails."""
+    """``convert`` of every stripped field (None where it fails), and the error
+    of each one that fails."""
     try:
-        # int() and float() ignore surrounding whitespace themselves
+        # int(), float() and the time parsers ignore surrounding whitespace
         return list(map(convert, texts)), {}
     except ValueError:
         pass
@@ -155,7 +161,7 @@ def _convert(texts: Sequence[str], convert) -> tuple[list, dict[int, str]]:
         try:
             values.append(convert(text.strip()))
         except ValueError as exc:
-            values.append(convert("0"))
+            values.append(None)
             errors[i] = str(exc)
     return values, errors
 
@@ -211,29 +217,33 @@ def _codebook(lookup: Callable[[str], int]) -> Callable[[Sequence[str]], np.ndar
     return codes
 
 
+def _check_rows(path: Path, messages: dict[int, str]) -> None:
+    """Raise the diagnostics in ``messages`` (by line number) in file order."""
+    if messages:
+        raise LoadError("malformed-row", [f"{path}:{n}: {messages[n]}" for n in sorted(messages)])
+
+
 def load_schedule(path: str | Path) -> TagSchedule:
     path = Path(path)
-    tags: list[str] = []
+    tags: dict[str, int] = {}  # tag index by first appearance
     rules = []
-    problems = []
-    for lineno, row in _read_rows(path, ["day_class", "start_hhmm", "end_hhmm", "tag"]):
-        if len(row) != 4:
-            problems.append(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            continue
-        day, start_text, end_text, tag = (field.strip() for field in row)
-        if day not in DAY_CLASSES:
-            problems.append(f"{path}:{lineno}: unknown day class {day!r}")
-            continue
-        try:
-            start, end = parse_hhmm(start_text), parse_hhmm(end_text)
-        except ValueError as exc:
-            problems.append(f"{path}:{lineno}: {exc}")
-            continue
-        if tag not in tags:
-            tags.append(tag)
-        rules.append((day, start, end, tags.index(tag)))
-    if problems:
-        raise LoadError("malformed-row", problems)
+    messages: dict[int, str] = {}  # by line: the first check each row fails
+    for linenos, rows in _read_chunks(path, ["day_class", "start_hhmm", "end_hhmm", "tag"]):
+        bad, (day_texts, start_texts, end_texts, tag_texts) = _columns(rows, ("",) * 4)
+        days = list(map(str.strip, day_texts))
+        for i, day in enumerate(days):
+            if day not in DAY_CLASSES:
+                bad.setdefault(i, f"unknown day class {day!r}")
+        starts, start_errors = _convert(start_texts, parse_hhmm)
+        ends, end_errors = _convert(end_texts, parse_hhmm)
+        for errors in (start_errors, end_errors):
+            for i, message in errors.items():
+                bad.setdefault(i, message)
+        for i, rule in enumerate(zip(days, starts, ends, map(str.strip, tag_texts))):
+            if i not in bad:
+                rules.append((*rule[:3], tags.setdefault(rule[3], len(tags))))
+        messages.update((linenos[i], message) for i, message in bad.items())
+    _check_rows(path, messages)
     try:
         return TagSchedule(tags=tuple(tags), rules=tuple(rules))
     except ValueError as exc:
@@ -249,56 +259,56 @@ def save_schedule(schedule: TagSchedule, path: str | Path) -> None:
 
 
 def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
+    """Read a network straight into a ``RoadGraph``'s arrays; vertices are
+    numbered by first appearance, each row's tail before its head. A blank
+    speed limit is no limit."""
     path = Path(path)
-    vertices: list[str] = []
-    seen = set()
-    edge_lines: dict[str, int] = {}
-    edge_ids, edges, lengths, limits = [], [], [], []
-    problems = []
-    for lineno, row in _read_rows(
+    vertex_index: dict[str, int] = {}
+    vertex_codes = _codebook(lambda text: vertex_index.setdefault(text, len(vertex_index)))
+    first_line: dict[Optional[str], int] = {}  # by edge id: its first row with five fields
+    messages: dict[int, str] = {}  # by line: the first check each row fails
+    parts = []  # (ids, tail and head codes, lengths, limits) of each chunk
+    for linenos, rows in _read_chunks(
         path, ["edge_id", "tail", "head", "length_m", "speed_limit_kmh"]
     ):
-        if len(row) != 5:
-            problems.append(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
-            continue
-        edge_id, tail, head, length_text, limit_text = (field.strip() for field in row)
-        first = edge_lines.setdefault(edge_id, lineno)
-        if first != lineno:
-            problems.append(
-                f"{path}:{lineno}: duplicate edge id {edge_id!r} (first on line {first})"
-            )
-            continue
-        try:
-            length = float(length_text)
-            limit = float(limit_text) if limit_text else None
-        except ValueError:
-            problems.append(f"{path}:{lineno}: unparseable number")
-            continue
-        if not 0 < length < math.inf:
-            problems.append(f"{path}:{lineno}: length {length_text!r} not positive and finite")
-            continue
-        if limit is not None and not 0 < limit < math.inf:
-            problems.append(f"{path}:{lineno}: speed limit {limit_text!r} not positive and finite")
-            continue
-        if tail == head:
-            problems.append(f"{path}:{lineno}: self-loop edge {edge_id!r}")
-            continue
-        for v in (tail, head):
-            if v not in seen:
-                seen.add(v)
-                vertices.append(v)
-        edge_ids.append(edge_id)
-        edges.append((tail, head))
-        lengths.append(length)
-        limits.append(limit)
-    if problems:
-        raise LoadError("malformed-row", problems)
-    try:
-        return RoadGraph.from_edges(
-            vertices, edges, lengths, schedule, speed_limits=limits, edge_ids=edge_ids
+        bad, (id_texts, tail_texts, head_texts, length_texts, limit_texts) = (
+            _columns(rows, ("",) * 5)
         )
-    except ValueError as exc:
-        raise LoadError("malformed-row", [f"{path}: {exc}"]) from exc
+        ids = list(map(str.strip, id_texts))
+        # a row with the wrong field count claims no id
+        claims = [None if i in bad else k for i, k in enumerate(ids)] if bad else ids
+        first = np.fromiter(map(first_line.setdefault, claims, linenos), np.int64, len(ids))
+        for i in np.flatnonzero(first != np.asarray(linenos)).tolist():
+            bad.setdefault(i, f"duplicate edge id {ids[i]!r} (first on line {first[i]})")
+        limit_texts = list(map(str.strip, limit_texts))
+        given = np.fromiter(map(bool, limit_texts), bool, len(ids))
+        lengths, length_errors = _convert(length_texts, float)
+        limits, limit_errors = _convert([text or "nan" for text in limit_texts], float)
+        for i in (*length_errors, *limit_errors):
+            bad.setdefault(i, "unparseable number")
+        length, limit = np.array(lengths, dtype=float), np.array(limits, dtype=float)
+        for i in np.flatnonzero(~((0 < length) & (length < math.inf))).tolist():
+            bad.setdefault(i, f"length {length_texts[i].strip()!r} not positive and finite")
+        for i in np.flatnonzero(given & ~((0 < limit) & (limit < math.inf))).tolist():
+            bad.setdefault(i, f"speed limit {limit_texts[i]!r} not positive and finite")
+        ends = vertex_codes(list(itertools.chain.from_iterable(zip(tail_texts, head_texts))))
+        for i in np.flatnonzero(ends[0::2] == ends[1::2]).tolist():
+            bad.setdefault(i, f"self-loop edge {ids[i]!r}")
+        messages.update((linenos[i], message) for i, message in bad.items())
+        parts.append((ids, ends, length, limit))
+    _check_rows(path, messages)
+
+    ids, ends, length, limit = zip(*parts)
+    tails, heads = np.concatenate(ends).reshape(-1, 2).T.copy()
+    return RoadGraph(
+        vertex_ids=tuple(vertex_index),
+        edge_ids=tuple(itertools.chain.from_iterable(ids)),
+        tails=tails,
+        heads=heads,
+        lengths=np.concatenate(length),
+        speed_limits=np.concatenate(limit),
+        tag_schedule=schedule,
+    )
 
 
 def save_network(graph: RoadGraph, path: str | Path) -> None:
@@ -341,10 +351,7 @@ def _load_costs(path: Path) -> dict[str, float]:
                 else:
                     costs[trip_id] = float(values[i])
         messages.update((linenos[i], message) for i, message in bad.items())
-    if messages:
-        raise LoadError(
-            "malformed-row", [f"{path}:{n}: {messages[n]}" for n in sorted(messages)]
-        )
+    _check_rows(path, messages)
     return costs
 
 
@@ -358,16 +365,9 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
     """
     trips_path, costs_path = Path(trips_path), Path(costs_path)
     costs = _load_costs(costs_path)
-
-    def edge_of(edge_id: str) -> int:
-        try:
-            return graph.edge_index(edge_id)
-        except KeyError:
-            return -1
-
     day_index = {day: i for i, day in enumerate(DAY_CLASSES)}
     trip_ids: dict[str, int] = {}  # trip number by first appearance
-    edge_codes = _codebook(edge_of)
+    edge_codes = _codebook(lambda text: graph.edge_lookup.get(text, -1))
     day_codes = _codebook(lambda text: day_index.get(text, -1))
     trip_codes = _codebook(lambda text: trip_ids.setdefault(text, len(trip_ids)))
     messages: dict[int, str] = {}  # by line: the first check each row fails
@@ -402,10 +402,7 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
         seq += seq_values
         line = np.asarray(linenos, dtype=np.int64)
         parts.append((line, trip_codes(trip_texts), edge, day.astype(np.int8), enter, exit_))
-    if messages:
-        raise LoadError(
-            "malformed-row", [f"{trips_path}:{n}: {messages[n]}" for n in sorted(messages)]
-        )
+    _check_rows(trips_path, messages)
     if unknown:
         raise LoadError("unknown-edge", unknown)
     missing = [t for t in trip_ids if t not in costs]
@@ -503,21 +500,16 @@ def write_weights(
     flags = np.ones(graph.n_entries, dtype=bool) if mask is None else np.asarray(mask, bool)
     if flags.shape != (graph.n_entries,):
         raise ValueError("mask must cover every (edge, tag) entry")
-    edge_ids = np.tile(np.array(graph.edge_ids, dtype=object), graph.n_tags)
-    tags = np.repeat(np.array(graph.tag_schedule.tags, dtype=object), graph.n_edges)
+    # row text is joined directly; csv.writer quotes each distinct id once
+    edge_ids = np.tile(_csv_fields(graph.edge_ids, ","), graph.n_tags)
+    tags = np.repeat(_csv_fields(graph.tag_schedule.tags, ","), graph.n_edges)
+    ends = np.array([",0\r\n", ",1\r\n"], dtype=object)[flags.astype(np.int64)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["edge_id", "tag", "cost_per_meter", "annotated_flag"])
-        _write_rows(
-            writer,
-            graph.n_entries,
-            lambda part: zip(
-                edge_ids[part].tolist(),
-                tags[part].tolist(),
-                [_FLOAT_FMT % value for value in costs.values[part].tolist()],
-                flags[part].astype(np.int64).tolist(),
-            ),
-        )
+        handle.write("edge_id,tag,cost_per_meter,annotated_flag\r\n")
+        for start in range(0, graph.n_entries, _CHUNK_ROWS):
+            part = slice(start, start + _CHUNK_ROWS)
+            values = np.array(list(map(_FLOAT_FMT.__mod__, costs.values[part].tolist())), object)
+            handle.write("".join(edge_ids[part] + tags[part] + values + ends[part]))
 
 
 def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.ndarray]:
@@ -526,35 +518,36 @@ def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.nda
     mask = np.zeros(graph.n_entries, dtype=bool)
     filled = np.zeros(graph.n_entries, dtype=bool)
     tag_index = {t: i for i, t in enumerate(graph.tag_schedule.tags)}
-    problems = []
-    for lineno, row in _read_rows(path, ["edge_id", "tag", "cost_per_meter", "annotated_flag"]):
-        if len(row) != 4:
-            problems.append(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            continue
-        edge_id, tag_name, value_text, flag_text = (field.strip() for field in row)
-        try:
-            edge = graph.edge_index(edge_id)
-        except KeyError:
-            problems.append(f"{path}:{lineno}: unknown edge id {edge_id!r}")
-            continue
-        if tag_name not in tag_index:
-            problems.append(f"{path}:{lineno}: unknown tag {tag_name!r}")
-            continue
-        try:
-            value = float(value_text)
-            flag = bool(int(flag_text))
-        except ValueError:
-            problems.append(f"{path}:{lineno}: unparseable value")
-            continue
-        pos = tag_index[tag_name] * graph.n_edges + edge
-        if filled[pos]:
-            problems.append(f"{path}:{lineno}: duplicate row for edge {edge_id!r}, tag {tag_name!r}")
-            continue
-        values[pos] = value
-        mask[pos] = flag
+    edge_codes = _codebook(lambda text: graph.edge_lookup.get(text, -1))
+    tag_codes = _codebook(lambda text: tag_index.get(text, -1))
+    messages: dict[int, str] = {}  # by line: the first check each row fails
+    for linenos, rows in _read_chunks(
+        path, ["edge_id", "tag", "cost_per_meter", "annotated_flag"]
+    ):
+        bad, (edge_texts, tag_texts, value_texts, flag_texts) = _columns(rows, ("",) * 4)
+        edge, tag = edge_codes(edge_texts), tag_codes(tag_texts)
+        for i in np.flatnonzero(edge < 0).tolist():
+            bad.setdefault(i, f"unknown edge id {edge_texts[i].strip()!r}")
+        for i in np.flatnonzero(tag < 0).tolist():
+            bad.setdefault(i, f"unknown tag {tag_texts[i].strip()!r}")
+        chunk_values, value_errors = _convert(value_texts, float)
+        flags, flag_errors = _convert(flag_texts, int)
+        for i in (*value_errors, *flag_errors):
+            bad.setdefault(i, "unparseable value")
+        rows_ok = np.setdiff1d(np.arange(len(rows)), list(bad))
+        pos = tag[rows_ok] * graph.n_edges + edge[rows_ok]
+        # an entry filled by an earlier chunk, or by an earlier row of this one
+        later = np.ones(len(pos), dtype=bool)
+        later[np.unique(pos, return_index=True)[1]] = False
+        for i in rows_ok[filled[pos] | later].tolist():
+            bad[i] = (
+                f"duplicate row for edge {edge_texts[i].strip()!r}, tag {tag_texts[i].strip()!r}"
+            )
+        values[pos] = np.array(chunk_values, dtype=float)[rows_ok]
+        mask[pos] = np.fromiter(map(bool, flags), bool, len(flags))[rows_ok]
         filled[pos] = True
-    if problems:
-        raise LoadError("malformed-row", problems)
+        messages.update((linenos[i], message) for i, message in bad.items())
+    _check_rows(path, messages)
     if not filled.all():
         raise LoadError(
             "malformed-row", [f"{path}: {int((~filled).sum())} (edge, tag) entries missing"]

@@ -206,13 +206,13 @@ class RoadGraph:
             raise IndexError(f"tag {tag} outside 0..{self.n_tags - 1}")
         return tag * self.n_edges + edge
 
+    @cached_property
+    def edge_lookup(self) -> dict[str, int]:
+        """Edge index by edge id."""
+        return {e: i for i, e in enumerate(self.edge_ids)}
+
     def edge_index(self, edge_id: str) -> int:
-        try:
-            return self._edge_lookup[edge_id]
-        except AttributeError:
-            lookup = {e: i for i, e in enumerate(self.edge_ids)}
-            object.__setattr__(self, "_edge_lookup", lookup)
-            return lookup[edge_id]
+        return self.edge_lookup[edge_id]
 
     def is_highway(self, cutoff_kmh: float = 90.0) -> np.ndarray:
         """Per-edge highway mask: speed limit at or above the cutoff.
@@ -304,30 +304,22 @@ def build_dual(graph: RoadGraph) -> DualGraph:
     Deterministic for a given edge ordering: dual edges are sorted by
     (source, target) dual-vertex index.
     """
-    ne = graph.n_edges
-    by_tail: list[list[int]] = [[] for _ in range(graph.n_vertices)]
-    for e in range(ne):
-        by_tail[graph.tails[e]].append(e)
+    # the successors of edge e are the edges leaving heads[e]: one group of
+    # the stable sort by tail, so ascending by edge index
+    by_tail = np.argsort(graph.tails, kind="stable")
+    tail_ptr = np.zeros(graph.n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.tails, minlength=graph.n_vertices), out=tail_ptr[1:])
+    first = tail_ptr[graph.heads]
+    out_deg = tail_ptr[graph.heads + 1] - first
+    indptr = np.zeros(graph.n_edges + 1, dtype=np.int64)
+    np.cumsum(out_deg, out=indptr[1:])
 
-    src, dst = [], []
-    indptr = np.zeros(ne + 1, dtype=np.int64)
-    for e in range(ne):
-        successors = by_tail[graph.heads[e]]
-        src.extend([e] * len(successors))
-        dst.extend(successors)
-        indptr[e + 1] = indptr[e] + len(successors)
-
-    src_a = np.asarray(src, dtype=np.int64)
-    dst_a = np.asarray(dst, dtype=np.int64)
-    reverse = (
-        graph.heads[dst_a] == graph.tails[src_a]
-        if len(src_a)
-        else np.zeros(0, dtype=bool)
-    )
+    src = np.repeat(np.arange(graph.n_edges, dtype=np.int64), out_deg)
+    dst = by_tail[np.repeat(first - indptr[:-1], out_deg) + np.arange(indptr[-1])]
     return DualGraph(
         graph=graph,
-        edge_src=src_a,
-        edge_dst=dst_a,
+        edge_src=src,
+        edge_dst=dst,
         out_indptr=indptr,
-        reverse_mask=np.asarray(reverse, dtype=bool),
+        reverse_mask=graph.heads[dst] == graph.tails[src],
     )

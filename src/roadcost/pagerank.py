@@ -115,8 +115,10 @@ def dual_weights(dual: DualGraph, trips_k: TripSet, tag: int = 0) -> TransitionM
     table = trips_k.table
     same_trip = table.trip[1:] == table.trip[:-1]
     pairs = table.edge[:-1][same_trip] * n + table.edge[1:][same_trip]
-    pairs = pairs[np.isin(pairs, dual.edge_keys)]
-    counts = np.bincount(np.searchsorted(dual.edge_keys, pairs), minlength=dual.n_edges)
+    found = np.searchsorted(dual.edge_keys, pairs)
+    hit = found < dual.n_edges  # a key above the largest dual key lands past the end
+    hit[hit] = dual.edge_keys[found[hit]] == pairs[hit]
+    counts = np.bincount(found[hit], minlength=dual.n_edges)
 
     out_deg = dual.out_degrees()
     row_totals = np.bincount(dual.edge_src, weights=counts, minlength=n)

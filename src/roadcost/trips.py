@@ -256,14 +256,21 @@ def partition_by_tag(trips: TripSet, schedule: TagSchedule) -> list[TripSet]:
     return [trips.subset(np.flatnonzero(labels == k)) for k in range(schedule.n_tags)]
 
 
+def check_split(train_fraction: float, seed: int) -> None:
+    """Reject the settings ``split_trips`` cannot use, before any data is read."""
+    if not 0 < train_fraction < 1:
+        raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def split_trips(trips: TripSet, train_fraction: float, seed: int) -> tuple[TripSet, TripSet]:
     """Deterministic random train/test split.
 
     The train side gets round(train_fraction * N) trips, clamped so both
     sides stay non-empty.
     """
-    if not 0 < train_fraction < 1:
-        raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
+    check_split(train_fraction, seed)
     n = len(trips)
     if n < 2:
         raise ValueError(f"cannot split {n} trip(s)")

@@ -355,3 +355,51 @@ def test_bad_run_setting_exits_2_before_loading(
     assert loads == []
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize(
+    "command, fault, code, message",
+    [
+        ("annotate", "output under a file", 4, None),
+        ("evaluate", "output under a file", 4, None),
+        ("split", "output under a file", 4, None),
+        ("pagerank-stats", "output under a file", 4, None),
+        ("evaluate", "negative seed", 2, "seed must be a non-negative integer, got -1"),
+        ("split", "negative seed", 2, "seed must be a non-negative integer, got -1"),
+        ("evaluate", "bad train fraction", 2, "train fraction must be in (0, 1), got 1.5"),
+        ("split", "bad train fraction", 2, "train fraction must be in (0, 1), got 1.5"),
+        # annotate and pagerank-stats use no seed, so they accept any
+        ("annotate", "negative seed", 0, None),
+        ("pagerank-stats", "negative seed", 0, None),
+    ],
+)
+def test_bad_output_or_split_setting_fails_before_loading(
+    tmp_path, capsys, monkeypatch, command, fault, code, message
+):
+    data = _synth(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    out = blocker / "out" if fault == "output under a file" else tmp_path / "out"
+    outputs = {
+        # the parents of both annotate outputs are created
+        "annotate": ["--out", str(out / "w" / "w.csv"), "--report", str(out / "r" / "r.json")],
+        "evaluate": ["--out-dir", str(out)],
+        "split": ["--out", str(out)],
+        "pagerank-stats": ["--out-dir", str(out)],
+    }[command]
+    setting = {"negative seed": ["--seed", "-1"],
+               "bad train fraction": ["--train-fraction", "1.5"]}
+    loads, load = [], cli.load_dataset
+    monkeypatch.setattr(cli, "load_dataset", lambda *args: loads.append(args) or load(*args))
+    assert main([command, *_dataset_args(data), *outputs, *setting.get(fault, [])]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert len(loads) == 1 and err == ""
+        assert (out / "w" / "w.csv").exists() if command == "annotate" else out.is_dir()
+        return
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if message is not None:
+        assert err == f"error: {message}\n"
+    assert loads == []
+    assert blocker.read_text() == "a file, not a directory\n"
+    assert not (tmp_path / "out").exists()

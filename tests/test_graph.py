@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from roadcost.graph import (
     WEEKDAY,
@@ -210,6 +212,51 @@ class TestBuildDual:
         dual = build_dual(junction_graph)
         assert dual.out_degrees().tolist() == [3, 1, 1, 3, 0]  # BD is a dead end
         assert dual.in_degrees().tolist() == [1, 2, 2, 1, 2]
+
+
+def build_dual_loop(graph):
+    """The per-edge loop ``build_dual`` used before it was vectorised: the
+    successors of edge e are the edges leaving heads[e], in edge order."""
+    by_tail = [[] for _ in range(graph.n_vertices)]
+    for e in range(graph.n_edges):
+        by_tail[graph.tails[e]].append(e)
+    src, dst, indptr = [], [], [0]
+    for e in range(graph.n_edges):
+        successors = by_tail[graph.heads[e]]
+        src += [e] * len(successors)
+        dst += successors
+        indptr.append(len(src))
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    return src, dst, np.array(indptr, dtype=np.int64), graph.heads[dst] == graph.tails[src]
+
+
+@st.composite
+def multigraph_edges(draw):
+    """A vertex count and (tail, head) pairs: parallel edges, sinks, sources and
+    isolated vertices all occur."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=40))
+    return n, [(t, (t + k) % n) for t, k in pairs]
+
+
+@given(multigraph_edges())
+@example((3, []))  # no edges
+@example((4, [(0, 1), (0, 1), (1, 0), (1, 2), (1, 2), (3, 1)]))  # parallel, sink 2, source 3
+def test_build_dual_matches_the_loop(shape):
+    n, edges = shape
+    vertices = [f"v{i}" for i in range(n)]
+    graph = RoadGraph.from_edges(
+        vertices,
+        [(vertices[t], vertices[h]) for t, h in edges],
+        [1.0] * len(edges),
+        peak_offpeak_schedule(),
+    )
+    dual = build_dual(graph)
+    got = (dual.edge_src, dual.edge_dst, dual.out_indptr, dual.reverse_mask)
+    for name, a, b in zip(("edge_src", "edge_dst", "out_indptr", "reverse_mask"), got,
+                          build_dual_loop(graph)):
+        assert a.dtype == (bool if name == "reverse_mask" else np.int64), name
+        assert np.array_equal(a, b), name
 
 
 def test_default_schedule_is_valid():

@@ -1,9 +1,11 @@
-"""The columnar trip loader against the row-by-row loader it replaced.
+"""The columnar loaders against the row-by-row loaders they replaced.
 
-``load_trips_rowwise`` below is the reference: it reads one CSV row at a
-time, makes one ``LinkRecord`` per row and one ``Trip`` per trip, and
-reports every problem as it meets it. The library fills the record table
-from whole columns; its tables, costs and diagnostics must be the same.
+``load_trips_rowwise`` below is the reference for the trip loader: it reads
+one CSV row at a time, makes one ``LinkRecord`` per row and one ``Trip`` per
+trip, and reports every problem as it meets it. ``load_schedule_rowwise``,
+``load_network_rowwise`` and ``load_weights_rowwise`` do the same for the
+other files. The library checks whole columns; its results and diagnostics
+must be the same.
 """
 
 import csv
@@ -20,20 +22,33 @@ from hypothesis import strategies as st
 from roadcost import dataio
 from roadcost.dataio import (
     format_hhmmss,
+    load_network,
+    load_schedule,
     load_trips,
     load_weights,
+    parse_hhmm,
     parse_hhmmss,
     save_network,
     save_trips,
     write_weights,
 )
 from roadcost.errors import LoadError
-from roadcost.graph import WEEKDAY, WEEKEND, RoadGraph
+from roadcost.graph import (
+    DAY_CLASSES,
+    WEEKDAY,
+    WEEKEND,
+    CostVector,
+    RoadGraph,
+    TagSchedule,
+    peak_offpeak_schedule,
+)
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, split_trips
 
 TRIP_HEADER = ["trip_id", "seq", "edge_id", "day_class", "enter_hhmmss", "exit_hhmmss"]
 COST_HEADER = ["trip_id", "cost"]
+NETWORK_HEADER = ["edge_id", "tail", "head", "length_m", "speed_limit_kmh"]
+WEIGHTS_HEADER = ["edge_id", "tag", "cost_per_meter", "annotated_flag"]
 
 
 # ---------------------------------------------------------------- reference loader
@@ -124,6 +139,120 @@ def load_trips_rowwise(trips_path, costs_path, graph):
     return TripSet(tuple(trips))
 
 
+def load_schedule_rowwise(path):
+    path = Path(path)
+    tags, rules, problems = [], [], []
+    for lineno, row in rows_of(path, ["day_class", "start_hhmm", "end_hhmm", "tag"]):
+        if len(row) != 4:
+            problems.append(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            continue
+        day, start_text, end_text, tag = (field.strip() for field in row)
+        if day not in DAY_CLASSES:
+            problems.append(f"{path}:{lineno}: unknown day class {day!r}")
+            continue
+        try:
+            start, end = parse_hhmm(start_text), parse_hhmm(end_text)
+        except ValueError as exc:
+            problems.append(f"{path}:{lineno}: {exc}")
+            continue
+        if tag not in tags:
+            tags.append(tag)
+        rules.append((day, start, end, tags.index(tag)))
+    if problems:
+        raise LoadError("malformed-row", problems)
+    try:
+        return TagSchedule(tags=tuple(tags), rules=tuple(rules))
+    except ValueError as exc:
+        raise LoadError("bad-schedule", [f"{path}: {exc}"]) from exc
+
+
+def load_network_rowwise(path, schedule):
+    path = Path(path)
+    vertices, seen, edge_lines = [], set(), {}
+    edge_ids, edges, lengths, limits, problems = [], [], [], [], []
+    for lineno, row in rows_of(path, NETWORK_HEADER):
+        if len(row) != 5:
+            problems.append(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+            continue
+        edge_id, tail, head, length_text, limit_text = (field.strip() for field in row)
+        first = edge_lines.setdefault(edge_id, lineno)
+        if first != lineno:
+            problems.append(
+                f"{path}:{lineno}: duplicate edge id {edge_id!r} (first on line {first})"
+            )
+            continue
+        try:
+            length = float(length_text)
+            limit = float(limit_text) if limit_text else None
+        except ValueError:
+            problems.append(f"{path}:{lineno}: unparseable number")
+            continue
+        if not 0 < length < math.inf:
+            problems.append(f"{path}:{lineno}: length {length_text!r} not positive and finite")
+            continue
+        if limit is not None and not 0 < limit < math.inf:
+            problems.append(f"{path}:{lineno}: speed limit {limit_text!r} not positive and finite")
+            continue
+        if tail == head:
+            problems.append(f"{path}:{lineno}: self-loop edge {edge_id!r}")
+            continue
+        for v in (tail, head):
+            if v not in seen:
+                seen.add(v)
+                vertices.append(v)
+        edge_ids.append(edge_id)
+        edges.append((tail, head))
+        lengths.append(length)
+        limits.append(limit)
+    if problems:
+        raise LoadError("malformed-row", problems)
+    return RoadGraph.from_edges(
+        vertices, edges, lengths, schedule, speed_limits=limits, edge_ids=edge_ids
+    )
+
+
+def load_weights_rowwise(path, graph):
+    path = Path(path)
+    values = np.zeros(graph.n_entries)
+    mask = np.zeros(graph.n_entries, dtype=bool)
+    filled = np.zeros(graph.n_entries, dtype=bool)
+    tag_index = {t: i for i, t in enumerate(graph.tag_schedule.tags)}
+    problems = []
+    for lineno, row in rows_of(path, WEIGHTS_HEADER):
+        if len(row) != 4:
+            problems.append(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            continue
+        edge_id, tag_name, value_text, flag_text = (field.strip() for field in row)
+        try:
+            edge = graph.edge_index(edge_id)
+        except KeyError:
+            problems.append(f"{path}:{lineno}: unknown edge id {edge_id!r}")
+            continue
+        if tag_name not in tag_index:
+            problems.append(f"{path}:{lineno}: unknown tag {tag_name!r}")
+            continue
+        try:
+            value = float(value_text)
+            flag = bool(int(flag_text))
+        except ValueError:
+            problems.append(f"{path}:{lineno}: unparseable value")
+            continue
+        pos = tag_index[tag_name] * graph.n_edges + edge
+        if filled[pos]:
+            problems.append(f"{path}:{lineno}: duplicate row for edge {edge_id!r}, tag {tag_name!r}")
+            continue
+        values[pos] = value
+        mask[pos] = flag
+        filled[pos] = True
+    if problems:
+        raise LoadError("malformed-row", problems)
+    if not filled.all():
+        raise LoadError(
+            "malformed-row", [f"{path}: {int((~filled).sum())} (edge, tag) entries missing"]
+        )
+    return CostVector(values, graph.n_edges, graph.n_tags), mask
+
+
 # ---------------------------------------------------------------- comparison
 
 
@@ -135,9 +264,9 @@ def assert_same_columns(got: TripSet, want: TripSet):
     assert got.costs().tobytes() == want.costs().tobytes()
 
 
-def outcome(loader, trips_path, costs_path, graph):
+def outcome(loader, *args):
     try:
-        return loader(trips_path, costs_path, graph)
+        return loader(*args)
     except LoadError as err:
         return (err.code, err.problems)
 
@@ -344,6 +473,20 @@ def test_writers_match_row_by_row_writers(tmp_path):
     assert np.array_equal(loaded_mask, mask)
 
 
+def test_write_weights_quotes_ids_as_csv_writer_does(tmp_path):
+    graph, truth, _ = generate_synthetic(
+        SyntheticSpec(rows=3, cols=3, n_trips=0, tags=("A,1", '"B"'),
+                      weight_ranges=((0.01, 0.1),) * 2), seed=5
+    )
+    odd = ["", " x", "a\nb", 'q"', "p,q", "r\rs"]
+    graph = replace(
+        graph, edge_ids=tuple(odd + [f"e{i}" for i in range(len(odd), graph.n_edges)])
+    )
+    write_weights(tmp_path / "w.csv", graph, truth)
+    write_weights_rowwise(tmp_path / "w0.csv", graph, truth)
+    assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "w0.csv").read_bytes()
+
+
 # ---------------------------------------------------------------- subsets
 
 
@@ -494,3 +637,195 @@ def test_one_or_two_faults_in_one_row(tmp_path, small_grid, first, second):
     got = assert_loaders_agree(tmp_path / "trips.csv", tmp_path / "costs.csv", graph)
     if second is None:  # two faults may cancel, as two swaps of enter and exit do
         assert isinstance(got, tuple) and got[1], got
+
+
+# ---------------------------------------------------------------- network, schedule, weights
+
+
+def assert_same_graph(got, want):
+    assert isinstance(got, RoadGraph), got
+    assert got.vertex_ids == want.vertex_ids
+    assert got.edge_ids == want.edge_ids
+    assert got.tag_schedule == want.tag_schedule
+    for name in ("tails", "heads", "lengths", "speed_limits"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def assert_network_loaders_agree(path, schedule):
+    got = outcome(load_network, path, schedule)
+    want = outcome(load_network_rowwise, path, schedule)
+    if isinstance(want, RoadGraph):
+        assert_same_graph(got, want)
+    else:
+        assert got == want
+    return got
+
+
+# every diagnostic kind, each on its own row, spread over several chunks
+NETWORK_FAULT_ROWS = [
+    'e0,A,B,100,50',
+    '"e,1", B , C ,120,',  # a quoted id with a comma, spaces, no speed limit
+    'e2,C,A,80,nan',  # the text nan is not "no limit"
+    'e3,A,B,abc,',  # unparseable length
+    '',
+    'e4,A,B,10,fast',  # unparseable speed limit
+    'e5,A,B,10',  # too few fields: claims no id
+    'e6,A,B,10,50,x',  # too many fields
+    ',C,B,5,',  # a blank id: rows with the wrong field count did not claim it
+    'e7,A,B,0,',
+    'e8,A,B,nan,',
+    'e9,A,B,inf,50',
+    'e10,A,B,10,-5',
+    'e11,A,B,10,inf',
+    'e12,B,B,10,',  # self-loop
+    'e3,B,A,10,',  # duplicate of a row that failed a later check
+    'e5,A,B,10,',  # not a duplicate: the first e5 row had four fields
+    'e5,A,C,10,',  # a duplicate of that one
+    '"e,1",A,C,1,',  # a duplicate of the quoted id
+    'e13, A , A ,abc,',  # unparseable number comes before self-loop
+    'e14,A,B,-1,0',  # length comes before speed limit
+    'e15,C,D,1e400,',  # overflows to inf
+    'e16,D,C,  7.5 , 60 ',
+    '',
+    '',
+]
+
+
+def _network_file(path, rows):
+    path.write_text(",".join(NETWORK_HEADER) + "\n" + "\n".join(rows) + "\n")
+
+
+def test_network_diagnostics_match_row_by_row_loader(tmp_path, two_tag_schedule):
+    _network_file(tmp_path / "network.csv", NETWORK_FAULT_ROWS)
+    code, problems = assert_network_loaders_agree(tmp_path / "network.csv", two_tag_schedule)
+    assert code == "malformed-row" and len(problems) == 17
+    assert f"{tmp_path / 'network.csv'}:17: duplicate edge id 'e3' (first on line 5)" in problems
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.lists(st.sampled_from(NETWORK_FAULT_ROWS), max_size=30))
+def test_shuffled_network_rows_match_row_by_row_loader(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        _network_file(Path(tmp) / "network.csv", rows)
+        assert_network_loaders_agree(Path(tmp) / "network.csv", peak_offpeak_schedule())
+
+
+@pytest.mark.parametrize("limits", [(50.0, 100.0), None])
+def test_networks_load_bitwise_equal(tmp_path, limits):
+    graph, _, _ = generate_synthetic(
+        SyntheticSpec(rows=7, cols=6, n_trips=0, speed_limit_choices=limits), seed=4
+    )
+    save_network(graph, tmp_path / "network.csv")
+    loaded = assert_network_loaders_agree(tmp_path / "network.csv", graph.tag_schedule)
+    assert loaded.edge_ids == graph.edge_ids
+
+
+def test_valid_network_with_blank_rows_and_quoted_ids(tmp_path, two_tag_schedule):
+    _network_file(
+        tmp_path / "network.csv",
+        ['"a,b", x ,"y,z",1,', "", "c,y,z,2.5, 80 ", "", "", "", "", "", '" d ",z,x,3,'],
+    )
+    graph = assert_network_loaders_agree(tmp_path / "network.csv", two_tag_schedule)
+    assert graph.edge_ids == ("a,b", "c", "d")
+    assert graph.vertex_ids == ("x", "y,z", "y", "z")
+    assert np.isnan(graph.speed_limits[[0, 2]]).all() and graph.speed_limits[1] == 80.0
+
+
+def test_empty_network_file(tmp_path, two_tag_schedule):
+    _network_file(tmp_path / "network.csv", [])
+    graph = assert_network_loaders_agree(tmp_path / "network.csv", two_tag_schedule)
+    assert graph.n_edges == graph.n_vertices == 0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # blank rows, spaces, a quoted tag with a comma
+        ["weekday,00:00,07:00,OFF", "", ' weekday , 7:00 ,24:00, "ON,1" ',
+         "weekend,00:00,24:00,OFF"],
+        # every row kind of fault: field count, day class, start, end, both times
+        ["weekday,00:00,24:00", "holiday,00:00,24:00,X", "weekday,7:60,24:00,X",
+         "weekday,00:00,24:01,X", "weekend,x,y,X", "", "weekend,00:00,24:00,X,Y",
+         "weekend,00:00,24:00,X"],
+        # rows that parse but do not partition the day
+        ["weekday,00:00,06:00,A", "weekday,07:00,24:00,B", "weekend,00:00,24:00,A"],
+    ],
+)
+def test_schedules_match_row_by_row_loader(tmp_path, rows):
+    path = tmp_path / "schedule.csv"
+    path.write_text("day_class,start_hhmm,end_hhmm,tag\n" + "\n".join(rows) + "\n")
+    assert outcome(load_schedule, path) == outcome(load_schedule_rowwise, path)
+
+
+@pytest.fixture(scope="module")
+def weights_graph():
+    schedule = TagSchedule(
+        tags=("A", "B"), rules=((WEEKDAY, 0.0, 1440.0, 0), (WEEKEND, 0.0, 1440.0, 1))
+    )
+    return RoadGraph.from_edges(
+        ["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "x")], [1.0, 2.0, 3.0], schedule,
+        edge_ids=["e0", "e1", "e,2"],
+    )
+
+
+def assert_weights_loaders_agree(path, graph):
+    got = outcome(load_weights, path, graph)
+    want = outcome(load_weights_rowwise, path, graph)
+    if isinstance(want, tuple) and isinstance(want[0], CostVector):
+        assert got[0].values.tobytes() == want[0].values.tobytes()
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+    else:
+        assert got == want
+    return got
+
+
+WEIGHT_ROWS = [
+    "e0,A,0.5,1",
+    "e0,A,0.7,1",  # a duplicate in the same chunk
+    "nosuch,A,1,1",
+    "e1,Z,1,1",
+    "e1,A,abc,1",
+    "",
+    "e1,A,1,yes",
+    "e1,A,1,1.0",
+    "e1,A,1",
+    "e1,A,1,1,1",
+    "nosuch,Z,abc,1",  # unknown edge comes first
+    " e1 , A , 2 , 0 ",  # the first valid row for (e1, A)
+    '"e,2",A,3,1',
+    "e0,B,4,0",
+    "e1,B,5,2",
+    '"e,2",B,6,0',
+    "e0,A,1,1",  # a duplicate from an earlier chunk
+    "e1,A,nan,1",  # a duplicate, though unparsed rows above claimed nothing
+]
+
+
+def _weights_file(path, rows):
+    path.write_text(",".join(WEIGHTS_HEADER) + "\n" + "\n".join(rows) + "\n")
+
+
+def test_weights_diagnostics_match_row_by_row_loader(tmp_path, weights_graph):
+    _weights_file(tmp_path / "w.csv", WEIGHT_ROWS)
+    code, problems = assert_weights_loaders_agree(tmp_path / "w.csv", weights_graph)
+    assert code == "malformed-row" and len(problems) == 11
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.lists(st.sampled_from(WEIGHT_ROWS), max_size=30))
+def test_shuffled_weight_rows_match_row_by_row_loader(weights_graph, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        _weights_file(Path(tmp) / "w.csv", rows)
+        assert_weights_loaders_agree(Path(tmp) / "w.csv", weights_graph)
+
+
+def test_valid_weights_load_bitwise_equal(tmp_path, weights_graph):
+    _weights_file(
+        tmp_path / "w.csv",
+        ['"e,2",B,6,0', "", "e0,A,0.5,1", " e1 , A , 2 , 0 ", '"e,2",A,3,1', "e0,B,4,0",
+         "e1,B,5,2"],
+    )
+    costs, mask = assert_weights_loaders_agree(tmp_path / "w.csv", weights_graph)
+    assert costs.values.tolist() == [0.5, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert mask.tolist() == [True, False, True, False, True, False]

@@ -3,6 +3,8 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from roadcost.errors import ConvergenceError
 from roadcost.graph import WEEKDAY, RoadGraph, build_dual
@@ -29,7 +31,55 @@ def _junction_trips(n_bc: int, n_bd: int, n_ba: int, start: float) -> TripSet:
     return tripset(*trips)
 
 
+def dual_weights_loop(dual, trips: TripSet) -> np.ndarray:
+    """Transition probabilities along the dual edge list, counted one record
+    pair at a time."""
+    index = {pair: k for k, pair in enumerate(zip(dual.edge_src.tolist(), dual.edge_dst.tolist()))}
+    counts = [0] * dual.n_edges
+    for trip in trips:
+        for a, b in zip(trip.records, trip.records[1:]):
+            if (a.edge, b.edge) in index:
+                counts[index[a.edge, b.edge]] += 1
+    probs = []
+    for u in range(dual.n_vertices):
+        row = range(dual.out_indptr[u], dual.out_indptr[u + 1])
+        total = sum(counts[k] for k in row) + len(row)
+        probs += [(counts[k] + 1) / total for k in row]
+    return np.array(probs)
+
+
 class TestDualWeights:
+    @pytest.mark.parametrize(
+        "walks",
+        [
+            [[4, 3]],  # BD -> CB: no dual edge, and a key above the largest dual key
+            [[2, 0], [1, 4], [3, 0]],  # record pairs that are not dual edges
+            [[0, 2, 3, 1, 0, 2]],  # through junction B twice: AB -> BC counts twice
+        ],
+    )
+    def test_counts_match_the_loop(self, junction_graph, walks):
+        dual = build_dual(junction_graph)
+        trips = tripset(*(make_trip(walk, start=430.0) for walk in walks))
+        assert dual_weights(dual, trips).edge_probs.tolist() == (
+            dual_weights_loop(dual, trips).tolist()
+        )
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=7), max_size=8))
+    def test_random_walks_match_the_loop(self, junction_graph, walks):
+        dual = build_dual(junction_graph)
+        trips = tripset(*(make_trip(walk) for walk in walks))
+        assert dual_weights(dual, trips).edge_probs.tolist() == (
+            dual_weights_loop(dual, trips).tolist()
+        )
+
+    def test_dual_without_edges(self, two_tag_schedule):
+        g = RoadGraph.from_edges(["A", "B"], [("A", "B")], [10.0], two_tag_schedule)
+        dual = build_dual(g)
+        m = dual_weights(dual, tripset(make_trip([0, 0])))
+        assert dual.n_edges == 0 and m.edge_probs.shape == (0,)
+        assert m.matrix.nnz == 0 and m.dangling.tolist() == [True]
+
     def test_smoothed_peak_weights(self, junction_graph):
         dual = build_dual(junction_graph)
         m = dual_weights(dual, _junction_trips(30, 10, 0, start=430.0))
