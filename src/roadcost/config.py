@@ -57,6 +57,8 @@ class RunConfig:
 
     def variant_coefficients(self, variant: str) -> tuple[float, float]:
         """(alpha, beta) actually applied under a given variant."""
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}: must be one of {sorted(VARIANTS)}")
         use_a, use_b = VARIANTS[variant]
         return (self.alpha if use_a else 0.0, self.beta if use_b else 0.0)
 

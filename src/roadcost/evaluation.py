@@ -8,7 +8,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .config import VARIANTS, RunConfig
+from .config import RunConfig
 from .graph import DAY_CLASSES, CostVector, DualGraph, RoadGraph
 from .pagerank import pagerank, transition_matrices
 from .solver import (
@@ -161,8 +161,13 @@ def solve_variant(
     graph: RoadGraph,
     config: RunConfig,
     variant: str,
+    *,
+    x0: Optional[np.ndarray] = None,
 ) -> tuple[CostVector, np.ndarray, SolveInfo]:
-    """Solve one objective variant; returns weights, annotated mask, stats."""
+    """Solve one objective variant; returns weights, annotated mask, stats.
+
+    ``x0``, keyword only, is CG's starting guess (see solve_weights).
+    """
     alpha, beta = config.variant_coefficients(variant)
     values, info = solve_weights(
         matrices.q,
@@ -174,6 +179,7 @@ def solve_variant(
         config.gamma,
         tol=config.cg_tol,
         pattern=matrices.pattern,
+        x0=x0,
     )
     mask = matrices.mask(bool(alpha), bool(beta))
     weights = CostVector(np.where(mask, values, 0.0), graph.n_edges, graph.n_tags)
@@ -193,8 +199,13 @@ def run_comparison(
     All variants share the same constraint matrices and training data; only
     the (alpha, beta) coefficients differ, so SSL ratios isolate the effect
     of each penalty term. The loss-ratio curve reports the last variant, so
-    every test trip needs a positive cost; that is checked before any fit.
+    every test trip needs a positive cost; that is checked, with the variant
+    names, before any fit.
     """
+    if not variants:
+        raise ValueError("run_comparison needs at least one variant")
+    for variant in variants:
+        config.variant_coefficients(variant)  # raises on an unknown variant
     zero_cost = np.flatnonzero(test.costs() <= 0)
     if len(zero_cost):
         table = test.table
@@ -210,8 +221,6 @@ def run_comparison(
 
     ssl_per, coverage_per, infos, weights_per = {}, {}, {}, {}
     for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
         weights, mask, info = solve_variant(matrices, train_costs, graph, config, variant)
         ssl_per[variant] = ssl(test, graph, weights)
         coverage_per[variant] = edge_coverage(graph, mask)
@@ -249,8 +258,20 @@ def grid_search(
 
     The constraint matrices depend only on the fold's training trips, so
     each fold assembles them once and reuses them across the whole grid.
-    Returns the best configuration and the full score table (mean SSL over
-    folds per combination), deterministically for a fixed seed.
+    Within a fold the combinations are visited in snake order: alpha by
+    alpha, with the (beta, gamma) pairs reversed on every other alpha, so a
+    new alpha starts at the pair the last one ended on. Each solve starts CG
+    from the previous one's masked weights (folds differ in Q, so each fold
+    starts from zero). Where CG stops depends on where it starts, within
+    cg_tol; at the default 1e-8 the residual leaves mean SSL values of the
+    order of 1e-3 relative off the exact minimizer's, warm or cold, so
+    combinations whose scores are that close (a near-tie) can be picked
+    either way.
+
+    Every combination's configuration and the variant are checked before
+    any fold is fitted. Returns the best configuration and the full score
+    table (mean SSL over folds per combination, alpha-major),
+    deterministically for a fixed seed.
     """
     seed = base_config.seed if seed is None else seed
     if n_folds < 2:
@@ -258,12 +279,28 @@ def grid_search(
     n = len(trips)
     if n < n_folds:
         raise ValueError(f"{n} trips cannot form {n_folds} folds")
-    order = np.random.default_rng(seed).permutation(n)
-    folds = [order[k::n_folds] for k in range(n_folds)]
-
+    if not min(len(alphas), len(betas), len(gammas)):
+        raise ValueError(
+            "the grid needs at least one value each of alpha, beta and gamma, got "
+            f"alphas={tuple(alphas)}, betas={tuple(betas)}, gammas={tuple(gammas)}"
+        )
+    base_config.variant_coefficients(variant)  # raises on an unknown variant
     combos = [
         (alpha, beta, gamma) for alpha in alphas for beta in betas for gamma in gammas
     ]
+    configs = {  # builds, and so checks, every combination's settings
+        combo: replace(base_config, alpha=combo[0], beta=combo[1], gamma=combo[2])
+        for combo in combos
+    }
+    inner = [(beta, gamma) for beta in betas for gamma in gammas]
+    snake = [
+        (alpha, *pair)
+        for i, alpha in enumerate(alphas)
+        for pair in (inner[::-1] if i % 2 else inner)
+    ]
+    order = np.random.default_rng(seed).permutation(n)
+    folds = [order[k::n_folds] for k in range(n_folds)]
+
     scores = {combo: [] for combo in combos}
     for k in range(n_folds):
         in_val = np.zeros(n, dtype=bool)
@@ -272,11 +309,13 @@ def grid_search(
         fold_val = trips.subset(np.flatnonzero(in_val))
         matrices = build_constraints(fold_train, graph, dual, base_config)
         train_costs = fold_train.costs()
-        for combo in combos:
-            alpha, beta, gamma = combo
-            config = replace(base_config, alpha=alpha, beta=beta, gamma=gamma)
-            weights, _, _ = solve_variant(matrices, train_costs, graph, config, variant)
+        start = None
+        for combo in snake:
+            weights, _, _ = solve_variant(
+                matrices, train_costs, graph, configs[combo], variant, x0=start
+            )
             scores[combo].append(ssl(fold_val, graph, weights))
+            start = weights.values
 
     table = [
         {

@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -184,6 +185,25 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="variant"):
             run_comparison(train, test, graph, dual, RunConfig(), variants=("F9",))
 
+    @pytest.mark.parametrize(
+        "variants,message",
+        [
+            (("F1", "F9"), "unknown variant 'F9': must be one of ['F1', 'F2', 'F3', 'F4']"),
+            ((), "run_comparison needs at least one variant"),
+        ],
+    )
+    def test_variants_checked_before_any_fit(
+        self, small_experiment, monkeypatch, variants, message
+    ):
+        graph, dual, _, _, train, test = small_experiment
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("variants are checked before any fit")
+
+        monkeypatch.setattr(evaluation, "build_constraints", no_fit)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_comparison(train, test, graph, dual, RunConfig(), variants=variants)
+
     def test_zero_cost_message_names_the_first_record(self, small_experiment):
         graph, dual, _, _, train, _ = small_experiment
         trips = tripset(
@@ -269,6 +289,49 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=f"at least 2 folds, got {n_folds}"):
             grid_search(trips, graph, dual, RunConfig(), n_folds=n_folds)
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (dict(alphas=()), "at least one value each of alpha, beta and gamma, got "
+                              "alphas=(), betas=(0.1, 1.0, 10.0), gammas=(0.0001,)"),
+            (dict(betas=[]), "betas=()"),
+            (dict(gammas=()), "gammas=()"),
+            (dict(variant="F9"), "unknown variant 'F9': must be one of ['F1', 'F2', 'F3', 'F4']"),
+            (dict(betas=(1.0, -1.0)), "beta must be finite and non-negative, got -1.0"),
+            (dict(gammas=(1e-4, 0.0)), "gamma must be positive and finite, got 0.0"),
+        ],
+        ids=["no-alpha", "no-beta", "no-gamma", "variant", "negative-beta", "zero-gamma"],
+    )
+    def test_bad_grid_rejected_before_any_fit(self, small_experiment, monkeypatch, grid, message):
+        graph, dual, _, trips, _, _ = small_experiment
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the grid is checked before any fit")
+
+        monkeypatch.setattr(evaluation, "build_constraints", no_fit)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grid_search(trips, graph, dual, RunConfig(), **grid)
+
+    def test_snake_order_with_warm_starts_within_each_fold(self, small_experiment, monkeypatch):
+        graph, dual, _, trips, _, _ = small_experiment
+        calls, solve = [], evaluation.solve_variant
+
+        def recording(matrices, costs, graph, config, variant, *, x0=None):
+            calls.append(((config.alpha, config.beta, config.gamma), x0))
+            return solve(matrices, costs, graph, config, variant, x0=x0)
+
+        monkeypatch.setattr(evaluation, "solve_variant", recording)
+        _, table = grid_search(trips, graph, dual, RunConfig(), alphas=(0.1, 1.0, 10.0),
+                               betas=(0.5, 4.0), gammas=(1e-4, 1e-2), n_folds=2, seed=8)
+        inner = [(0.5, 1e-4), (0.5, 1e-2), (4.0, 1e-4), (4.0, 1e-2)]
+        snake = [(a, *pair) for a, pairs in zip((0.1, 1.0, 10.0), (inner, inner[::-1], inner))
+                 for pair in pairs]
+        assert [combo for combo, _ in calls] == 2 * snake
+        starts = [x0 for _, x0 in calls]
+        assert starts[0] is None and starts[12] is None  # each fold starts from zero
+        assert all(x0 is not None for x0 in starts[1:12] + starts[13:])
+        assert [(r["alpha"], r["beta"], r["gamma"]) for r in table] == sorted(snake)
+
     def test_one_mask_per_fold(self, small_experiment, monkeypatch):
         graph, dual, _, trips, _, _ = small_experiment
         calls = []
@@ -297,6 +360,45 @@ class TestGridSearch:
         grid_search(trips, graph, build_dual(graph), RunConfig(seed=1))
         assert len(iterations) == 27
         assert max(iterations) <= 50
+        # each solve starts from its grid neighbour's weights: 544 in total from zero
+        assert sum(iterations) <= 400
+
+
+def _dense_grid(trips, graph, dual, config, combos, n_folds=3):
+    """grid_search's mean SSL per combination, each fold's F4 system solved densely."""
+    order = np.random.default_rng(config.seed).permutation(len(trips))
+    scores = {combo: [] for combo in combos}
+    for k in range(n_folds):
+        val = np.sort(order[k::n_folds])
+        train = trips.subset(np.setdiff1d(np.arange(len(trips)), val))
+        m = build_constraints(train, graph, dual, config)
+        n = m.q.shape[0]
+        qq, l_b = (m.q @ m.q.T).toarray(), m.l_b.toarray()
+        l_a = np.column_stack([m.l_a @ e for e in np.eye(n)])
+        rhs, mask = m.q @ train.costs(), m.mask(True, True)
+        for alpha, beta, gamma in combos:
+            d = np.linalg.solve(qq + alpha * l_a + beta * l_b + gamma * np.eye(n), rhs)
+            weights = CostVector(np.where(mask, d, 0.0), graph.n_edges, graph.n_tags)
+            scores[alpha, beta, gamma].append(ssl(trips.subset(val), graph, weights))
+    return {combo: float(np.mean(s)) for combo, s in scores.items()}
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_grid_search_matches_the_dense_reference(seed):
+    # CG stops at cg_tol 1e-8 on the residual, which leaves each mean SSL
+    # up to about 5e-3 relative off the exact minimizer's (warm or cold)
+    spec = SyntheticSpec(rows=12, cols=12, n_trips=144, coverage=0.3, noise=0.05)
+    graph, _, trips = generate_synthetic(spec, seed=seed)
+    dual, config = build_dual(graph), RunConfig(seed=seed)
+    best, table = grid_search(trips, graph, dual, config)
+    combos = [(a, b, 1e-4) for a in (0.1, 1.0, 10.0) for b in (0.1, 1.0, 10.0)]
+    assert [(row["alpha"], row["beta"], row["gamma"]) for row in table] == combos
+    reference = _dense_grid(trips, graph, dual, config, combos)
+    for row, combo in zip(table, combos):
+        assert row["mean_ssl"] == pytest.approx(reference[combo], rel=1e-2)
+    first, second = sorted(reference, key=reference.get)[:2]
+    if reference[second] - reference[first] >= 1e-3 * reference[first]:  # not a near-tie
+        assert (best.alpha, best.beta, best.gamma) == first
 
 
 @pytest.mark.parametrize("n_trips,factored", [(144, True), (4000, False)])

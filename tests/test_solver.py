@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from roadcost.config import RunConfig
 from roadcost.errors import ConvergenceError
+from roadcost.evaluation import build_constraints
 from roadcost.graph import WEEKDAY, CostVector, RoadGraph, TagSchedule, build_dual
 from roadcost.pagerank import PageRankVector, dual_weights, pagerank, transition_matrices
 from roadcost.solver import (
@@ -588,6 +590,116 @@ class TestAugmentedPattern:
         q, c = _tiny_system()
         with pytest.raises(ValueError, match="another Q"):
             solve_weights(q, c, None, None, 0.0, 0.0, 0.1, pattern=AugmentedPattern(q.copy()))
+
+
+def _cold_cg(q, costs, l_a, l_b, alpha, beta, gamma, tol):
+    """The preconditioned CG loop as it ran before warm starts, step for step."""
+    pattern = AugmentedPattern(q)
+    qt, n = pattern.qt, q.shape[0]
+    diag = np.full(n, gamma)
+    if alpha:
+        diag += alpha * l_a.diagonal()
+    if beta:
+        diag += beta * l_b.diagonal()
+    lu, pad = pattern.factor(diag), np.zeros(q.shape[1])
+
+    def apply(x):
+        y = q @ (qt @ x)
+        if alpha:
+            y += alpha * (l_a @ x)
+        if beta:
+            y += beta * (l_b @ x)
+        y += gamma * x
+        return y
+
+    def precondition(v):
+        return lu.solve(np.concatenate((v, pad)))[:n]
+
+    b = q @ np.asarray(costs, dtype=float)
+    b_norm = float(np.linalg.norm(b))
+    x, r = np.zeros(n), b.copy()
+    p = precondition(r).copy()
+    rz = float(r @ p)
+    iterations = 0
+    while True:
+        ap = apply(p)
+        step = rz / float(p @ ap)
+        x += step * p
+        r -= step * ap
+        iterations += 1
+        if float(np.linalg.norm(r)) <= tol * b_norm:
+            true_r = b - apply(x)
+            if float(np.linalg.norm(true_r)) <= tol * b_norm:
+                return x, iterations
+            r = true_r
+        z = precondition(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+
+
+def _grid_system():
+    """Q, costs and the Laplacians of a 12x12 training set, 144 trips."""
+    spec = SyntheticSpec(rows=12, cols=12, n_trips=144, coverage=0.3, noise=0.05)
+    graph, _, trips = generate_synthetic(spec, seed=1)
+    m = build_constraints(trips, graph, build_dual(graph), RunConfig(seed=1))
+    return m.q, trips.costs(), m.l_a, m.l_b
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize(
+        "x0", [np.zeros(3), np.zeros((2, 1)), np.array([np.nan, 0.0]), np.array([0.0, np.inf])]
+    )
+    def test_bad_start_rejected_before_factoring(self, splu_calls, x0):
+        q = sp.csr_matrix(np.array([[1.0, 0.5], [0.0, 2.0]]))
+        with pytest.raises(ValueError, match="x0 must"):
+            solve_weights(q, np.ones(2), None, None, 0.0, 0.0, 0.1, x0=x0)
+        assert splu_calls == []
+
+    def test_exact_start_takes_no_step(self):
+        # (1 + 1) d = 1 * 2: d = 1 leaves a residual of exactly zero, where
+        # a first CG step would divide by p.Ap = 0
+        q = sp.csr_matrix(np.array([[1.0]]))
+        d, info = solve_weights(q, np.array([2.0]), None, None, 0.0, 0.0, 1.0,
+                                tol=1e-14, x0=np.array([1.0]))
+        assert d.tolist() == [1.0]
+        assert (info.iterations, info.residual) == (0, 0.0)
+
+    def test_converged_start_takes_no_step(self):
+        q, c, l_a, l_b = _grid_system()
+        d, cold = solve_weights(q, c, l_a, l_b, 1.0, 1.0, 1e-4)
+        again, warm = solve_weights(q, c, l_a, l_b, 1.0, 1.0, 1e-4, x0=d)
+        assert cold.iterations > 0
+        assert warm.iterations == 0
+        assert warm.residual <= 1e-8
+        assert np.array_equal(again, d)
+
+    def test_warm_and_cold_agree_within_the_tolerance(self):
+        # both residuals are at most tol ||Qc||, so each solution is within
+        # tol ||Qc|| / lambda_min of the exact one
+        q, c, l_a, l_b = _grid_system()
+        n, tol = q.shape[0], 1e-10
+        neighbour, _ = solve_weights(q, c, l_a, l_b, 0.1, 1.0, 1e-4, tol=tol)
+        cold, cold_info = solve_weights(q, c, l_a, l_b, 1.0, 1.0, 1e-4, tol=tol)
+        warm, warm_info = solve_weights(q, c, l_a, l_b, 1.0, 1.0, 1e-4, tol=tol, x0=neighbour)
+        dense = (
+            (q @ q.T).toarray() + np.column_stack([l_a @ e for e in np.eye(n)])
+            + l_b.toarray() + 1e-4 * np.eye(n)
+        )
+        lambda_min = np.linalg.eigvalsh(dense)[0]
+        reach = 2 * tol * np.linalg.norm(q @ c) / lambda_min
+        assert np.linalg.norm(warm - cold) <= reach
+        assert max(cold_info.residual, warm_info.residual) <= tol
+        assert warm_info.iterations < cold_info.iterations
+
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 1.0)], ids=["F1", "F4"])
+    def test_no_start_runs_the_cold_loop_bit_for_bit(self, alpha, beta):
+        q, c, l_a, l_b = _grid_system()
+        l_a, l_b = (l_a if alpha else None), (l_b if beta else None)
+        d, info = solve_weights(q, c, l_a, l_b, alpha, beta, 1e-4)
+        expected, iterations = _cold_cg(q, c, l_a, l_b, alpha, beta, 1e-4, 1e-8)
+        assert d.tobytes() == expected.tobytes()
+        assert info.iterations == iterations
 
 
 class TestObjectiveTerms:
