@@ -138,7 +138,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     for path in (args.out, args.report):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
-    trips.validate_against(graph)
     dual = build_dual(graph)
     matrices = build_constraints(trips, graph, dual, config)
     weights, mask, info = solve_variant(
@@ -153,7 +152,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         alpha, beta, config.gamma,
     )
     coverage_per_variant = {
-        variant: edge_coverage(graph, matrices.mask(*VARIANTS[variant]))
+        variant: edge_coverage(graph, matrices.mask(*config.variant_coefficients(variant)))
         for variant in sorted(VARIANTS)
     }
     report = {
@@ -179,11 +178,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
-    trips.validate_against(graph)
     dual = build_dual(graph)
     train, test = split_trips(trips, args.train_fraction, config.seed)
     report = run_comparison(train, test, graph, dual, config)
-    (out / "report.json").write_text(json.dumps(report.as_dict(), indent=2) + "\n")
+    (out / "report.json").write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     _write_csv(
         out / "alr_curve.csv",
         ["threshold_pct", "fraction"],
@@ -219,7 +217,6 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
-    trips.validate_against(graph)
     dual = build_dual(graph)
     partitions = partition_by_tag(trips, graph.tag_schedule)
     transitions = transition_matrices(dual, partitions)

@@ -50,6 +50,8 @@ class RunConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.cg_tol >= 1:  # the zero start of CG already meets it
+            raise ValueError(f"cg_tol must be below 1, got {self.cg_tol}")
         if not 0 < self.similarity_threshold <= 1:
             raise ValueError("similarity threshold must be in (0, 1]")
         if self.variant not in VARIANTS:

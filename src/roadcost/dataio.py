@@ -15,8 +15,8 @@ Every loader is columnar: it checks ``_CHUNK_ROWS`` rows at a time, column
 by column, and words a diagnostic only for a row that fails, as a row-by-row
 pass would (its first failed check, in file order). The network loader fills
 the ``RoadGraph`` arrays, the trip loader a ``TripSet``'s record table; ``Trip``
-objects are built only to word a bad trip's diagnostic or, lazily, when a
-caller iterates the set. The writers likewise write from columns.
+objects are built only to word a bad trip's diagnostic, or on each iteration
+or index of the set; none is kept. The writers likewise write from columns.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import LoadError
 from .graph import DAY_CLASSES, MINUTES_PER_DAY, CostVector, RoadGraph, TagSchedule
-from .trips import LinkRecord, RecordTable, Trip, TripSet
+from .trips import LinkRecord, RecordTable, TripSet
 
 _FLOAT_FMT = "%.12g"
 # rows read or written at a time: bounds the CSV text held in memory
@@ -421,33 +421,22 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
     table = RecordTable(trip[order], edge[order], day[order], enter[order], exit_[order])
     line = line[order]
 
+    trips = TripSet.from_table(table, np.array([costs[t] for t in trip_ids], dtype=float))
+
     first = np.flatnonzero(np.diff(table.trip, prepend=-1))  # each trip's first row
     first_day = table.day[first][table.trip]
     same = table.trip[1:] == table.trip[:-1]
     bad = same & ((table.day[1:] != first_day[1:]) | (table.enter[1:] < table.exit[:-1]))
     if bad.any():
-        ends = np.r_[first[1:], len(table.trip)]
         names = list(trip_ids)
         problems = []
         for k in np.unique(table.trip[1:][bad]).tolist():
-            rows_k = range(first[k], ends[k])
             try:
-                Trip(
-                    tuple(
-                        LinkRecord(
-                            int(table.edge[r]),
-                            DAY_CLASSES[table.day[r]],
-                            float(table.enter[r]),
-                            float(table.exit[r]),
-                        )
-                        for r in rows_k
-                    ),
-                    costs[names[k]],
-                )
+                trips[k]  # building the trip runs the Trip checks
             except ValueError as exc:
                 problems.append(f"{trips_path}:{line[first[k]]}: trip {names[k]!r}: {exc}")
         raise LoadError("bad-trip", problems)
-    return TripSet.from_table(table, np.array([costs[t] for t in trip_ids], dtype=float))
+    return trips
 
 
 def save_trips(

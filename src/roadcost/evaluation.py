@@ -94,22 +94,6 @@ class EvalReport:
     alr_curve: list[tuple[int, float]]
     solve_info: dict[str, SolveInfo] = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "ssl_per_variant": self.ssl_per_variant,
-            "ratios": self.ratios,
-            "coverage_per_variant": self.coverage_per_variant,
-            "alr_curve": [list(point) for point in self.alr_curve],
-            "solve_info": {
-                v: {
-                    "iterations": info.iterations,
-                    "residual": info.residual,
-                    "factor_nnz": info.factor_nnz,
-                }
-                for v, info in self.solve_info.items()
-            },
-        }
-
 
 @dataclass
 class ConstraintMatrices:

@@ -80,13 +80,13 @@ class RecordTable(NamedTuple):
 class TripSet:
     """A bag of trips that all reference the same road graph, held as columns.
 
-    The record table and the cost column are the whole state; the ``Trip``
-    objects are built from them on first use and kept. ``TripSet(trips)``
-    takes validated ``Trip`` objects; ``TripSet.from_table`` takes columns
-    that were checked elsewhere (the CSV loader, ``subset``).
+    The record table and the cost column are the whole state. Iterating or
+    indexing builds ``Trip`` objects from the columns; none is kept.
+    ``TripSet(trips)`` takes validated ``Trip`` objects; ``TripSet.from_table``
+    takes columns that were checked elsewhere (the CSV loader, ``subset``).
     """
 
-    __slots__ = ("table", "_costs", "_trips")
+    __slots__ = ("table", "_costs")
 
     def __init__(self, trips: Iterable[Trip] = ()):
         trips = tuple(trips)
@@ -99,7 +99,7 @@ class TripSet:
             np.array([rec.enter for rec in records], dtype=float),
             np.array([rec.exit for rec in records], dtype=float),
         )
-        self._init(table, np.array([t.cost for t in trips], dtype=float), trips)
+        self._init(table, np.array([t.cost for t in trips], dtype=float))
 
     @classmethod
     def from_table(cls, table: RecordTable, costs: np.ndarray) -> "TripSet":
@@ -110,29 +110,12 @@ class TripSet:
         records are contiguous and in order, as the ``Trip`` checks require.
         """
         trips = cls.__new__(cls)
-        trips._init(table, costs, None)
+        trips._init(table, costs)
         return trips
 
-    def _init(self, table: RecordTable, costs: np.ndarray, trips) -> None:
+    def _init(self, table: RecordTable, costs: np.ndarray) -> None:
         self.table = RecordTable(*(_freeze(np.asarray(column)) for column in table))
         self._costs = _freeze(np.asarray(costs, dtype=float))
-        self._trips = trips
-
-    @property
-    def trips(self) -> tuple[Trip, ...]:
-        """The trips as ``Trip`` objects, built from the columns once."""
-        if self._trips is None:
-            t = self.table
-            days = [DAY_CLASSES[d] for d in t.day.tolist()]
-            records = list(
-                map(LinkRecord, t.edge.tolist(), days, t.enter.tolist(), t.exit.tolist())
-            )
-            ends = np.cumsum(np.bincount(t.trip, minlength=len(self))).tolist()
-            self._trips = tuple(
-                Trip(tuple(records[start:end]), cost)
-                for start, end, cost in zip([0, *ends], ends, self._costs.tolist())
-            )
-        return self._trips
 
     def __len__(self) -> int:
         return len(self._costs)
@@ -141,20 +124,23 @@ class TripSet:
         return f"TripSet({len(self)} trips, {len(self.table.trip)} records)"
 
     def __iter__(self):
-        return iter(self.trips)
+        t = self.table
+        days = [DAY_CLASSES[d] for d in t.day.tolist()]
+        records = list(map(LinkRecord, t.edge.tolist(), days, t.enter.tolist(), t.exit.tolist()))
+        ends = np.cumsum(np.bincount(t.trip, minlength=len(self))).tolist()
+        for start, end, cost in zip([0, *ends], ends, self._costs.tolist()):
+            yield Trip(tuple(records[start:end]), cost)
 
     def __getitem__(self, i: int) -> Trip:
-        return self.trips[i]
+        (trip,) = self.subset([range(len(self))[i]])  # IndexError when out of range
+        return trip
 
     def costs(self) -> np.ndarray:
         """Total cost of every trip, in order (read-only)."""
         return self._costs
 
     def subset(self, indices) -> "TripSet":
-        """The trips at ``indices``, in that order, sliced from the columns.
-
-        ``Trip`` objects already built are shared with the subset.
-        """
+        """The trips at ``indices``, in that order, sliced from the columns."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
         t = self.table
         counts = np.bincount(t.trip, minlength=len(self))
@@ -164,10 +150,7 @@ class TripSet:
         rows = np.repeat(starts[indices] - offsets, sizes) + np.arange(sizes.sum())
         trip = np.repeat(np.arange(len(indices)), sizes)
         table = RecordTable(trip, t.edge[rows], t.day[rows], t.enter[rows], t.exit[rows])
-        sub = TripSet.from_table(table, self._costs[indices])
-        if self._trips is not None:
-            sub._trips = tuple(self._trips[i] for i in indices.tolist())
-        return sub
+        return TripSet.from_table(table, self._costs[indices])
 
     def validate_against(self, graph: RoadGraph) -> None:
         edge = self.table.edge

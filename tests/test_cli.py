@@ -62,6 +62,24 @@ def test_annotate_end_to_end_and_deterministic(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "flags", [["--variant", "F2", "--alpha", "0"], ["--variant", "F3", "--beta", "0"]]
+)
+def test_report_coverage_matches_written_flags(tmp_path, flags):
+    data = _synth(tmp_path, extra=("--n-trips", "8"))  # few trips: A and B add coverage
+    weights, report_path = tmp_path / "w.csv", tmp_path / "report.json"
+    assert main(
+        ["annotate", *_dataset_args(data), *flags,
+         "--out", str(weights), "--report", str(report_path)]
+    ) == 0
+    with open(weights, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    edges = {row["edge_id"] for row in rows}
+    covered = {row["edge_id"] for row in rows if row["annotated_flag"] == "1"}
+    report = json.loads(report_path.read_text())
+    assert report["coverage_per_variant"][report["variant"]] == len(covered) / len(edges)
+
+
 def test_reports_carry_preconditioner_nnz(tmp_path):
     data = _synth(tmp_path)
     report_path = tmp_path / "report.json"
@@ -332,6 +350,7 @@ def test_synth_rejects_non_finite_bounds(tmp_path, capsys, extra, message):
          "run.cfg:2: alpha=abc: could not convert string to float: 'abc'"),
         ([], "alpha=0.5\ngamma=0\n",
          "run.cfg:2: gamma=0: gamma must be positive and finite, got 0.0"),
+        (["--cg-tol", "1"], None, "cg_tol must be below 1, got 1.0"),
     ],
 )
 def test_bad_run_setting_exits_2_before_loading(

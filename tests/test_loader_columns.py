@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roadcost import dataio
+from roadcost.config import RunConfig
 from roadcost.dataio import (
     format_hhmmss,
     load_network,
@@ -33,6 +34,7 @@ from roadcost.dataio import (
     write_weights,
 )
 from roadcost.errors import LoadError
+from roadcost.evaluation import build_constraints, solve_variant, ssl
 from roadcost.graph import (
     DAY_CLASSES,
     WEEKDAY,
@@ -40,6 +42,7 @@ from roadcost.graph import (
     CostVector,
     RoadGraph,
     TagSchedule,
+    build_dual,
     peak_offpeak_schedule,
 )
 from roadcost.synth import SyntheticSpec, generate_synthetic
@@ -512,13 +515,36 @@ def test_subsets_match_object_backed_set(tmp_path):
         assert_same_set(got, want)
 
 
-def test_subset_shares_built_trips():
+def test_subset_and_table_build_equal_trips():
     trips = TripSet((Trip((LinkRecord(0, WEEKDAY, 1.0, 2.0),), 1.0),
                      Trip((LinkRecord(1, WEEKEND, 3.0, 4.0),), 2.0)))
-    assert trips.subset([1])[0] is trips[1]
+    assert trips.subset([1])[0] == trips[1] == trips[-1]
+    with pytest.raises(IndexError):
+        trips[2]
     lazy = TripSet.from_table(trips.table, trips.costs())
-    assert lazy.trips == trips.trips
-    assert lazy.trips is lazy.trips
+    assert tuple(lazy) == tuple(trips)
+
+
+def test_pipeline_builds_no_link_records(tmp_path, monkeypatch):
+    graph, _, trips = generate_synthetic(
+        SyntheticSpec(rows=5, cols=5, n_trips=60, noise=0.05), seed=1
+    )
+    paths = dataio.save_dataset(graph, trips, tmp_path)
+    built = []
+    check = LinkRecord.__post_init__
+    monkeypatch.setattr(LinkRecord, "__post_init__", lambda rec: built.append(rec) or check(rec))
+
+    graph, trips = dataio.load_dataset(
+        paths["network"], paths["schedule"], paths["trips"], paths["costs"]
+    )
+    train, test = split_trips(trips, 0.5, 0)
+    config = RunConfig()
+    matrices = build_constraints(train, graph, build_dual(graph), config)
+    weights, _, _ = solve_variant(matrices, train.costs(), graph, config, config.variant)
+    ssl(test, graph, weights)
+    assert built == []
+    list(test)  # iterating builds them
+    assert len(built) == len(test.table.trip)
 
 
 def test_validate_against_reads_the_edge_column():

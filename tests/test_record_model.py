@@ -87,8 +87,8 @@ def dual_counts_loop(dual, trips):
 
 
 def labels_of(partitions, trips):
-    label = {id(trip): k for k, part in enumerate(partitions) for trip in part}
-    return [label[id(trip)] for trip in trips]
+    label = {trip: k for k, part in enumerate(partitions) for trip in part}
+    return [label[trip] for trip in trips]
 
 
 def assert_model_matches_loops(trips, graph):
