@@ -1,6 +1,7 @@
 """CSV dataset loaders and writers with per-row validation diagnostics.
 
-File formats (UTF-8, comma separated, header row required):
+File formats (UTF-8, a leading byte order mark allowed, comma separated,
+header row required):
 
   network:  edge_id,tail,head,length_m,speed_limit_kmh   (speed blank if unknown)
   schedule: day_class,start_hhmm,end_hhmm,tag            (end 24:00 for day end)
@@ -11,12 +12,16 @@ File formats (UTF-8, comma separated, header row required):
 Loaders collect every violating row before raising, so one run reports all
 problems; writers are deterministic for identical inputs.
 
-Every loader is columnar: it checks ``_CHUNK_ROWS`` rows at a time, column
-by column, and words a diagnostic only for a row that fails, as a row-by-row
-pass would (its first failed check, in file order). The network loader fills
-the ``RoadGraph`` arrays, the trip loader a ``TripSet``'s record table; ``Trip``
-objects are built only to word a bad trip's diagnostic, or on each iteration
-or index of the set; none is kept. The writers likewise write from columns.
+Every loader is columnar: ``_read_columns`` hands it ``_CHUNK_ROWS`` rows at
+a time as columns of fields, split on commas with one ``str.split`` per chunk
+of quote-free lines (the csv module reads the file from the first chunk with
+a quote on), and the loader checks them column by column. It words a
+diagnostic only for a row that fails, as a row-by-row pass would (its first
+failed check, in file order); a field over the csv module's size limit stops
+the load at its line. The network loader fills the ``RoadGraph`` arrays, the
+trip loader a ``TripSet``'s record table; ``Trip`` objects are built only to
+word a bad trip's diagnostic, or on each iteration or index of the set; none
+is kept. The writers likewise write from columns.
 """
 
 from __future__ import annotations
@@ -87,20 +92,87 @@ def _format_clock_column(minutes: np.ndarray) -> list[str]:
     return text.view("S8").ravel().astype("U8").tolist()
 
 
-def _read_chunks(
-    path: Path, expected_header: list[str]
-) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
-    """Line numbers and fields of the non-blank rows after the header, at most
-    ``_CHUNK_ROWS`` rows at a time; the last chunk may be empty.
+def _csv_rows(reader, path: Path, lineno: int, count: int) -> list[list[str]]:
+    """The next ``count`` rows of ``reader`` (fewer at the end), whose first is
+    line ``lineno``; the reader's error (a field over csv's size limit) names
+    the line it stopped on."""
+    rows: list[list[str]] = []
+    try:
+        for row in itertools.islice(reader, count):
+            rows.append(row)
+    except csv.Error as exc:
+        raise LoadError("malformed-row", [f"{path}:{lineno + len(rows)}: {exc}"]) from None
+    return rows
+
+
+def _quote_free_text(text: str, lines: list[str], path: Path, lineno: int) -> tuple[str, str]:
+    """``text``, the quote-free ``lines`` joined, with each line ended by the
+    newline returned: CR LF where every line ends so (as csv.writer writes),
+    else LF. A field over csv's size limit fails as the csv module fails it."""
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        for i, line in enumerate(lines):
+            if max(map(len, line.rstrip("\r\n").split(","))) > limit:
+                message = f"field larger than field limit ({limit})"
+                raise LoadError("malformed-row", [f"{path}:{lineno + i}: {message}"])
+    if text.count("\r\n") == len(lines):
+        return text, "\r\n"
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if text and not text.endswith("\n"):  # the file's last line
+        text += "\n"
+    return text, "\n"
+
+
+def _split_rows(text: str, newline: str) -> list[list[str]]:
+    """csv.reader's rows of ``_quote_free_text``'s text, one row per line."""
+    return [line.split(",") if line else [] for line in text[: -len(newline)].split(newline)]
+
+
+def _shape(
+    rows: list[list[str]], linenos: Sequence[int], filler: tuple[str, ...]
+) -> tuple[Sequence[int], dict[int, str], list[Sequence[str]]]:
+    """Line numbers and columns of the non-blank ``rows``, and a message for
+    each row whose field count is wrong; such rows contribute ``filler``."""
+    if not all(rows):
+        linenos = [n for n, row in zip(linenos, rows) if row]
+        rows = [row for row in rows if row]
+    width = len(filler)
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    wrong = np.flatnonzero(counts != width).tolist()
+    if wrong:
+        rows = list(rows)
+        for i in wrong:
+            rows[i] = filler
+    messages = {i: f"expected {width} fields, got {counts[i]}" for i in wrong}
+    return linenos, messages, list(zip(*rows)) or [()] * width
+
+
+def _read_columns(
+    path: Path, expected_header: list[str], filler: tuple[str, ...]
+) -> Iterator[tuple[Sequence[int], dict[int, str], list[Sequence[str]]]]:
+    """Line numbers, field-count diagnostics and field columns of the non-blank
+    rows after the header, at most ``_CHUNK_ROWS`` rows at a time; the last
+    chunk may be empty. A row without ``len(filler)`` fields gets a diagnostic
+    (keyed by its index in the chunk) and contributes ``filler`` to the columns.
 
     Line numbers count CSV records from the header's 1, blank rows included.
+    Fields are csv.reader's, surrounding spaces kept. Text with no quote
+    character is csv's tokenisation split on commas, each line one record: a
+    chunk of ``_CHUNK_ROWS`` lines is split once, and a newline token after
+    each row checks every row's field count at once. From the first chunk
+    with a quote on, the csv module reads the rest of the file. A leading
+    UTF-8 byte order mark is dropped.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError("malformed-row", [f"{path}:1: empty file"]) from None
+    width = len(filler)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        first = next(handle, "")
+        if not first:
+            raise LoadError("malformed-row", [f"{path}:1: empty file"])
+        if '"' in first:
+            (header,) = _csv_rows(csv.reader(itertools.chain([first], handle)), path, 1, 1)
+        else:
+            (header,) = _split_rows(*_quote_free_text(first, [first], path, 1))
         if [h.strip() for h in header] != expected_header:
             raise LoadError(
                 "malformed-row",
@@ -108,15 +180,32 @@ def _read_chunks(
             )
         lineno = 2
         while True:
-            rows = list(itertools.islice(reader, _CHUNK_ROWS))
-            read = len(rows)
-            linenos: Sequence[int] = range(lineno, lineno + read)
-            lineno += read
-            if not all(rows):
-                linenos = [n for n, row in zip(linenos, rows) if row]
-                rows = [row for row in rows if row]
-            yield linenos, rows
-            if read < _CHUNK_ROWS:
+            lines = list(itertools.islice(handle, _CHUNK_ROWS))
+            text = "".join(lines)
+            if '"' in text:
+                break
+            n = len(lines)
+            linenos = range(lineno, lineno + n)
+            text, newline = _quote_free_text(text, lines, path, lineno)
+            # one row per line: its fields, then the newline as a field of its own;
+            # a blank line is one empty field, so it fails the check unless width is 1
+            flat = text.replace(newline, f",{newline},").split(",")
+            del flat[-1]
+            step = width + 1
+            if width > 1 and len(flat) == n * step and flat[width::step].count(newline) == n:
+                yield linenos, {}, [flat[i::step] for i in range(width)]
+            else:  # a blank line or a wrong field count
+                yield _shape(_split_rows(text, newline), linenos, filler)
+            lineno += n
+            if n < _CHUNK_ROWS:
+                return
+        reader = csv.reader(itertools.chain(lines, handle))
+        del lines, text  # the reader lets go of them once it has read past them
+        while True:
+            rows = _csv_rows(reader, path, lineno, _CHUNK_ROWS)
+            yield _shape(rows, range(lineno, lineno + len(rows)), filler)
+            lineno += len(rows)
+            if len(rows) < _CHUNK_ROWS:
                 return
 
 
@@ -132,20 +221,6 @@ def _csv_fields(texts: Sequence[str], suffix: str) -> np.ndarray:
     lines: list[str] = []
     csv.writer(types.SimpleNamespace(write=lines.append)).writerows((t, "") for t in texts)
     return np.array([line[: -len(",\r\n")] + suffix for line in lines], dtype=object)
-
-
-def _columns(rows: list[list[str]], filler: tuple[str, ...]) -> tuple[dict[int, str], list]:
-    """The fields of ``rows`` as columns, and a message for each row whose
-    field count is wrong; such rows contribute ``filler`` to the columns."""
-    width = len(filler)
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    wrong = np.flatnonzero(counts != width).tolist()
-    if wrong:
-        rows = list(rows)
-        for i in wrong:
-            rows[i] = filler
-    messages = {i: f"expected {width} fields, got {counts[i]}" for i in wrong}
-    return messages, list(zip(*rows)) or [()] * width
 
 
 def _convert(texts: Sequence[str], convert) -> tuple[list, dict[int, str]]:
@@ -228,8 +303,9 @@ def load_schedule(path: str | Path) -> TagSchedule:
     tags: dict[str, int] = {}  # tag index by first appearance
     rules = []
     messages: dict[int, str] = {}  # by line: the first check each row fails
-    for linenos, rows in _read_chunks(path, ["day_class", "start_hhmm", "end_hhmm", "tag"]):
-        bad, (day_texts, start_texts, end_texts, tag_texts) = _columns(rows, ("",) * 4)
+    for linenos, bad, (day_texts, start_texts, end_texts, tag_texts) in _read_columns(
+        path, ["day_class", "start_hhmm", "end_hhmm", "tag"], ("",) * 4
+    ):
         days = list(map(str.strip, day_texts))
         for i, day in enumerate(days):
             if day not in DAY_CLASSES:
@@ -268,12 +344,9 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
     first_line: dict[Optional[str], int] = {}  # by edge id: its first row with five fields
     messages: dict[int, str] = {}  # by line: the first check each row fails
     parts = []  # (ids, tail and head codes, lengths, limits) of each chunk
-    for linenos, rows in _read_chunks(
-        path, ["edge_id", "tail", "head", "length_m", "speed_limit_kmh"]
+    for linenos, bad, (id_texts, tail_texts, head_texts, length_texts, limit_texts) in (
+        _read_columns(path, ["edge_id", "tail", "head", "length_m", "speed_limit_kmh"], ("",) * 5)
     ):
-        bad, (id_texts, tail_texts, head_texts, length_texts, limit_texts) = (
-            _columns(rows, ("",) * 5)
-        )
         ids = list(map(str.strip, id_texts))
         # a row with the wrong field count claims no id
         claims = [None if i in bad else k for i, k in enumerate(ids)] if bad else ids
@@ -335,8 +408,9 @@ def save_network(graph: RoadGraph, path: str | Path) -> None:
 def _load_costs(path: Path) -> dict[str, float]:
     costs: dict[str, float] = {}
     messages: dict[int, str] = {}  # by line
-    for linenos, rows in _read_chunks(path, ["trip_id", "cost"]):
-        bad, (id_texts, cost_texts) = _columns(rows, ("", "0"))
+    for linenos, bad, (id_texts, cost_texts) in _read_columns(
+        path, ["trip_id", "cost"], ("", "0")
+    ):
         values, unparseable = _convert(cost_texts, float)
         for i in unparseable:
             bad.setdefault(i, f"unparseable cost {cost_texts[i].strip()!r}")
@@ -374,13 +448,13 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
     unknown: list[str] = []
     seq: list[int] = []
     parts = []  # (line, trip, edge, day, enter, exit) of each chunk
-    for linenos, rows in _read_chunks(
-        trips_path,
-        ["trip_id", "seq", "edge_id", "day_class", "enter_hhmmss", "exit_hhmmss"],
-    ):
-        bad, (trip_texts, seq_texts, edge_texts, day_texts, enter_texts, exit_texts) = (
-            _columns(rows, ("", "0", "", "", "00:00:00", "00:00:01"))
+    for linenos, bad, (trip_texts, seq_texts, edge_texts, day_texts, enter_texts, exit_texts) in (
+        _read_columns(
+            trips_path,
+            ["trip_id", "seq", "edge_id", "day_class", "enter_hhmmss", "exit_hhmmss"],
+            ("", "0", "", "", "00:00:00", "00:00:01"),
         )
+    ):
         seq_values, seq_errors = _convert(seq_texts, int)
         enter, enter_errors = _clock_column(enter_texts)
         exit_, exit_errors = _clock_column(exit_texts)
@@ -388,7 +462,7 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
             for i, message in errors.items():
                 bad.setdefault(i, message)
         edge, day = edge_codes(edge_texts), day_codes(day_texts)
-        parsed = np.ones(len(rows), dtype=bool)
+        parsed = np.ones(len(linenos), dtype=bool)
         parsed[list(bad)] = False
         for i in np.flatnonzero(parsed & (edge < 0)).tolist():
             unknown.append(f"{trips_path}:{linenos[i]}: unknown edge id {edge_texts[i].strip()!r}")
@@ -510,10 +584,9 @@ def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.nda
     edge_codes = _codebook(lambda text: graph.edge_lookup.get(text, -1))
     tag_codes = _codebook(lambda text: tag_index.get(text, -1))
     messages: dict[int, str] = {}  # by line: the first check each row fails
-    for linenos, rows in _read_chunks(
-        path, ["edge_id", "tag", "cost_per_meter", "annotated_flag"]
+    for linenos, bad, (edge_texts, tag_texts, value_texts, flag_texts) in _read_columns(
+        path, ["edge_id", "tag", "cost_per_meter", "annotated_flag"], ("",) * 4
     ):
-        bad, (edge_texts, tag_texts, value_texts, flag_texts) = _columns(rows, ("",) * 4)
         edge, tag = edge_codes(edge_texts), tag_codes(tag_texts)
         for i in np.flatnonzero(edge < 0).tolist():
             bad.setdefault(i, f"unknown edge id {edge_texts[i].strip()!r}")
@@ -523,7 +596,7 @@ def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.nda
         flags, flag_errors = _convert(flag_texts, int)
         for i in (*value_errors, *flag_errors):
             bad.setdefault(i, "unparseable value")
-        rows_ok = np.setdiff1d(np.arange(len(rows)), list(bad))
+        rows_ok = np.setdiff1d(np.arange(len(linenos)), list(bad))
         pos = tag[rows_ok] * graph.n_edges + edge[rows_ok]
         # an entry filled by an earlier chunk, or by an earlier row of this one
         later = np.ones(len(pos), dtype=bool)

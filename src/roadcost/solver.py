@@ -539,6 +539,7 @@ def annotated_mask(
             pattern = m if pattern is None else pattern + m
     if pattern is None or not seeds.any():
         return seeds
-    _, labels = connected_components(pattern, directed=False)
-    seed_labels = np.unique(labels[seeds])
-    return np.isin(labels, seed_labels)
+    n_labels, labels = connected_components(pattern, directed=False)
+    hit = np.zeros(n_labels, dtype=bool)  # components holding a seed
+    hit[labels[seeds]] = True
+    return hit[labels]

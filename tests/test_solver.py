@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from roadcost.config import RunConfig
 from roadcost.errors import ConvergenceError
@@ -774,3 +775,15 @@ class TestAnnotatedMask:
         assert annotated_mask(q, a=a).tolist() == [True, True, False, False]
         assert annotated_mask(q, b=b).tolist() == [True, False, False, False]
         assert annotated_mask(q, a=a, b=b).tolist() == [True, True, True, False]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_component_membership_reference(self, seed):
+        n = 60
+        q = sp.random(n, 8, density=0.03, format="csr", random_state=seed)
+        a = sp.random(n, n, density=0.02, format="csr", random_state=seed + 100)
+        a = a + a.T
+        labels = connected_components(a, directed=False)[1]
+        seeds = q.getnnz(axis=1) > 0
+        want = np.isin(labels, np.unique(labels[seeds]))
+        got = annotated_mask(q, a=a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
