@@ -14,7 +14,6 @@ name (debug, info, warning, error) to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -24,7 +23,15 @@ import textwrap
 from pathlib import Path
 
 from .config import VARIANTS, RunConfig, parse_config_file
-from .dataio import load_dataset, load_schedule, save_dataset, save_trips, write_weights
+from .dataio import (
+    HEADERS,
+    load_dataset,
+    load_schedule,
+    save_dataset,
+    save_trips,
+    write_csv,
+    write_weights,
+)
 from .errors import ConvergenceError, GenerationError, LoadError
 from .evaluation import (
     build_constraints,
@@ -40,14 +47,11 @@ from .solver import objective_terms
 from .synth import SyntheticSpec, generate_synthetic
 from .trips import check_split, partition_by_tag, split_trips
 
-_FORMATS_EPILOG = """\
-file formats (CSV, UTF-8, header row required):
-  network:  edge_id,tail,head,length_m,speed_limit_kmh  (speed blank if unknown)
-  schedule: day_class,start_hhmm,end_hhmm,tag           (day_class: weekday|weekend)
-  trips:    trip_id,seq,edge_id,day_class,enter_hhmmss,exit_hhmmss
-  costs:    trip_id,cost
-  weights:  edge_id,tag,cost_per_meter,annotated_flag
-""" + textwrap.fill(
+_FORMAT_NOTES = {"network": "(speed blank if unknown)", "schedule": "(day_class: weekday|weekend)"}
+_FORMATS_EPILOG = "file formats (CSV, UTF-8, header row required):\n" + "".join(
+    f"  {name + ':':<10}{','.join(header):<44}{_FORMAT_NOTES.get(name, '')}".rstrip() + "\n"
+    for name, header in HEADERS.items()
+) + textwrap.fill(
     "config file: key=value lines ("
     + ", ".join(f.name for f in dataclasses.fields(RunConfig))
     + "); command-line flags override file values.",
@@ -82,11 +86,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _columns(rows: list[tuple[str, ...]]):
+    """``write_csv``'s ``columns_of`` for a table given as rows of field texts."""
+    return lambda part: zip(*rows[part])
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -182,16 +184,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     train, test = split_trips(trips, args.train_fraction, config.seed)
     report = run_comparison(train, test, graph, dual, config)
     (out / "report.json").write_text(json.dumps(dataclasses.asdict(report), indent=2) + "\n")
-    _write_csv(
-        out / "alr_curve.csv",
-        ["threshold_pct", "fraction"],
-        [(pct, "%.6f" % frac) for pct, frac in report.alr_curve],
-    )
-    _write_csv(
-        out / "coverage.csv",
-        ["variant", "coverage"],
-        [(v, "%.6f" % c) for v, c in sorted(report.coverage_per_variant.items())],
-    )
+    curve = [(str(pct), "%.6f" % frac) for pct, frac in report.alr_curve]
+    write_csv(out / "alr_curve.csv", ["threshold_pct", "fraction"], len(curve), _columns(curve))
+    coverage = [(v, "%.6f" % c) for v, c in sorted(report.coverage_per_variant.items())]
+    write_csv(out / "coverage.csv", ["variant", "coverage"], len(coverage), _columns(coverage))
     if fractions:
         sweep = training_size_sweep(
             trips, graph, dual, config,
@@ -199,17 +195,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             test_fraction=1.0 - args.train_fraction,
             variant=config.variant,
         )
-        _write_csv(
-            out / "sweep.csv",
-            ["train_pool_fraction", "ssl"],
-            [("%.3f" % f, "%.6f" % s) for f, s in sweep],
-        )
+        rows = [("%.3f" % f, "%.6f" % s) for f, s in sweep]
+        write_csv(out / "sweep.csv", ["train_pool_fraction", "ssl"], len(rows), _columns(rows))
     return 0
 
 
 def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     # trips are optional here: without them every transition matrix falls
     # back to the uniform random walk on the dual graph
+    if (args.trips is None) != (args.costs is None):
+        raise ValueError("--trips and --costs are read together: give both or neither")
     config = _config_from_args(args)
     tag_names = load_schedule(args.schedule).tags
     if args.tag and args.tag not in tag_names:
@@ -224,29 +219,21 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     tag = tag_names.index(args.tag) if args.tag else 0
     pr = pagerank(transitions[tag], tol=config.pr_tol)
     percentages, _ = pagerank_stats(pr)
-    _write_csv(
-        out / "pagerank_buckets.csv",
-        ["bucket", "percentage"],
-        [(b + 1, "%.17g" % percentages[b]) for b in range(100)],
+    buckets = [(str(b + 1), "%.17g" % p) for b, p in enumerate(percentages.tolist())]
+    write_csv(
+        out / "pagerank_buckets.csv", ["bucket", "percentage"], len(buckets), _columns(buckets)
     )
-    _write_csv(
-        out / "pagerank_values.csv",
-        ["dual_vertex_id", "pagerank"],
-        [(graph.edge_ids[i], "%.12g" % pr.values[i]) for i in range(dual.n_vertices)],
+    rows = list(zip(graph.edge_ids, ["%.12g" % v for v in pr.values.tolist()]))
+    write_csv(
+        out / "pagerank_values.csv", ["dual_vertex_id", "pagerank"], len(rows), _columns(rows)
     )
     stats = degree_stats(dual)
-    _write_csv(
+    counts = (stats.n_vertices, stats.n_edges, stats.max_in, stats.max_out)
+    write_csv(
         out / "degree_stats.csv",
         ["n_dual_vertices", "n_dual_edges", "max_in", "max_out", "avg_degree"],
-        [
-            (
-                stats.n_vertices,
-                stats.n_edges,
-                stats.max_in,
-                stats.max_out,
-                "%.6f" % stats.avg_degree,
-            )
-        ],
+        1,
+        _columns([(*map(str, counts), "%.6f" % stats.avg_degree)]),
     )
     return 0
 

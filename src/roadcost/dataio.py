@@ -1,27 +1,23 @@
-"""CSV dataset loaders and writers with per-row validation diagnostics.
+"""The CSV codec of roadcost: the dataset loaders, with per-row diagnostics,
+and ``write_csv``, which writes every CSV file roadcost writes.
 
-File formats (UTF-8, a leading byte order mark allowed, comma separated,
-header row required):
-
-  network:  edge_id,tail,head,length_m,speed_limit_kmh   (speed blank if unknown)
-  schedule: day_class,start_hhmm,end_hhmm,tag            (end 24:00 for day end)
-  trips:    trip_id,seq,edge_id,day_class,enter_hhmmss,exit_hhmmss
-  costs:    trip_id,cost
-  weights:  edge_id,tag,cost_per_meter,annotated_flag
+Files are UTF-8 (a leading byte order mark allowed), comma separated, and
+start with the header ``HEADERS`` names for their format. A network's blank
+speed limit is no limit; a schedule's day ends at 24:00.
 
 Loaders collect every violating row before raising, so one run reports all
-problems; writers are deterministic for identical inputs.
+problems. Every loader is columnar: ``_read_columns`` hands it ``_CHUNK_ROWS``
+rows at a time as columns of fields, and it words a diagnostic only for a row
+that fails a check, as a row-by-row pass would (the first check, in file
+order). A plain chunk takes one ``str.split``; from the first chunk that is
+not plain, ``csv.reader`` reads the rest of the file, so every corner case of
+the format is the csv module's. The network loader fills the ``RoadGraph``
+arrays, the trip loader a ``TripSet``'s record table; ``Trip`` objects are
+built only to word a bad trip's diagnostic, or on each iteration or index of
+the set; none is kept.
 
-Every loader is columnar: ``_read_columns`` hands it ``_CHUNK_ROWS`` rows at
-a time as columns of fields, split on commas with one ``str.split`` per chunk
-of quote-free lines (the csv module reads the file from the first chunk with
-a quote on), and the loader checks them column by column. It words a
-diagnostic only for a row that fails, as a row-by-row pass would (its first
-failed check, in file order); a field over the csv module's size limit stops
-the load at its line. The network loader fills the ``RoadGraph`` arrays, the
-trip loader a ``TripSet``'s record table; ``Trip`` objects are built only to
-word a bad trip's diagnostic, or on each iteration or index of the set; none
-is kept. The writers likewise write from columns.
+``write_csv`` writes from columns of field texts, a chunk at a time, the bytes
+``csv.writer`` writes; writers are deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ import csv
 import itertools
 import math
 import re
-import types
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -40,12 +35,22 @@ from .errors import LoadError
 from .graph import DAY_CLASSES, MINUTES_PER_DAY, CostVector, RoadGraph, TagSchedule
 from .trips import LinkRecord, RecordTable, TripSet
 
+# the header row of each file format
+HEADERS = {
+    "network": ("edge_id", "tail", "head", "length_m", "speed_limit_kmh"),
+    "schedule": ("day_class", "start_hhmm", "end_hhmm", "tag"),
+    "trips": ("trip_id", "seq", "edge_id", "day_class", "enter_hhmmss", "exit_hhmmss"),
+    "costs": ("trip_id", "cost"),
+    "weights": ("edge_id", "tag", "cost_per_meter", "annotated_flag"),
+}
 _FLOAT_FMT = "%.12g"
 # rows read or written at a time: bounds the CSV text held in memory
 _CHUNK_ROWS = 4096
 # unsigned decimal fields; 24:00 and 24:00:00 (end of day) pass the range checks
 _HHMM = re.compile(r"(\d+):([0-5]\d)", re.ASCII)
 _HHMMSS = re.compile(r"(\d+):([0-5]\d):([0-5]\d)", re.ASCII)
+# what csv.writer quotes in a field
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def parse_hhmm(text: str) -> float:
@@ -105,28 +110,30 @@ def _csv_rows(reader, path: Path, lineno: int, count: int) -> list[list[str]]:
     return rows
 
 
-def _quote_free_text(text: str, lines: list[str], path: Path, lineno: int) -> tuple[str, str]:
-    """``text``, the quote-free ``lines`` joined, with each line ended by the
-    newline returned: CR LF where every line ends so (as csv.writer writes),
-    else LF. A field over csv's size limit fails as the csv module fails it."""
+def _plain_columns(lines: list[str], width: int) -> Optional[list[list[str]]]:
+    """The ``width`` columns of fields of ``lines`` if they are plain, else None:
+    no quote, every line ended by CR LF or every one by LF (and no CR at all),
+    none over csv's field size limit, each with ``width`` fields, at least two
+    (so no blank line). csv.reader reads plain lines as these fields."""
+    text, n = "".join(lines), len(lines)
+    if '"' in text:
+        return None
+    if text.count("\r\n") == n:
+        newline = "\r\n"
+    elif text.count("\n") == n and "\r" not in text:
+        newline = "\n"
+    else:  # a lone CR, mixed line ends, or a last line with none
+        return None
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, lines)) > limit:
-        for i, line in enumerate(lines):
-            if max(map(len, line.rstrip("\r\n").split(","))) > limit:
-                message = f"field larger than field limit ({limit})"
-                raise LoadError("malformed-row", [f"{path}:{lineno + i}: {message}"])
-    if text.count("\r\n") == len(lines):
-        return text, "\r\n"
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if text and not text.endswith("\n"):  # the file's last line
-        text += "\n"
-    return text, "\n"
-
-
-def _split_rows(text: str, newline: str) -> list[list[str]]:
-    """csv.reader's rows of ``_quote_free_text``'s text, one row per line."""
-    return [line.split(",") if line else [] for line in text[: -len(newline)].split(newline)]
+        return None
+    # one row per line: its fields, then the newline as a field of its own
+    flat = text.replace(newline, f",{newline},").split(",")
+    del flat[-1]
+    step = width + 1
+    if width < 2 or len(flat) != n * step or flat[width::step].count(newline) != n:
+        return None
+    return [flat[i::step] for i in range(width)]
 
 
 def _shape(
@@ -148,8 +155,26 @@ def _shape(
     return linenos, messages, list(zip(*rows)) or [()] * width
 
 
+def _check_header(path: Path, names: Sequence[str], header: Sequence[str]) -> None:
+    if [name.strip() for name in names] != list(header):
+        raise LoadError("malformed-row", [f"{path}:1: expected header {','.join(header)}"])
+
+
+def _not_utf8(path: Path) -> str:
+    """The diagnostic for the first byte of ``path`` that is not UTF-8, on its
+    line as the reader counts lines (each ends with LF, CR LF or a lone CR)."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+        return f"{path}: not UTF-8 text"  # the file changed since it was read
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+
+
 def _read_columns(
-    path: Path, expected_header: list[str], filler: tuple[str, ...]
+    path: Path, header: Sequence[str], filler: tuple[str, ...]
 ) -> Iterator[tuple[Sequence[int], dict[int, str], list[Sequence[str]]]]:
     """Line numbers, field-count diagnostics and field columns of the non-blank
     rows after the header, at most ``_CHUNK_ROWS`` rows at a time; the last
@@ -157,70 +182,64 @@ def _read_columns(
     (keyed by its index in the chunk) and contributes ``filler`` to the columns.
 
     Line numbers count CSV records from the header's 1, blank rows included.
-    Fields are csv.reader's, surrounding spaces kept. Text with no quote
-    character is csv's tokenisation split on commas, each line one record: a
-    chunk of ``_CHUNK_ROWS`` lines is split once, and a newline token after
-    each row checks every row's field count at once. From the first chunk
-    with a quote on, the csv module reads the rest of the file. A leading
-    UTF-8 byte order mark is dropped.
+    Fields are csv.reader's, surrounding spaces kept. The header, then each
+    chunk of ``_CHUNK_ROWS`` lines, is split at once if it is plain; from the
+    first that is not, csv.reader reads the rest of the file. A leading UTF-8
+    byte order mark is dropped; a byte that is not UTF-8 stops the load.
     """
     width = len(filler)
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        first = next(handle, "")
-        if not first:
-            raise LoadError("malformed-row", [f"{path}:1: empty file"])
-        if '"' in first:
-            (header,) = _csv_rows(csv.reader(itertools.chain([first], handle)), path, 1, 1)
-        else:
-            (header,) = _split_rows(*_quote_free_text(first, [first], path, 1))
-        if [h.strip() for h in header] != expected_header:
-            raise LoadError(
-                "malformed-row",
-                [f"{path}:1: expected header {','.join(expected_header)}"],
-            )
-        lineno = 2
-        while True:
-            lines = list(itertools.islice(handle, _CHUNK_ROWS))
-            text = "".join(lines)
-            if '"' in text:
-                break
-            n = len(lines)
-            linenos = range(lineno, lineno + n)
-            text, newline = _quote_free_text(text, lines, path, lineno)
-            # one row per line: its fields, then the newline as a field of its own;
-            # a blank line is one empty field, so it fails the check unless width is 1
-            flat = text.replace(newline, f",{newline},").split(",")
-            del flat[-1]
-            step = width + 1
-            if width > 1 and len(flat) == n * step and flat[width::step].count(newline) == n:
-                yield linenos, {}, [flat[i::step] for i in range(width)]
-            else:  # a blank line or a wrong field count
-                yield _shape(_split_rows(text, newline), linenos, filler)
-            lineno += n
-            if n < _CHUNK_ROWS:
-                return
-        reader = csv.reader(itertools.chain(lines, handle))
-        del lines, text  # the reader lets go of them once it has read past them
-        while True:
-            rows = _csv_rows(reader, path, lineno, _CHUNK_ROWS)
-            yield _shape(rows, range(lineno, lineno + len(rows)), filler)
-            lineno += len(rows)
-            if len(rows) < _CHUNK_ROWS:
-                return
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            lines, lineno = [next(handle, "")], 1  # the header is a chunk of its own
+            if not lines[0]:
+                raise LoadError("malformed-row", [f"{path}:1: empty file"])
+            while (columns := _plain_columns(lines, width)) is not None:
+                if lineno == 1:
+                    _check_header(path, [column[0] for column in columns], header)
+                else:
+                    yield range(lineno, lineno + len(lines)), {}, columns
+                    if len(lines) < _CHUNK_ROWS:
+                        return
+                lineno += len(lines)
+                lines = list(itertools.islice(handle, _CHUNK_ROWS))
+            reader = csv.reader(itertools.chain(lines, handle))
+            del lines  # the reader lets go of them once it has read past them
+            if lineno == 1:
+                _check_header(path, *_csv_rows(reader, path, 1, 1), header)
+                lineno = 2
+            while True:
+                rows = _csv_rows(reader, path, lineno, _CHUNK_ROWS)
+                yield _shape(rows, range(lineno, lineno + len(rows)), filler)
+                lineno += len(rows)
+                if len(rows) < _CHUNK_ROWS:
+                    return
+    except UnicodeDecodeError:
+        raise LoadError("malformed-row", [_not_utf8(path)]) from None
 
 
-def _write_rows(writer, n_rows: int, rows_of: Callable[[slice], Iterable]) -> None:
-    """Write ``n_rows`` rows, built ``_CHUNK_ROWS`` at a time by ``rows_of``."""
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        writer.writerows(rows_of(slice(start, start + _CHUNK_ROWS)))
+def write_csv(
+    path: str | Path, header: Sequence[str], n_rows: int, columns_of: Callable[[slice], Iterable]
+) -> None:
+    """Write ``header``, then ``n_rows`` rows whose columns of field texts
+    ``columns_of(part)`` gives for each slice ``part`` of ``_CHUNK_ROWS`` rows,
+    as the bytes ``csv.writer`` writes for rows of two or more fields."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            columns = map(_quoted, columns_of(slice(start, start + _CHUNK_ROWS)))
+            handle.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-def _csv_fields(texts: Sequence[str], suffix: str) -> np.ndarray:
-    """Each text as ``csv.writer`` writes it as one field of a row of several
-    (quoted where it must be), followed by ``suffix``."""
-    lines: list[str] = []
-    csv.writer(types.SimpleNamespace(write=lines.append)).writerows((t, "") for t in texts)
-    return np.array([line[: -len(",\r\n")] + suffix for line in lines], dtype=object)
+def _quoted(texts: Sequence[str]) -> Sequence[str]:
+    """A column of fields as csv.writer writes them: unchanged unless one
+    needs quoting, else each distinct text quoted (once) where it must be."""
+    if _NEEDS_QUOTES.search("".join(texts)) is None:
+        return texts
+    fields = {
+        text: '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+        for text in dict.fromkeys(texts)
+    }
+    return list(map(fields.__getitem__, texts))
 
 
 def _convert(texts: Sequence[str], convert) -> tuple[list, dict[int, str]]:
@@ -304,7 +323,7 @@ def load_schedule(path: str | Path) -> TagSchedule:
     rules = []
     messages: dict[int, str] = {}  # by line: the first check each row fails
     for linenos, bad, (day_texts, start_texts, end_texts, tag_texts) in _read_columns(
-        path, ["day_class", "start_hhmm", "end_hhmm", "tag"], ("",) * 4
+        path, HEADERS["schedule"], ("",) * 4
     ):
         days = list(map(str.strip, day_texts))
         for i, day in enumerate(days):
@@ -327,11 +346,11 @@ def load_schedule(path: str | Path) -> TagSchedule:
 
 
 def save_schedule(schedule: TagSchedule, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["day_class", "start_hhmm", "end_hhmm", "tag"])
-        for day, start, end, tag in schedule.rules:
-            writer.writerow([day, format_hhmm(start), format_hhmm(end), schedule.tags[tag]])
+    rows = [
+        (day, format_hhmm(start), format_hhmm(end), schedule.tags[tag])
+        for day, start, end, tag in schedule.rules
+    ]
+    write_csv(path, HEADERS["schedule"], len(rows), lambda part: zip(*rows[part]))
 
 
 def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
@@ -345,7 +364,7 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
     messages: dict[int, str] = {}  # by line: the first check each row fails
     parts = []  # (ids, tail and head codes, lengths, limits) of each chunk
     for linenos, bad, (id_texts, tail_texts, head_texts, length_texts, limit_texts) in (
-        _read_columns(path, ["edge_id", "tail", "head", "length_m", "speed_limit_kmh"], ("",) * 5)
+        _read_columns(path, HEADERS["network"], ("",) * 5)
     ):
         ids = list(map(str.strip, id_texts))
         # a row with the wrong field count claims no id
@@ -385,31 +404,29 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
 
 
 def save_network(graph: RoadGraph, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["edge_id", "tail", "head", "length_m", "speed_limit_kmh"])
-        vertex_ids = np.array(graph.vertex_ids, dtype=object)
-        _write_rows(
-            writer,
-            graph.n_edges,
-            lambda part: zip(
-                graph.edge_ids[part],
-                vertex_ids[graph.tails[part]].tolist(),
-                vertex_ids[graph.heads[part]].tolist(),
-                [_FLOAT_FMT % length for length in graph.lengths[part].tolist()],
-                [
-                    "" if limit != limit else _FLOAT_FMT % limit  # NaN: no limit
-                    for limit in graph.speed_limits[part].tolist()
-                ],
-            ),
-        )
+    vertex_ids = np.array(graph.vertex_ids, dtype=object)
+    write_csv(
+        path,
+        HEADERS["network"],
+        graph.n_edges,
+        lambda part: (
+            graph.edge_ids[part],
+            vertex_ids[graph.tails[part]].tolist(),
+            vertex_ids[graph.heads[part]].tolist(),
+            [_FLOAT_FMT % length for length in graph.lengths[part].tolist()],
+            [
+                "" if limit != limit else _FLOAT_FMT % limit  # NaN: no limit
+                for limit in graph.speed_limits[part].tolist()
+            ],
+        ),
+    )
 
 
 def _load_costs(path: Path) -> dict[str, float]:
     costs: dict[str, float] = {}
     messages: dict[int, str] = {}  # by line
     for linenos, bad, (id_texts, cost_texts) in _read_columns(
-        path, ["trip_id", "cost"], ("", "0")
+        path, HEADERS["costs"], ("", "0")
     ):
         values, unparseable = _convert(cost_texts, float)
         for i in unparseable:
@@ -430,13 +447,9 @@ def _load_costs(path: Path) -> dict[str, float]:
 
 
 def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph) -> TripSet:
-    """Read a trip set straight into its record table.
-
-    The file is read ``_CHUNK_ROWS`` rows at a time, and every check runs over
-    a chunk's columns; a diagnostic is built only for a row or trip that fails
-    one, and reads as a row-by-row pass would report it: one reason per row,
-    the first that applies, in file order.
-    """
+    """Read a trip set straight into its record table, checked a chunk's
+    columns at a time; a trip whose records change day class or overlap in
+    time gets one diagnostic, on its first line."""
     trips_path, costs_path = Path(trips_path), Path(costs_path)
     costs = _load_costs(costs_path)
     day_index = {day: i for i, day in enumerate(DAY_CLASSES)}
@@ -449,11 +462,7 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
     seq: list[int] = []
     parts = []  # (line, trip, edge, day, enter, exit) of each chunk
     for linenos, bad, (trip_texts, seq_texts, edge_texts, day_texts, enter_texts, exit_texts) in (
-        _read_columns(
-            trips_path,
-            ["trip_id", "seq", "edge_id", "day_class", "enter_hhmmss", "exit_hhmmss"],
-            ("", "0", "", "", "00:00:00", "00:00:01"),
-        )
+        _read_columns(trips_path, HEADERS["trips"], ("", "0", "", "", "00:00:00", "00:00:01"))
     ):
         seq_values, seq_errors = _convert(seq_texts, int)
         enter, enter_errors = _clock_column(enter_texts)
@@ -522,34 +531,28 @@ def save_trips(
     seq = np.arange(len(table.trip)) - first[table.trip]
     edge_ids = np.array(graph.edge_ids, dtype=object)
     days = np.array(DAY_CLASSES, dtype=object)
-    with open(trips_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["trip_id", "seq", "edge_id", "day_class", "enter_hhmmss", "exit_hhmmss"]
-        )
-        _write_rows(
-            writer,
-            len(table.trip),
-            lambda part: zip(
-                names[table.trip[part]].tolist(),
-                seq[part].tolist(),
-                edge_ids[table.edge[part]].tolist(),
-                days[table.day[part]].tolist(),
-                _format_clock_column(table.enter[part]),
-                _format_clock_column(table.exit[part]),
-            ),
-        )
+    write_csv(
+        trips_path,
+        HEADERS["trips"],
+        len(table.trip),
+        lambda part: (
+            names[table.trip[part]].tolist(),
+            list(map(str, seq[part].tolist())),
+            edge_ids[table.edge[part]].tolist(),
+            days[table.day[part]].tolist(),
+            _format_clock_column(table.enter[part]),
+            _format_clock_column(table.exit[part]),
+        ),
+    )
     costs = trips.costs()
-    with open(costs_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["trip_id", "cost"])
-        _write_rows(
-            writer,
-            len(trips),
-            lambda part: zip(
-                names[part].tolist(), [_FLOAT_FMT % cost for cost in costs[part].tolist()]
-            ),
-        )
+    write_csv(
+        costs_path,
+        HEADERS["costs"],
+        len(trips),
+        lambda part: (
+            names[part].tolist(), [_FLOAT_FMT % cost for cost in costs[part].tolist()]
+        ),
+    )
 
 
 def write_weights(
@@ -563,16 +566,19 @@ def write_weights(
     flags = np.ones(graph.n_entries, dtype=bool) if mask is None else np.asarray(mask, bool)
     if flags.shape != (graph.n_entries,):
         raise ValueError("mask must cover every (edge, tag) entry")
-    # row text is joined directly; csv.writer quotes each distinct id once
-    edge_ids = np.tile(_csv_fields(graph.edge_ids, ","), graph.n_tags)
-    tags = np.repeat(_csv_fields(graph.tag_schedule.tags, ","), graph.n_edges)
-    ends = np.array([",0\r\n", ",1\r\n"], dtype=object)[flags.astype(np.int64)]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("edge_id,tag,cost_per_meter,annotated_flag\r\n")
-        for start in range(0, graph.n_entries, _CHUNK_ROWS):
-            part = slice(start, start + _CHUNK_ROWS)
-            values = np.array(list(map(_FLOAT_FMT.__mod__, costs.values[part].tolist())), object)
-            handle.write("".join(edge_ids[part] + tags[part] + values + ends[part]))
+    edge_ids = graph.edge_ids * graph.n_tags
+    tags = np.repeat(np.array(graph.tag_schedule.tags, dtype=object), graph.n_edges)
+    write_csv(
+        path,
+        HEADERS["weights"],
+        graph.n_entries,
+        lambda part: (
+            edge_ids[part],
+            tags[part].tolist(),
+            list(map(_FLOAT_FMT.__mod__, costs.values[part].tolist())),
+            np.where(flags[part], "1", "0").tolist(),
+        ),
+    )
 
 
 def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.ndarray]:
@@ -585,7 +591,7 @@ def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.nda
     tag_codes = _codebook(lambda text: tag_index.get(text, -1))
     messages: dict[int, str] = {}  # by line: the first check each row fails
     for linenos, bad, (edge_texts, tag_texts, value_texts, flag_texts) in _read_columns(
-        path, ["edge_id", "tag", "cost_per_meter", "annotated_flag"], ("",) * 4
+        path, HEADERS["weights"], ("",) * 4
     ):
         edge, tag = edge_codes(edge_texts), tag_codes(tag_texts)
         for i in np.flatnonzero(edge < 0).tolist():
@@ -623,10 +629,13 @@ def load_dataset(
     trips_path: Optional[str | Path] = None,
     costs_path: Optional[str | Path] = None,
 ) -> tuple[RoadGraph, TripSet]:
-    """Load a full dataset; trips/costs may be omitted for graph-only uses."""
+    """Load a full dataset; trips and costs may be omitted together for
+    graph-only uses."""
+    if (trips_path is None) != (costs_path is None):
+        raise ValueError("trips and costs are read together: give both files or neither")
     schedule = load_schedule(schedule_path)
     graph = load_network(network_path, schedule)
-    if trips_path is None or costs_path is None:
+    if trips_path is None:
         return graph, TripSet(())
     return graph, load_trips(trips_path, costs_path, graph)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 import roadcost.cli as cli
 from roadcost.cli import main
+from roadcost.dataio import save_dataset
+from roadcost.synth import SyntheticSpec, generate_synthetic
 
 
 def _synth(tmp_path, seed=0, extra=()):
@@ -301,6 +304,38 @@ def test_pagerank_stats_unknown_tag_exits_2(tmp_path, capsys):
         "error: unknown tag 'NOPE'; known tags: OFFPEAK, PEAK\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--trips", "--costs"])
+def test_pagerank_stats_rejects_trips_or_costs_alone(tmp_path, capsys, flag):
+    # none of the files exists: a read would exit 4
+    out = tmp_path / "stats"
+    code = main(
+        ["pagerank-stats", "--network", str(tmp_path / "network.csv"),
+         "--schedule", str(tmp_path / "schedule.csv"), flag, str(tmp_path / "file.csv"),
+         "--out-dir", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --trips and --costs are read together: give both or neither\n"
+    )
+    assert not out.exists()
+
+
+def test_pagerank_stats_values_quote_edge_ids(tmp_path):
+    graph, _, trips = generate_synthetic(
+        SyntheticSpec(rows=5, cols=5, n_trips=60, coverage=0.4), seed=2
+    )
+    graph = dataclasses.replace(graph, edge_ids=tuple(f'e,{i}"' for i in range(graph.n_edges)))
+    save_dataset(graph, trips, tmp_path / "data")
+    out = tmp_path / "stats"
+    assert main(["pagerank-stats", *_dataset_args(tmp_path / "data"), "--out-dir", str(out)]) == 0
+    assert b'"e,0""",' in (out / "pagerank_values.csv").read_bytes()
+    with open(out / "pagerank_values.csv", newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["dual_vertex_id", "pagerank"]
+    assert [edge_id for edge_id, _ in rows] == list(graph.edge_ids)
+    assert all(float(value) > 0 for _, value in rows)
 
 
 def test_unreachable_coverage_exits_2(tmp_path, capsys):
