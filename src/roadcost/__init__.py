@@ -5,7 +5,6 @@ from .config import RunConfig
 from .errors import ConvergenceError, GenerationError, LoadError
 from .evaluation import (
     EvalReport,
-    alr,
     alr_curve,
     edge_coverage,
     grid_search,

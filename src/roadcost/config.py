@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .graph import HIGHWAY_CUTOFF_KMH
 from .pagerank import DEFAULT_TOL
 from .solver import DEFAULT_CG_TOL
 
@@ -26,16 +27,16 @@ class RunConfig:
     alpha weighs the flow-similarity penalty, beta the directional-adjacency
     penalty, gamma the ridge term (must stay positive). The similarity
     threshold filters segment pairs by PageRank ratio; the highway cutoff
-    splits edges into highway/urban categories for the adjacency penalty and
-    the speed-limit baseline. These fields are the one list of run settings:
-    the config-file keys and the command-line flags are read off them.
+    splits edges into highway/urban categories for the adjacency penalty.
+    These fields are the one list of run settings: the config-file keys and
+    the command-line flags are read off them.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1e-4
     similarity_threshold: float = 0.95
-    highway_cutoff_kmh: float = 90.0
+    highway_cutoff_kmh: float = HIGHWAY_CUTOFF_KMH
     cg_tol: float = DEFAULT_CG_TOL
     pr_tol: float = DEFAULT_TOL
     seed: int = 0

@@ -504,20 +504,19 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
     table = RecordTable(trip[order], edge[order], day[order], enter[order], exit_[order])
     line = line[order]
 
-    trips = TripSet.from_table(table, np.array([costs[t] for t in trip_ids], dtype=float))
+    trips = TripSet.from_table(table, [costs[t] for t in trip_ids], list(trip_ids))
 
     first = np.flatnonzero(np.diff(table.trip, prepend=-1))  # each trip's first row
     first_day = table.day[first][table.trip]
     same = table.trip[1:] == table.trip[:-1]
     bad = same & ((table.day[1:] != first_day[1:]) | (table.enter[1:] < table.exit[:-1]))
     if bad.any():
-        names = list(trip_ids)
         problems = []
         for k in np.unique(table.trip[1:][bad]).tolist():
             try:
                 trips[k]  # building the trip runs the Trip checks
             except ValueError as exc:
-                problems.append(f"{trips_path}:{line[first[k]]}: trip {names[k]!r}: {exc}")
+                problems.append(f"{trips_path}:{line[first[k]]}: trip {trips.ids()[k]!r}: {exc}")
         raise LoadError("bad-trip", problems)
     return trips
 
@@ -526,7 +525,7 @@ def save_trips(
     trips: TripSet, graph: RoadGraph, trips_path: str | Path, costs_path: str | Path
 ) -> None:
     table = trips.table
-    names = np.array([f"t{k:05d}" for k in range(len(trips))], dtype=object)
+    names = trips.ids()
     first = np.searchsorted(table.trip, np.arange(len(trips)))
     seq = np.arange(len(table.trip)) - first[table.trip]
     edge_ids = np.array(graph.edge_ids, dtype=object)

@@ -21,7 +21,7 @@ from .solver import (
     laplacian,
     solve_weights,
 )
-from .trips import Trip, TripSet, partition_by_tag, split_trips, trip_cost, trip_costs
+from .trips import TripSet, partition_by_tag, split_trips, trip_costs
 
 
 def ssl(trips: TripSet, graph: RoadGraph, costs: CostVector) -> float:
@@ -29,27 +29,16 @@ def ssl(trips: TripSet, graph: RoadGraph, costs: CostVector) -> float:
     return float(np.sum((trips.costs() - trip_costs(trips, graph, costs)) ** 2))
 
 
-def alr(trip: Trip, graph: RoadGraph, costs: CostVector) -> float:
-    """Absolute loss ratio of one trip: |estimated - actual| / actual."""
-    if trip.cost <= 0:
-        raise ValueError("absolute loss ratio needs a positive actual cost")
-    return abs(trip_cost(trip, graph, costs) - trip.cost) / trip.cost
-
-
-def alr_curve(
-    trips: TripSet,
-    graph: RoadGraph,
-    costs: CostVector,
-    thresholds_pct: Sequence[int] = range(1, 101),
-) -> list[tuple[int, float]]:
-    """Fraction of trips whose loss ratio stays within each percent threshold."""
+def alr_curve(trips: TripSet, graph: RoadGraph, costs: CostVector) -> list[tuple[int, float]]:
+    """Fraction of trips whose absolute loss ratio, |estimated - actual| / actual,
+    stays within each threshold of 1, 2, ..., 100 percent."""
     actual = trips.costs()
     if np.any(actual <= 0):
         raise ValueError("absolute loss ratio needs a positive actual cost")
     ratios = np.abs(trip_costs(trips, graph, costs) - actual) / actual
     return [
-        (int(pct), float(np.mean(ratios <= pct / 100.0)) if len(ratios) else 0.0)
-        for pct in thresholds_pct
+        (pct, float(np.mean(ratios <= pct / 100.0)) if len(ratios) else 0.0)
+        for pct in range(1, 101)
     ]
 
 
@@ -61,26 +50,18 @@ def edge_coverage(graph: RoadGraph, entry_mask: np.ndarray) -> float:
     return float(per_edge.mean()) if graph.n_edges else 0.0
 
 
-def speed_limit_baseline(
-    graph: RoadGraph,
-    lam: float = 1.0,
-    default_kmh: float = 50.0,
-    cutoff_kmh: float = 90.0,
-) -> CostVector:
+def speed_limit_baseline(graph: RoadGraph, lam: float = 1.0) -> CostVector:
     """Travel-time weights derived from speed limits, in seconds per meter.
 
-    Urban edges (below the cutoff) get lambda * length / speed to reflect
-    driving below the limit; highways get length / speed. Missing limits
-    fall back to the default. The result is identical across tags.
+    Urban edges (``graph.is_highway`` false) get lambda * length / speed to
+    reflect driving below the limit; highways get length / speed. An edge
+    without a limit is urban and counts as 50 km/h. The result is identical
+    across tags.
     """
     if lam < 1:
         raise ValueError("lambda must be at least 1")
-    if default_kmh <= 0:
-        raise ValueError("default speed must be positive")
-    limits = np.where(np.isnan(graph.speed_limits), default_kmh, graph.speed_limits)
-    seconds_per_meter = 3.6 / limits
-    urban = limits < cutoff_kmh
-    per_edge = np.where(urban, lam * seconds_per_meter, seconds_per_meter)
+    seconds_per_meter = 3.6 / np.nan_to_num(graph.speed_limits, nan=50.0)
+    per_edge = np.where(graph.is_highway(), seconds_per_meter, lam * seconds_per_meter)
     return CostVector(np.tile(per_edge, graph.n_tags), graph.n_edges, graph.n_tags)
 
 

@@ -21,6 +21,8 @@ DAY_CLASSES = (WEEKDAY, WEEKEND)
 
 MINUTES_PER_DAY = 1440.0
 
+HIGHWAY_CUTOFF_KMH = 90.0
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -73,15 +75,6 @@ class TagSchedule:
     def day_rules(self, day_class: str) -> list[tuple[float, float, int]]:
         """Sorted (start, end, tag_index) intervals for one day class."""
         return sorted((s, e, t) for d, s, e, t in self.rules if d == day_class)
-
-    def tag_of(self, day_class: str, minute: float) -> int:
-        """Tag index in effect at the given instant (total by construction)."""
-        if not 0 <= minute < MINUTES_PER_DAY:
-            raise ValueError(f"minute of day {minute} outside [0, 1440)")
-        for start, end, tag in self.day_rules(day_class):
-            if start <= minute < end:
-                return tag
-        raise AssertionError("unreachable: rules partition the day")
 
     def intervals_of(self, tag_index: int, day_class: str) -> list[tuple[float, float]]:
         """Inverse lookup: the intervals of one day class mapped to a tag."""
@@ -198,23 +191,12 @@ class RoadGraph:
     def n_entries(self) -> int:
         return self.n_edges * self.n_tags
 
-    def entry_index(self, edge: int, tag: int) -> int:
-        """0-based flat cost-vector position of (edge, tag)."""
-        if not 0 <= edge < self.n_edges:
-            raise IndexError(f"edge {edge} outside 0..{self.n_edges - 1}")
-        if not 0 <= tag < self.n_tags:
-            raise IndexError(f"tag {tag} outside 0..{self.n_tags - 1}")
-        return tag * self.n_edges + edge
-
     @cached_property
     def edge_lookup(self) -> dict[str, int]:
         """Edge index by edge id."""
         return {e: i for i, e in enumerate(self.edge_ids)}
 
-    def edge_index(self, edge_id: str) -> int:
-        return self.edge_lookup[edge_id]
-
-    def is_highway(self, cutoff_kmh: float = 90.0) -> np.ndarray:
+    def is_highway(self, cutoff_kmh: float = HIGHWAY_CUTOFF_KMH) -> np.ndarray:
         """Per-edge highway mask: speed limit at or above the cutoff.
 
         Edges without a known speed limit count as urban.
@@ -245,9 +227,6 @@ class CostVector:
 
     def matches(self, graph: RoadGraph) -> bool:
         return self.n_edges == graph.n_edges and self.n_tags == graph.n_tags
-
-    def entry(self, edge: int, tag: int) -> float:
-        return float(self.values[tag * self.n_edges + edge])
 
 
 @dataclass(frozen=True)
@@ -283,13 +262,6 @@ class DualGraph:
     def edge_keys(self) -> np.ndarray:
         """``src * n_vertices + dst`` of every dual edge, ascending like the edges."""
         return _freeze(self.edge_src * self.n_vertices + self.edge_dst)
-
-    def dual_edge_index(self, u: int, v: int) -> Optional[int]:
-        if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-            return None
-        key = u * self.n_vertices + v
-        k = int(np.searchsorted(self.edge_keys, key))
-        return k if k < self.n_edges and self.edge_keys[k] == key else None
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)

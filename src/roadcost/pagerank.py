@@ -61,16 +61,6 @@ class TransitionMatrix:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, tag: int = 0) -> "TransitionMatrix":
-        """Wrap an explicit matrix; all-zero rows are treated as dead ends."""
-        dense = np.asarray(dense, dtype=float)
-        row_sums = dense.sum(axis=1)
-        dangling = row_sums == 0
-        if not np.allclose(row_sums[~dangling], 1.0, atol=1e-9):
-            raise ValueError("non-empty rows must sum to 1")
-        return cls(tag=tag, matrix=sp.csr_matrix(dense), dangling=dangling)
-
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         """Return M^T v including the implicit uniform dead-end rows."""
         out = self.matrix.T @ v

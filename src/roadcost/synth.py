@@ -52,7 +52,7 @@ from .graph import (
     TagSchedule,
     build_dual,
 )
-from .trips import RecordTable, TripSet, trip_costs
+from .trips import RecordTable, TripSet, positional_ids, trip_costs
 
 _SECONDS_PER_DAY = 86_400
 
@@ -311,8 +311,9 @@ def generate_synthetic(
             or n_covered / n_edges >= spec.coverage - 1e-12
             or spec.cover_all_entries
         ):
-            priced = trip_costs(TripSet.from_table(table, np.zeros(len(factors))), graph, truth)
-            return graph, truth, TripSet.from_table(table, priced * factors)
+            ids = positional_ids(len(factors))
+            priced = trip_costs(TripSet.from_table(table, np.zeros(len(ids)), ids), graph, truth)
+            return graph, truth, TripSet.from_table(table, priced * factors, ids)
     raise GenerationError(
         f"could not reach edge coverage {spec.coverage:.2f} with "
         f"{spec.n_trips} trips of length {spec.trip_len} (got {n_covered / graph.n_edges:.2f})"

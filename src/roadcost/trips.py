@@ -77,16 +77,22 @@ class RecordTable(NamedTuple):
     exit: np.ndarray
 
 
+def positional_ids(n: int) -> np.ndarray:
+    """Trip ids by position (``t00000``, ``t00001``, ...), for trips made in memory."""
+    return np.array([f"t{k:05d}" for k in range(n)], dtype=object)
+
+
 class TripSet:
     """A bag of trips that all reference the same road graph, held as columns.
 
-    The record table and the cost column are the whole state. Iterating or
-    indexing builds ``Trip`` objects from the columns; none is kept.
-    ``TripSet(trips)`` takes validated ``Trip`` objects; ``TripSet.from_table``
-    takes columns that were checked elsewhere (the CSV loader, ``subset``).
+    The record table, the cost column and the id column are the whole state.
+    Iterating or indexing builds ``Trip`` objects from the columns; none is
+    kept. ``TripSet(trips)`` takes validated ``Trip`` objects and names them
+    by position; ``TripSet.from_table`` takes columns checked elsewhere (the
+    CSV loader, ``subset``, the synthetic generator).
     """
 
-    __slots__ = ("table", "_costs")
+    __slots__ = ("table", "_costs", "_ids")
 
     def __init__(self, trips: Iterable[Trip] = ()):
         trips = tuple(trips)
@@ -99,10 +105,10 @@ class TripSet:
             np.array([rec.enter for rec in records], dtype=float),
             np.array([rec.exit for rec in records], dtype=float),
         )
-        self._init(table, np.array([t.cost for t in trips], dtype=float))
+        self._init(table, [t.cost for t in trips], positional_ids(len(trips)))
 
     @classmethod
-    def from_table(cls, table: RecordTable, costs: np.ndarray) -> "TripSet":
+    def from_table(cls, table: RecordTable, costs: np.ndarray, ids: np.ndarray) -> "TripSet":
         """A trip set over already-checked columns.
 
         Row i of ``table`` is a record of trip ``table.trip[i]``; trips are
@@ -110,12 +116,13 @@ class TripSet:
         records are contiguous and in order, as the ``Trip`` checks require.
         """
         trips = cls.__new__(cls)
-        trips._init(table, costs)
+        trips._init(table, costs, ids)
         return trips
 
-    def _init(self, table: RecordTable, costs: np.ndarray) -> None:
+    def _init(self, table: RecordTable, costs: np.ndarray, ids: np.ndarray) -> None:
         self.table = RecordTable(*(_freeze(np.asarray(column)) for column in table))
         self._costs = _freeze(np.asarray(costs, dtype=float))
+        self._ids = _freeze(np.asarray(ids, dtype=object))
 
     def __len__(self) -> int:
         return len(self._costs)
@@ -139,6 +146,10 @@ class TripSet:
         """Total cost of every trip, in order (read-only)."""
         return self._costs
 
+    def ids(self) -> np.ndarray:
+        """Id of every trip, in order (read-only)."""
+        return self._ids
+
     def subset(self, indices) -> "TripSet":
         """The trips at ``indices``, in that order, sliced from the columns."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
@@ -150,7 +161,7 @@ class TripSet:
         rows = np.repeat(starts[indices] - offsets, sizes) + np.arange(sizes.sum())
         trip = np.repeat(np.arange(len(indices)), sizes)
         table = RecordTable(trip, t.edge[rows], t.day[rows], t.enter[rows], t.exit[rows])
-        return TripSet.from_table(table, self._costs[indices])
+        return TripSet.from_table(table, self._costs[indices], self._ids[indices])
 
     def validate_against(self, graph: RoadGraph) -> None:
         edge = self.table.edge

@@ -102,6 +102,11 @@ def tripset(*trips: Trip) -> TripSet:
     return TripSet(tuple(trips))
 
 
+def entry(graph: RoadGraph, edge: int, tag: int) -> int:
+    """Flat cost-vector position of (edge, tag): tag block by tag block."""
+    return tag * graph.n_edges + edge
+
+
 def stationary_bruteforce(dense: np.ndarray) -> np.ndarray:
     """Independent stationary-distribution oracle: least-squares solve of
     M^T v = v with sum(v) = 1."""

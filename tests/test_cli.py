@@ -177,6 +177,42 @@ def test_split_command(tmp_path):
     assert n_train == 30 and n_test == 30
 
 
+def _trips_by_id(trips_csv, costs_csv):
+    """{trip id: (cost text, record rows)} of a trips file and its costs file."""
+    with open(costs_csv, newline="") as handle:
+        trips = {row["trip_id"]: (row["cost"], []) for row in csv.DictReader(handle)}
+    with open(trips_csv, newline="") as handle:
+        for row in csv.reader(handle):
+            if row[0] != "trip_id":
+                trips[row[0]][1].append(row[1:])
+    return trips
+
+
+def test_split_keeps_the_input_trip_ids(tmp_path):
+    data = _synth(tmp_path)
+    # rename every trip, in reverse order and with a comma that needs quoting
+    for name in ("trips.csv", "costs.csv"):
+        with open(data / name, newline="") as handle:
+            rows = list(csv.reader(handle))
+        for row in rows[1:]:
+            row[0] = f"run,{59 - int(row[0][1:])}"
+        with open(data / name, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+    out = tmp_path / "split"
+    assert main(
+        ["split", *_dataset_args(data), "--train-fraction", "0.5",
+         "--seed", "1", "--out", str(out)]
+    ) == 0
+    given = _trips_by_id(data / "trips.csv", data / "costs.csv")
+    train = _trips_by_id(out / "train_trips.csv", out / "train_costs.csv")
+    test = _trips_by_id(out / "test_trips.csv", out / "test_costs.csv")
+    assert len(train) == len(test) == 30
+    assert not train.keys() & test.keys()
+    assert train.keys() | test.keys() == given.keys()
+    for half in (train, test):
+        assert {trip_id: given[trip_id] for trip_id in half} == half
+
+
 def test_invalid_input_exits_2_and_writes_stderr_only(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("edge_id,tail,head,length_m,speed_limit_kmh\ne0,A,A,10,\n")

@@ -216,6 +216,18 @@ class TestTripsIO:
             for ra, rb in zip(original.records, read_back.records):
                 assert rb.enter == pytest.approx(ra.enter, abs=1e-6)
 
+    def test_load_then_save_is_byte_identical(self, tmp_path, synth_dataset):
+        graph, _, trips = synth_dataset
+        first, second = tmp_path / "first", tmp_path / "second"
+        for out in (first, second):
+            out.mkdir()
+        save_trips(trips, graph, first / "trips.csv", first / "costs.csv")
+        loaded = load_trips(first / "trips.csv", first / "costs.csv", graph)
+        assert loaded.ids().tolist() == trips.ids().tolist()
+        save_trips(loaded, graph, second / "trips.csv", second / "costs.csv")
+        for name in ("trips.csv", "costs.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
     def test_unknown_edge_reported_with_row(self, tmp_path, synth_dataset):
         graph, _, _ = synth_dataset
         (tmp_path / "trips.csv").write_text(

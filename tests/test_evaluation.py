@@ -8,7 +8,6 @@ import roadcost.evaluation as evaluation
 import roadcost.solver as solver
 from roadcost.config import VARIANTS, RunConfig
 from roadcost.evaluation import (
-    alr,
     alr_curve,
     build_constraints,
     edge_coverage,
@@ -25,7 +24,7 @@ from roadcost.solver import annotated_mask, build_a, solve_weights
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, split_trips
 
-from conftest import make_trip, tripset
+from conftest import entry, make_trip, tripset
 
 
 def _unit_graph(schedule, lengths=(100.0,), limits=None):
@@ -57,31 +56,30 @@ class TestSsl:
         assert ssl(trips, g, d) == pytest.approx(5.0)
 
 
+def _one_trip_curve(schedule, weight, actual):
+    """The loss-ratio curve of one 100 m trip, as {percent: fraction}."""
+    d = CostVector(np.array([weight]), 1, 1)
+    trip = Trip((LinkRecord(0, "weekday", 0.0, 1.0),), actual)
+    return dict(alr_curve(tripset(trip), _unit_graph(schedule), d))
+
+
 class TestAlr:
+    # 100 m at these weights costs 125, 100 and 50 exactly, and the ratios
+    # 0.25 and 0.5 equal their thresholds exactly
     def test_overestimate(self, single_tag_schedule):
-        g = _unit_graph(single_tag_schedule)
-        d = CostVector(np.array([1.30]), 1, 1)
-        trip = Trip((LinkRecord(0, "weekday", 0.0, 1.0),), 100.0)
-        assert alr(trip, g, d) == pytest.approx(0.30)
+        curve = _one_trip_curve(single_tag_schedule, 1.25, 100.0)
+        assert (curve[24], curve[25]) == (0.0, 1.0)
 
     def test_exact_estimate(self, single_tag_schedule):
-        g = _unit_graph(single_tag_schedule)
-        d = CostVector(np.array([1.0]), 1, 1)
-        trip = Trip((LinkRecord(0, "weekday", 0.0, 1.0),), 100.0)
-        assert alr(trip, g, d) == 0.0
+        assert _one_trip_curve(single_tag_schedule, 1.0, 100.0)[1] == 1.0
 
     def test_underestimate(self, single_tag_schedule):
-        g = _unit_graph(single_tag_schedule)
-        d = CostVector(np.array([0.50]), 1, 1)
-        trip = Trip((LinkRecord(0, "weekday", 0.0, 1.0),), 100.0)
-        assert alr(trip, g, d) == pytest.approx(0.5)
+        curve = _one_trip_curve(single_tag_schedule, 0.5, 100.0)
+        assert (curve[49], curve[50]) == (0.0, 1.0)
 
     def test_zero_actual_rejected(self, single_tag_schedule):
-        g = _unit_graph(single_tag_schedule)
-        d = CostVector(np.array([0.5]), 1, 1)
-        trip = Trip((LinkRecord(0, "weekday", 0.0, 1.0),), 0.0)
         with pytest.raises(ValueError, match="positive actual cost"):
-            alr(trip, g, d)
+            _one_trip_curve(single_tag_schedule, 0.5, 0.0)
 
     def test_curve_is_cdf(self, single_tag_schedule):
         g = _unit_graph(single_tag_schedule)
@@ -106,7 +104,7 @@ class TestEdgeCoverage:
 
     def test_any_tag_counts(self, junction_graph):
         mask = np.zeros(junction_graph.n_entries, dtype=bool)
-        mask[junction_graph.entry_index(0, 1)] = True  # edge 0 only in tag 1
+        mask[entry(junction_graph, 0, 1)] = True  # edge 0 only in tag 1
         assert edge_coverage(junction_graph, mask) == pytest.approx(1 / 5)
 
     def test_shape_contract(self, junction_graph):
@@ -131,8 +129,13 @@ class TestSpeedLimitBaseline:
 
     def test_missing_limit_uses_default(self, single_tag_schedule):
         g = _unit_graph(single_tag_schedule, lengths=(100.0, 100.0), limits=[None, 50.0])
-        base = speed_limit_baseline(g, lam=1.0, default_kmh=50.0)
-        assert base.values[0] == base.values[1]
+        base = speed_limit_baseline(g, lam=2.0)
+        assert base.values[0] == base.values[1] == 2.0 * 3.6 / 50.0
+
+    def test_splits_where_the_adjacency_penalty_does(self, single_tag_schedule):
+        g = _unit_graph(single_tag_schedule, lengths=(100.0,) * 4, limits=[None, 80.0, 89.9, 90.0])
+        scaled = speed_limit_baseline(g, lam=2.0).values != speed_limit_baseline(g).values
+        assert scaled.tolist() == (~g.is_highway()).tolist() == [True, True, True, False]
 
     def test_identical_across_tags(self, two_tag_schedule):
         g = _unit_graph(two_tag_schedule, lengths=(100.0,), limits=[80.0])
@@ -143,11 +146,6 @@ class TestSpeedLimitBaseline:
         g = _unit_graph(single_tag_schedule, limits=[50.0])
         with pytest.raises(ValueError, match="lambda"):
             speed_limit_baseline(g, lam=0.5)
-
-    def test_bad_default_rejected(self, single_tag_schedule):
-        g = _unit_graph(single_tag_schedule, limits=[50.0])
-        with pytest.raises(ValueError, match="default"):
-            speed_limit_baseline(g, default_kmh=0.0)
 
 
 @pytest.fixture(scope="module")

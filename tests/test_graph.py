@@ -12,6 +12,7 @@ from roadcost.graph import (
     build_dual,
     peak_offpeak_schedule,
 )
+from roadcost.trips import LinkRecord, Trip, TripSet, build_q, record_tag_weights, trip_cost
 
 
 def _path_graph(n_edges, n_tags):
@@ -25,40 +26,51 @@ def _path_graph(n_edges, n_tags):
     return RoadGraph.from_edges(vertices, edges, [10.0] * n_edges, schedule)
 
 
+def _entry_row(graph, edge, tag):
+    """The row of Q, so the cost-vector position, that a one-minute record on
+    ``edge`` inside tag ``tag``'s first weekday interval charges."""
+    start, _ = graph.tag_schedule.intervals_of(tag, WEEKDAY)[0]
+    trips = TripSet((Trip((LinkRecord(edge, WEEKDAY, start, start + 1.0),), 1.0),))
+    (row,) = build_q(trips, graph).nonzero()[0]
+    return int(row)
+
+
+def _tag_at(schedule, day, minute):
+    """The one tag a one-minute record starting at ``minute`` lies in."""
+    ((tag, weight),) = record_tag_weights(LinkRecord(0, day, minute, minute + 1.0), schedule)
+    assert weight == 1.0
+    return tag
+
+
 class TestFlatIndex:
-    """The flat cost-vector layout, tag block by tag block, via RoadGraph.entry_index."""
+    """The flat cost-vector layout, tag block by tag block, as Q's rows use it."""
 
     def test_first_and_last(self):
         g = _path_graph(4, 2)
-        assert g.entry_index(0, 0) == 0
-        assert g.entry_index(3, 1) == 7
+        assert _entry_row(g, 0, 0) == 0
+        assert _entry_row(g, 3, 1) == 7
 
     def test_interior(self):
         # layout [e0t0, e1t0, e2t0, e3t0, e0t1, e1t1, e2t1, e3t1]
-        assert _path_graph(4, 2).entry_index(2, 1) == 6
+        assert _entry_row(_path_graph(4, 2), 2, 1) == 6
 
     def test_bijection(self):
         g = _path_graph(5, 3)
-        images = {g.entry_index(i, k) for i in range(5) for k in range(3)}
+        images = {_entry_row(g, i, k) for i in range(5) for k in range(3)}
         assert images == set(range(g.n_entries))
-
-    @pytest.mark.parametrize("edge,tag", [(0, 1), (5, 1), (1, 0), (1, 3)])
-    def test_out_of_range(self, edge, tag):
-        with pytest.raises(IndexError):
-            _path_graph(1, 1).entry_index(edge, tag)
 
 
 class TestTagSchedule:
     def test_weekday_peak_lookup(self, table_schedule):
         tags = table_schedule.tags
-        assert tags[table_schedule.tag_of(WEEKDAY, 7 * 60 + 30)] == "PEAK"
-        assert tags[table_schedule.tag_of(WEEKDAY, 12 * 60)] == "OFFPEAK"
-        assert tags[table_schedule.tag_of(WEEKEND, 23 * 60 + 59)] == "WEEKENDS"
+        assert tags[_tag_at(table_schedule, WEEKDAY, 7 * 60 + 30)] == "PEAK"
+        assert tags[_tag_at(table_schedule, WEEKDAY, 12 * 60)] == "OFFPEAK"
+        assert tags[_tag_at(table_schedule, WEEKEND, 23 * 60 + 59)] == "WEEKENDS"
 
     def test_totality_over_both_day_classes(self, table_schedule):
         for day in (WEEKDAY, WEEKEND):
             for minute in range(1440):
-                tag = table_schedule.tag_of(day, float(minute))
+                tag = _tag_at(table_schedule, day, float(minute))
                 assert 0 <= tag < table_schedule.n_tags
 
     def test_inverse_lookup(self, table_schedule):
@@ -109,9 +121,9 @@ class TestRoadGraph:
 
     def test_entry_index_layout(self, junction_graph):
         g = junction_graph
-        assert g.entry_index(0, 0) == 0
-        assert g.entry_index(4, 0) == 4
-        assert g.entry_index(0, 1) == 5
+        assert _entry_row(g, 0, 0) == 0
+        assert _entry_row(g, 4, 0) == 4
+        assert _entry_row(g, 0, 1) == 5
 
     def test_self_loop_rejected(self, two_tag_schedule):
         with pytest.raises(ValueError, match="self-loop"):
@@ -154,14 +166,23 @@ class TestCostVector:
 
     def test_entry_accessor(self):
         cv = CostVector(np.arange(8, dtype=float), n_edges=4, n_tags=2)
-        assert cv.entry(2, 1) == 6.0
+        g = _path_graph(4, 2)
+        start, _ = g.tag_schedule.intervals_of(1, WEEKDAY)[0]
+        trip = Trip((LinkRecord(2, WEEKDAY, start, start + 1.0),), 0.0)
+        assert trip_cost(trip, g, cv) == 6.0 * g.lengths[2]  # edge 2 in tag 1
+
+
+def _reverse_flags(dual):
+    """The u-turn flag of every dual edge, by (source, target) dual vertex."""
+    pairs = zip(dual.edge_src.tolist(), dual.edge_dst.tolist())
+    return dict(zip(pairs, dual.reverse_mask.tolist()))
 
 
 class TestBuildDual:
     def test_worked_example(self, junction_graph):
         dual = build_dual(junction_graph)
         # dual edge (CB, BA) exists
-        assert dual.dual_edge_index(3, 1) is not None
+        assert (3, 1) in _reverse_flags(dual)
 
     def test_dual_edge_set(self, junction_graph):
         dual = build_dual(junction_graph)
@@ -186,21 +207,21 @@ class TestBuildDual:
         for u, v in zip(dual.edge_src, dual.edge_dst):
             assert g.heads[u] == g.tails[v]
         # completeness: every consecutive pair appears
+        flags = _reverse_flags(dual)
         for u in range(g.n_edges):
             for v in range(g.n_edges):
                 expected = g.heads[u] == g.tails[v]
-                assert (dual.dual_edge_index(u, v) is not None) == expected
+                assert ((u, v) in flags) == expected
 
     def test_reverse_pairs_marked_both_orders(self, junction_graph):
-        dual = build_dual(junction_graph)
+        flags = _reverse_flags(build_dual(junction_graph))
         # u-turn dual edges are kept, and marked in both orders
         for u, v in ((0, 1), (1, 0), (2, 3), (3, 2)):  # AB / BA, BC / CB
-            assert dual.reverse_mask[dual.dual_edge_index(u, v)]
-        assert not dual.reverse_mask[dual.dual_edge_index(0, 2)]
+            assert flags[u, v]
+        assert not flags[0, 2]
 
     def test_u_turn_dual_edges_included(self, junction_graph):
-        dual = build_dual(junction_graph)
-        assert dual.dual_edge_index(0, 1) is not None  # AB -> BA
+        assert (0, 1) in _reverse_flags(build_dual(junction_graph))  # AB -> BA
 
     def test_deterministic(self, junction_graph):
         d1 = build_dual(junction_graph)
@@ -262,5 +283,5 @@ def test_build_dual_matches_the_loop(shape):
 def test_default_schedule_is_valid():
     schedule = peak_offpeak_schedule()
     assert schedule.tags == ("OFFPEAK", "PEAK", "WEEKENDS")
-    assert schedule.tag_of(WEEKDAY, 419.9) == 0
-    assert schedule.tag_of(WEEKDAY, 420.0) == 1
+    assert record_tag_weights(LinkRecord(0, WEEKDAY, 419.0, 419.9), schedule) == [(0, 1.0)]
+    assert _tag_at(schedule, WEEKDAY, 420.0) == 1

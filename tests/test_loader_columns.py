@@ -109,7 +109,7 @@ def load_trips_rowwise(trips_path, costs_path, graph):
             problems.append(f"{trips_path}:{lineno}: {exc}")
             continue
         try:
-            edge = graph.edge_index(edge_id)
+            edge = graph.edge_lookup[edge_id]
         except KeyError:
             unknown_edges.append(f"{trips_path}:{lineno}: unknown edge id {edge_id!r}")
             continue
@@ -227,7 +227,7 @@ def load_weights_rowwise(path, graph):
             continue
         edge_id, tag_name, value_text, flag_text = (field.strip() for field in row)
         try:
-            edge = graph.edge_index(edge_id)
+            edge = graph.edge_lookup[edge_id]
         except KeyError:
             problems.append(f"{path}:{lineno}: unknown edge id {edge_id!r}")
             continue
@@ -418,7 +418,7 @@ def write_weights_rowwise(path, graph, costs, mask=None):
             for edge in range(graph.n_edges):
                 flag = 1 if mask is None else int(bool(mask[tag * graph.n_edges + edge]))
                 writer.writerow([graph.edge_ids[edge], graph.tag_schedule.tags[tag],
-                                 "%.12g" % costs.entry(edge, tag), flag])
+                                 "%.12g" % costs.values[tag * graph.n_edges + edge], flag])
 
 
 def save_network_rowwise(graph, path):
@@ -521,7 +521,7 @@ def test_subset_and_table_build_equal_trips():
     assert trips.subset([1])[0] == trips[1] == trips[-1]
     with pytest.raises(IndexError):
         trips[2]
-    lazy = TripSet.from_table(trips.table, trips.costs())
+    lazy = TripSet.from_table(trips.table, trips.costs(), trips.ids())
     assert tuple(lazy) == tuple(trips)
 
 

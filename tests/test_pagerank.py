@@ -22,6 +22,11 @@ from roadcost.trips import TripSet, partition_by_tag
 from conftest import make_trip, stationary_bruteforce, tripset
 
 
+def _dense_transitions(dense: np.ndarray) -> TransitionMatrix:
+    """A tag-0 transition matrix holding ``dense``; all-zero rows are dead ends."""
+    return TransitionMatrix(tag=0, matrix=sp.csr_matrix(dense), dangling=~dense.any(axis=1))
+
+
 def _junction_trips(n_bc: int, n_bd: int, n_ba: int, start: float) -> TripSet:
     """Two-leg trips entering junction B via AB and continuing to BC/BD/BA."""
     trips = []
@@ -143,18 +148,18 @@ class TestDualWeights:
 
 class TestPagerank:
     def test_two_cycle(self):
-        m = TransitionMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        m = _dense_transitions(np.array([[0.0, 1.0], [1.0, 0.0]]))
         pr = pagerank(m)
         assert pr.values == pytest.approx([0.5, 0.5], abs=1e-10)
 
     def test_three_cycle(self):
         dense = np.zeros((3, 3))
         dense[0, 1] = dense[1, 2] = dense[2, 0] = 1.0
-        pr = pagerank(TransitionMatrix.from_dense(dense))
+        pr = pagerank(_dense_transitions(dense))
         assert pr.values == pytest.approx([1 / 3] * 3, abs=1e-10)
 
     def test_two_state_chain(self):
-        m = TransitionMatrix.from_dense(np.array([[0.0, 1.0], [0.5, 0.5]]))
+        m = _dense_transitions(np.array([[0.0, 1.0], [0.5, 0.5]]))
         pr = pagerank(m)
         assert pr.values == pytest.approx([1 / 3, 2 / 3], abs=1e-9)
 
@@ -177,7 +182,7 @@ class TestPagerank:
                 [1.0, 0.0, 0.0, 0.0],
             ]
         )
-        pr = pagerank(TransitionMatrix.from_dense(dense), tol=1e-12)
+        pr = pagerank(_dense_transitions(dense), tol=1e-12)
         oracle = stationary_bruteforce(dense)
         assert pr.values == pytest.approx(oracle, abs=1e-10)
 
@@ -206,7 +211,7 @@ class TestPagerank:
                 [0.0, 0.0, 0.0, 0.0],
             ]
         )
-        m = TransitionMatrix.from_dense(dense)
+        m = _dense_transitions(dense)
         pr = pagerank(m, tol=1e-14)
         assert np.abs(pr.values - stationary_bruteforce(m.dense())).max() <= 1e-14
         assert pr.iterations == 0
@@ -214,7 +219,7 @@ class TestPagerank:
     def test_dead_end_outside_closed_class_is_transient(self):
         # 0 is absorbing; the dead end 1 jumps uniformly, so it leaks into 0
         # without any explicit edge leaving it
-        m = TransitionMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        m = _dense_transitions(np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert pagerank(m).values.tolist() == [1.0, 0.0]
 
     def test_two_closed_classes_and_transients(self, caplog):
@@ -224,7 +229,7 @@ class TestPagerank:
         dense[3, 4], dense[3, 2] = 0.5, 0.5
         dense[5, 0], dense[5, 6] = 0.5, 0.5
         dense[6, 2], dense[6, 5] = 0.9, 0.1
-        m = TransitionMatrix.from_dense(dense)
+        m = _dense_transitions(dense)
         with caplog.at_level(logging.WARNING, logger="roadcost.pagerank"):
             pr = pagerank(m, tol=1e-14)
         assert "2 closed component(s), 2 unreachable" in caplog.text
@@ -239,7 +244,7 @@ class TestPagerank:
         dense[0, 1] = dense[3, 1] = dense[4, 3] = 1.0
         dense[1, 0], dense[1, 3] = 0.9, 0.1
         dense[2, 0], dense[2, 3] = 0.7, 0.3
-        pr = pagerank(TransitionMatrix.from_dense(dense), tol=1e-14)
+        pr = pagerank(_dense_transitions(dense), tol=1e-14)
         assert pr.values == pytest.approx([0.45, 0.5, 0.0, 0.05, 0.0], abs=1e-15)
 
     def test_grid_solve_is_exact(self, grid20_transitions):

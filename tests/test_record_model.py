@@ -176,7 +176,8 @@ def test_same_edge_twice_accumulates(junction_graph):
     assert q[0, 0] == 2 * junction_graph.lengths[0]
     dual = build_dual(junction_graph)
     m = dual_weights(dual, trips)
-    k01, k10 = dual.dual_edge_index(0, 1), dual.dual_edge_index(1, 0)
+    pairs = list(zip(dual.edge_src.tolist(), dual.edge_dst.tolist()))
+    k01, k10 = pairs.index((0, 1)), pairs.index((1, 0))
     # AB has 3 successors and one observed turn, BA has 1 and one
     assert m.edge_probs[k01] == 2 / 4 and m.edge_probs[k10] == 2 / 2
 

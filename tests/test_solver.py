@@ -23,7 +23,7 @@ from roadcost.solver import (
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, trip_cost
 
-from conftest import make_trip, tripset
+from conftest import entry, make_trip, tripset
 
 
 def similarity_penalty_oracle(prs, d, threshold):
@@ -99,15 +99,15 @@ class TestBuildQ:
         trips = tripset(Trip((LinkRecord(0, WEEKDAY, 100.0, 101.0),), 5.0))
         q = build_q(trips, junction_graph)
         col = q.toarray()[:, 0]
-        assert col[junction_graph.entry_index(0, 0)] == 100.0
+        assert col[entry(junction_graph, 0, 0)] == 100.0
         assert np.count_nonzero(col) == 1
 
     def test_straddling_record(self, junction_graph):
         trips = tripset(Trip((LinkRecord(2, WEEKDAY, 410.0, 425.0),), 5.0))
         q = build_q(trips, junction_graph).toarray()[:, 0]
         length = junction_graph.lengths[2]
-        assert q[junction_graph.entry_index(2, 0)] == pytest.approx(length * 10 / 15)
-        assert q[junction_graph.entry_index(2, 1)] == pytest.approx(length * 5 / 15)
+        assert q[entry(junction_graph, 2, 0)] == pytest.approx(length * 10 / 15)
+        assert q[entry(junction_graph, 2, 1)] == pytest.approx(length * 5 / 15)
 
     def test_repeat_traversal_accumulates(self, junction_graph):
         records = (
@@ -115,7 +115,7 @@ class TestBuildQ:
             LinkRecord(0, WEEKDAY, 200.0, 201.0),
         )
         q = build_q(tripset(Trip(records, 0.0)), junction_graph).toarray()[:, 0]
-        assert q[junction_graph.entry_index(0, 0)] == 200.0
+        assert q[entry(junction_graph, 0, 0)] == 200.0
 
     def test_matches_trip_cost_model(self):
         for seed in range(10):

@@ -85,6 +85,8 @@ class TestGenerationBasics:
         spec = SyntheticSpec(rows=5, cols=5, n_trips=60, trip_len=(5, 10))
         graph, _, trips = generate_synthetic(spec, seed=3)
         dual = build_dual(graph)
+        reverse_of = dict(zip(zip(dual.edge_src.tolist(), dual.edge_dst.tolist()),
+                              dual.reverse_mask.tolist()))  # KeyError: no such turn
         for trip in trips:
             for r1, r2 in zip(trip.records, trip.records[1:]):
                 reverse = (
@@ -92,8 +94,7 @@ class TestGenerationBasics:
                     and graph.heads[r1.edge] == graph.tails[r2.edge]
                 )
                 assert not reverse
-                k = dual.dual_edge_index(r1.edge, r2.edge)
-                assert k is not None and not dual.reverse_mask[k]
+                assert not reverse_of[r1.edge, r2.edge]
 
     def test_walk_longer_than_a_day_raises(self):
         # 3 km segments at <= 65 km/h take >= 166 s each; 600 of them exceed a day
@@ -209,9 +210,9 @@ class TestSpecValidation:
     def test_equal_split_schedule_partitions(self):
         schedule = equal_split_schedule(("A", "B", "C"))
         assert schedule.n_tags == 3
-        assert schedule.tag_of("weekday", 0.0) == 0
-        assert schedule.tag_of("weekday", 500.0) == 1
-        assert schedule.tag_of("weekend", 720.0) == 0
+        assert schedule.day_rules("weekday") == [(0.0, 480.0, 0), (480.0, 960.0, 1),
+                                                 (960.0, 1440.0, 2)]
+        assert schedule.day_rules("weekend") == [(0.0, 1440.0, 0)]
 
 
 # sha256 of every file ``save_dataset`` writes, for specs that together take
@@ -419,8 +420,9 @@ def generate_reference(spec, seed):
             or n_covered / graph.n_edges >= spec.coverage - 1e-12
             or spec.cover_all_entries
         ):
-            priced = trip_costs(TripSet.from_table(table, np.zeros(len(factors))), graph, truth)
-            return graph, truth, TripSet.from_table(table, priced * factors)
+            ids = np.array([f"t{k:05d}" for k in range(len(factors))], dtype=object)
+            priced = trip_costs(TripSet.from_table(table, np.zeros(len(ids)), ids), graph, truth)
+            return graph, truth, TripSet.from_table(table, priced * factors, ids)
     raise GenerationError(
         f"could not reach edge coverage {spec.coverage:.2f} with "
         f"{spec.n_trips} trips of length {spec.trip_len} (got {n_covered / graph.n_edges:.2f})"
@@ -465,6 +467,7 @@ def test_generator_matches_reference(name, seed):
     for got, want in zip(trips.table, want_trips.table):
         assert_bitwise_equal(got, want)
     assert_bitwise_equal(trips.costs(), want_trips.costs())
+    assert trips.ids().tolist() == want_trips.ids().tolist()
     assert_bitwise_equal(graph.lengths, want_graph.lengths)
     assert_bitwise_equal(graph.speed_limits, want_graph.speed_limits)
     assert_bitwise_equal(truth.values, want_truth.values)

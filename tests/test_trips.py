@@ -15,7 +15,7 @@ from roadcost.trips import (
     trip_cost,
 )
 
-from conftest import make_trip, tripset
+from conftest import entry, make_trip, tripset
 
 
 class TestLinkRecordValidation:
@@ -91,15 +91,15 @@ class TestTagWeight:
 class TestTripCost:
     def test_single_record_single_tag(self, junction_graph):
         d = CostVector.zeros(junction_graph)
-        d.values[junction_graph.entry_index(0, 0)] = 0.05
+        d.values[entry(junction_graph, 0, 0)] = 0.05
         trip = Trip((LinkRecord(0, WEEKDAY, 100.0, 101.0),), 0.0)
         assert trip_cost(trip, junction_graph, d) == pytest.approx(0.05 * 100.0)
 
     def test_straddling_record_mixes_tags(self, junction_graph):
         a, b = 0.02, 0.07
         d = CostVector.zeros(junction_graph)
-        d.values[junction_graph.entry_index(2, 0)] = a
-        d.values[junction_graph.entry_index(2, 1)] = b
+        d.values[entry(junction_graph, 2, 0)] = a
+        d.values[entry(junction_graph, 2, 1)] = b
         trip = Trip((LinkRecord(2, WEEKDAY, 410.0, 425.0),), 0.0)
         length = junction_graph.lengths[2]
         expected = (10 * a + 5 * b) * length / 15
@@ -168,6 +168,11 @@ class TestSplit:
         trips = tripset(*[make_trip([0], cost=i) for i in range(10)])
         train, test = split_trips(trips, 0.5, seed=0)
         assert len(train) == 5 and len(test) == 5
+
+    def test_halves_carry_the_ids(self):
+        trips = tripset(*[make_trip([0], cost=i) for i in range(10)])
+        for half in split_trips(trips, 0.5, seed=0):
+            assert half.ids().tolist() == [f"t{int(cost):05d}" for cost in half.costs()]
 
     def test_rounding(self):
         trips = tripset(*[make_trip([0], cost=i) for i in range(5)])
