@@ -193,7 +193,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             trips, graph, dual, config,
             fractions=fractions,
             test_fraction=1.0 - args.train_fraction,
-            variant=config.variant,
         )
         rows = [("%.3f" % f, "%.6f" % s) for f, s in sweep]
         write_csv(out / "sweep.csv", ["train_pool_fraction", "ssl"], len(rows), _columns(rows))
@@ -218,7 +217,7 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
 
     tag = tag_names.index(args.tag) if args.tag else 0
     pr = pagerank(transitions[tag], tol=config.pr_tol)
-    percentages, _ = pagerank_stats(pr)
+    percentages = pagerank_stats(pr)
     buckets = [(str(b + 1), "%.17g" % p) for b, p in enumerate(percentages.tolist())]
     write_csv(
         out / "pagerank_buckets.csv", ["bucket", "percentage"], len(buckets), _columns(buckets)

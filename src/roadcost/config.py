@@ -29,7 +29,10 @@ class RunConfig:
     threshold filters segment pairs by PageRank ratio; the highway cutoff
     splits edges into highway/urban categories for the adjacency penalty.
     These fields are the one list of run settings: the config-file keys and
-    the command-line flags are read off them.
+    the command-line flags are read off them, and every library entry point
+    takes its variant, seed and gamma from here (grid_search searches alpha
+    and beta alone; training_size_sweep's seed, for its split, defaults to
+    this one).
     """
 
     alpha: float = 1.0

@@ -524,8 +524,16 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
 def save_trips(
     trips: TripSet, graph: RoadGraph, trips_path: str | Path, costs_path: str | Path
 ) -> None:
-    table = trips.table
+    """Write the trips and costs files; a trip set that repeats an id, which
+    load_trips could not read back, is refused before either is opened."""
     names = trips.ids()
+    if len(set(names.tolist())) < len(names):
+        seen = set()
+        for name in names.tolist():
+            if name in seen:
+                raise ValueError(f"trip id {name!r} is repeated; a trips file names each trip once")
+            seen.add(name)
+    table = trips.table
     first = np.searchsorted(table.trip, np.arange(len(trips)))
     seq = np.arange(len(table.trip)) - first[table.trip]
     edge_ids = np.array(graph.edge_ids, dtype=object)

@@ -78,11 +78,10 @@ class EvalReport:
 
 @dataclass
 class ConstraintMatrices:
-    """Q, the similarity Laplacian, the adjacency matrix, its Laplacian, and Q's pattern."""
+    """Q, the similarity Laplacian, the adjacency Laplacian, and Q's pattern."""
 
     q: sp.csr_matrix
     l_a: SimilarityLaplacian
-    b: sp.csr_matrix
     l_b: sp.csr_matrix
     pattern: AugmentedPattern  # Q's: one factor ordering for every solve here
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -92,19 +91,17 @@ class ConstraintMatrices:
 
         The mask depends only on Q and on which of A and B are active, not on
         their coefficients, so every solve with the same active set shares it.
-        The array is read-only for that reason.
+        The array is read-only for that reason. A's components are read off
+        its chain, B's off L_B: its off-diagonal pattern is B's, and its
+        diagonal adds only self-loops.
         """
         key = (bool(use_a), bool(use_b))
         if key not in self._masks:
-            mask = annotated_mask(self.q, self.a if key[0] else None, self.b if key[1] else None)
+            a = self.l_a.chain() if key[0] else None
+            mask = annotated_mask(self.q, a, self.l_b if key[1] else None)
             mask.flags.writeable = False
             self._masks[key] = mask
         return self._masks[key]
-
-    @property
-    def a(self) -> sp.csr_matrix:
-        """A sparse graph with the similarity matrix's connected components."""
-        return self.l_a.chain()
 
 
 def build_constraints(
@@ -115,9 +112,9 @@ def build_constraints(
     transitions = transition_matrices(dual, partitions)
     prs = [pagerank(tm, tol=config.pr_tol) for tm in transitions]
     l_a = SimilarityLaplacian(prs, config.similarity_threshold)
-    b = build_b(transitions, dual, graph.is_highway(config.highway_cutoff_kmh))
+    l_b = laplacian(build_b(transitions, dual, graph.is_highway(config.highway_cutoff_kmh)))
     q = build_q(train, graph)
-    return ConstraintMatrices(q=q, l_a=l_a, b=b, l_b=laplacian(b), pattern=AugmentedPattern(q))
+    return ConstraintMatrices(q=q, l_a=l_a, l_b=l_b, pattern=AugmentedPattern(q))
 
 
 def solve_variant(
@@ -214,62 +211,51 @@ def grid_search(
     base_config: RunConfig,
     alphas: Sequence[float] = (0.1, 1.0, 10.0),
     betas: Sequence[float] = (0.1, 1.0, 10.0),
-    gammas: Sequence[float] = (1e-4,),
-    n_folds: int = 3,
-    variant: str = "F4",
-    seed: Optional[int] = None,
 ) -> tuple[RunConfig, list[dict]]:
-    """Pick (alpha, beta, gamma) by k-fold cross-validated held-out SSL.
+    """Pick (alpha, beta) by 3-fold cross-validated held-out SSL.
 
-    The constraint matrices depend only on the fold's training trips, so
-    each fold assembles them once and reuses them across the whole grid.
-    Within a fold the combinations are visited in snake order: alpha by
-    alpha, with the (beta, gamma) pairs reversed on every other alpha, so a
-    new alpha starts at the pair the last one ended on. Each solve starts CG
-    from the previous one's masked weights (folds differ in Q, so each fold
-    starts from zero). Where CG stops depends on where it starts, within
-    cg_tol; at the default 1e-8 the residual leaves mean SSL values of the
-    order of 1e-3 relative off the exact minimizer's, warm or cold, so
-    combinations whose scores are that close (a near-tie) can be picked
-    either way.
+    Every other setting is base_config's: the variant fitted, gamma, and the
+    seed that shuffles the trips into folds. The constraint matrices depend
+    only on the fold's training trips, so each fold assembles them once and
+    reuses them across the whole grid. Within a fold the combinations are
+    visited in snake order: alpha by alpha, with the betas reversed on every
+    other alpha, so a new alpha starts at the beta the last one ended on.
+    Each solve starts CG from the previous one's masked weights (folds
+    differ in Q, so each fold starts from zero). Where CG stops depends on
+    where it starts, within cg_tol; at the default 1e-8 the residual leaves
+    mean SSL values of the order of 1e-3 relative off the exact minimizer's,
+    warm or cold, so combinations whose scores are that close (a near-tie)
+    can be picked either way.
 
-    Every combination's configuration and the variant are checked before
-    any fold is fitted. Returns the best configuration and the full score
-    table (mean SSL over folds per combination, alpha-major),
+    Every combination's configuration is checked before any fold is fitted.
+    Returns the best configuration and the full score table (mean SSL over
+    folds per combination, alpha-major, with base_config's gamma),
     deterministically for a fixed seed.
     """
-    seed = base_config.seed if seed is None else seed
-    if n_folds < 2:
-        raise ValueError(f"cross-validation needs at least 2 folds, got {n_folds}")
-    n = len(trips)
+    alphas, betas = tuple(alphas), tuple(betas)
+    n, n_folds = len(trips), 3
     if n < n_folds:
         raise ValueError(f"{n} trips cannot form {n_folds} folds")
-    if not min(len(alphas), len(betas), len(gammas)):
+    if not (alphas and betas):
         raise ValueError(
-            "the grid needs at least one value each of alpha, beta and gamma, got "
-            f"alphas={tuple(alphas)}, betas={tuple(betas)}, gammas={tuple(gammas)}"
+            "the grid needs at least one value each of alpha and beta, got "
+            f"alphas={alphas}, betas={betas}"
         )
-    base_config.variant_coefficients(variant)  # raises on an unknown variant
-    combos = [
-        (alpha, beta, gamma) for alpha in alphas for beta in betas for gamma in gammas
-    ]
     configs = {  # builds, and so checks, every combination's settings
-        combo: replace(base_config, alpha=combo[0], beta=combo[1], gamma=combo[2])
-        for combo in combos
+        (alpha, beta): replace(base_config, alpha=alpha, beta=beta)
+        for alpha in alphas
+        for beta in betas
     }
-    inner = [(beta, gamma) for beta in betas for gamma in gammas]
     snake = [
-        (alpha, *pair)
+        (alpha, beta)
         for i, alpha in enumerate(alphas)
-        for pair in (inner[::-1] if i % 2 else inner)
+        for beta in (betas[::-1] if i % 2 else betas)
     ]
-    order = np.random.default_rng(seed).permutation(n)
-    folds = [order[k::n_folds] for k in range(n_folds)]
-
-    scores = {combo: [] for combo in combos}
+    order = np.random.default_rng(base_config.seed).permutation(n)
+    scores = {combo: [] for combo in configs}
     for k in range(n_folds):
         in_val = np.zeros(n, dtype=bool)
-        in_val[folds[k]] = True
+        in_val[order[k::n_folds]] = True
         fold_train = trips.subset(np.flatnonzero(~in_val))
         fold_val = trips.subset(np.flatnonzero(in_val))
         matrices = build_constraints(fold_train, graph, dual, base_config)
@@ -277,25 +263,17 @@ def grid_search(
         start = None
         for combo in snake:
             weights, _, _ = solve_variant(
-                matrices, train_costs, graph, configs[combo], variant, x0=start
+                matrices, train_costs, graph, configs[combo], base_config.variant, x0=start
             )
             scores[combo].append(ssl(fold_val, graph, weights))
             start = weights.values
 
     table = [
-        {
-            "alpha": alpha,
-            "beta": beta,
-            "gamma": gamma,
-            "mean_ssl": float(np.mean(scores[(alpha, beta, gamma)])),
-        }
-        for alpha, beta, gamma in combos
+        {"alpha": alpha, "beta": beta, "gamma": base_config.gamma, "mean_ssl": float(np.mean(s))}
+        for (alpha, beta), s in scores.items()
     ]
     best = min(table, key=lambda row: row["mean_ssl"])
-    best_config = replace(
-        base_config, alpha=best["alpha"], beta=best["beta"], gamma=best["gamma"]
-    )
-    return best_config, table
+    return configs[best["alpha"], best["beta"]], table
 
 
 def pool_fractions(values: Iterable) -> tuple[float, ...]:
@@ -314,10 +292,10 @@ def training_size_sweep(
     config: RunConfig,
     fractions: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
     test_fraction: float = 0.2,
-    variant: str = "F4",
     seed: Optional[int] = None,
 ) -> list[tuple[float, float]]:
-    """Held-out SSL as the training pool is subsampled at several fractions.
+    """Held-out SSL of config.variant as the training pool is subsampled at
+    several fractions.
 
     Reserves a fixed test set, then reuses prefixes of one shuffled training
     pool so larger fractions strictly contain smaller ones.
@@ -331,6 +309,6 @@ def training_size_sweep(
         n = max(1, int(round(fraction * len(pool))))
         subset = pool.subset(order[:n])
         matrices = build_constraints(subset, graph, dual, config)
-        weights, _, _ = solve_variant(matrices, subset.costs(), graph, config, variant)
+        weights, _, _ = solve_variant(matrices, subset.costs(), graph, config, config.variant)
         results.append((float(fraction), ssl(test, graph, weights)))
     return results

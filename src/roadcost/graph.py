@@ -149,9 +149,9 @@ class RoadGraph:
         lengths: Sequence[float],
         schedule: TagSchedule,
         speed_limits: Optional[Sequence[Optional[float]]] = None,
-        edge_ids: Optional[Sequence[str]] = None,
     ) -> "RoadGraph":
-        """Build a graph from vertex/edge id lists, preserving edge order."""
+        """Build a graph from vertex/edge id lists, preserving edge order; edge
+        i is named ``e{i}``."""
         vertex_ids = tuple(str(v) for v in vertices)
         index = {v: i for i, v in enumerate(vertex_ids)}
         missing = [f"{t}->{h}" for t, h in edges if t not in index or h not in index]
@@ -163,11 +163,9 @@ class RoadGraph:
             sl = np.full(len(edges), np.nan)
         else:
             sl = np.array([np.nan if s is None else float(s) for s in speed_limits])
-        if edge_ids is None:
-            edge_ids = tuple(f"e{i}" for i in range(len(edges)))
         return cls(
             vertex_ids=vertex_ids,
-            edge_ids=tuple(str(e) for e in edge_ids),
+            edge_ids=tuple(f"e{i}" for i in range(len(edges))),
             tails=tails,
             heads=heads,
             lengths=np.asarray(lengths, dtype=float).copy(),
@@ -220,10 +218,6 @@ class CostVector:
                 f"cost vector has {self.values.shape} values, "
                 f"expected ({self.n_edges * self.n_tags},)"
             )
-
-    @classmethod
-    def zeros(cls, graph: RoadGraph) -> "CostVector":
-        return cls(np.zeros(graph.n_entries), graph.n_edges, graph.n_tags)
 
     def matches(self, graph: RoadGraph) -> bool:
         return self.n_edges == graph.n_edges and self.n_tags == graph.n_tags

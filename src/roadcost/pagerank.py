@@ -225,13 +225,13 @@ def pagerank(m: TransitionMatrix, tol: float = DEFAULT_TOL, max_iters: int = 3) 
         steps += 1
 
 
-def pagerank_stats(pr: PageRankVector) -> tuple[np.ndarray, float]:
+def pagerank_stats(pr: PageRankVector) -> np.ndarray:
     """Histogram of normalized PageRank values over 100 buckets.
 
     Values are scaled so the maximum maps to 100; bucket b (1-based) counts
-    vertices with scaled value in (b-1, b]. Returns (percentages, max value);
-    the percentages sum to 100. Zero entries (possible only on reducible
-    graphs) land in the first bucket.
+    vertices with scaled value in (b-1, b]. Returns the percentages, which
+    sum to 100. Zero entries (possible only on reducible graphs) land in the
+    first bucket.
     """
     values = pr.values
     vmax = float(values.max()) if len(values) else 0.0
@@ -240,7 +240,7 @@ def pagerank_stats(pr: PageRankVector) -> tuple[np.ndarray, float]:
     scaled = np.minimum(100.0 * values / vmax, 100.0)
     buckets = np.maximum(np.ceil(scaled).astype(int), 1)
     histogram = np.bincount(buckets, minlength=101)[1:101].astype(float)
-    return 100.0 * histogram / len(values), vmax
+    return 100.0 * histogram / len(values)
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,6 @@ class DegreeStats:
     max_in: int
     max_out: int
     avg_degree: float
-    in_hist: np.ndarray
-    out_hist: np.ndarray
 
 
 def degree_stats(dual: DualGraph) -> DegreeStats:
@@ -266,6 +264,4 @@ def degree_stats(dual: DualGraph) -> DegreeStats:
         max_in=int(ins.max(initial=0)),
         max_out=int(outs.max(initial=0)),
         avg_degree=dual.n_edges / dual.n_vertices if dual.n_vertices else 0.0,
-        in_hist=np.bincount(ins),
-        out_hist=np.bincount(outs),
     )

@@ -356,7 +356,6 @@ def solve_weights(
     beta: float,
     gamma: float,
     tol: float = DEFAULT_CG_TOL,
-    max_iters: Optional[int] = None,
     pattern: Optional[AugmentedPattern] = None,
     x0: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, SolveInfo]:
@@ -373,9 +372,8 @@ def solve_weights(
     at zero (a warm start from the solution of a nearby system); the stop
     test does not change, so the result meets the same tol. Returns the cost
     vector and solve statistics; raises ConvergenceError when the relative
-    residual does not reach tol within max_iters (default 10x the number of
-    unknowns), at the first non-finite residual, and when the factorization
-    meets a zero pivot.
+    residual does not reach tol within 10 iterations per unknown, at the
+    first non-finite residual, and when the factorization meets a zero pivot.
     """
     if not np.isfinite([alpha, beta, gamma]).all():
         raise ValueError("alpha, beta and gamma must be finite")
@@ -412,8 +410,6 @@ def solve_weights(
 
     b = q @ np.asarray(costs, dtype=float)
     b_norm = float(np.linalg.norm(b))
-    if max_iters is None:
-        max_iters = 10 * n
     if b_norm == 0.0:
         return np.zeros(n), SolveInfo(iterations=0, residual=0.0)
 
@@ -461,7 +457,7 @@ def solve_weights(
                 )
             r = true_r  # recurrence drifted; restart from the true residual
             res_norm = true_norm
-        if iterations >= max_iters:
+        if iterations >= 10 * n:
             raise ConvergenceError(
                 "conjugate gradient did not converge", res_norm / b_norm, iterations
             )

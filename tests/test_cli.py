@@ -422,6 +422,8 @@ def test_synth_rejects_non_finite_bounds(tmp_path, capsys, extra, message):
         ([], "alpha=0.5\ngamma=0\n",
          "run.cfg:2: gamma=0: gamma must be positive and finite, got 0.0"),
         (["--cg-tol", "1"], None, "cg_tol must be below 1, got 1.0"),
+        ([], "variant = F9\n",
+         "run.cfg:1: variant=F9: variant must be one of ['F1', 'F2', 'F3', 'F4']"),
     ],
 )
 def test_bad_run_setting_exits_2_before_loading(

@@ -228,6 +228,16 @@ class TestTripsIO:
         for name in ("trips.csv", "costs.csv"):
             assert (second / name).read_bytes() == (first / name).read_bytes()
 
+    def test_repeated_trip_id_refused_before_writing(self, tmp_path, synth_dataset):
+        graph, _, trips = synth_dataset
+        repeated = trips.subset([0, 0, 1])  # fine in memory
+        assert repeated.ids().tolist() == ["t00000", "t00000", "t00001"]
+        assert repeated.costs().tolist() == trips.costs()[[0, 0, 1]].tolist()
+        with pytest.raises(ValueError, match="trip id 't00000' is repeated"):
+            save_trips(repeated, graph, tmp_path / "trips.csv", tmp_path / "costs.csv")
+        assert not (tmp_path / "trips.csv").exists()
+        assert not (tmp_path / "costs.csv").exists()
+
     def test_unknown_edge_reported_with_row(self, tmp_path, synth_dataset):
         graph, _, _ = synth_dataset
         (tmp_path / "trips.csv").write_text(

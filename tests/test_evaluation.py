@@ -20,7 +20,7 @@ from roadcost.evaluation import (
 )
 from roadcost.graph import CostVector, RoadGraph, build_dual
 from roadcost.pagerank import pagerank, transition_matrices
-from roadcost.solver import annotated_mask, build_a, solve_weights
+from roadcost.solver import annotated_mask, build_a, build_b, solve_weights
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, split_trips
 
@@ -175,7 +175,7 @@ class TestRunComparison:
     def test_f1_training_fit_beats_zero_weights(self, small_experiment):
         graph, dual, _, _, train, test = small_experiment
         report = run_comparison(train, train, graph, dual, RunConfig(gamma=1e-8))
-        zero = CostVector.zeros(graph)
+        zero = CostVector(np.zeros(graph.n_entries), graph.n_edges, graph.n_tags)
         assert report.ssl_per_variant["F1"] <= ssl(train, graph, zero)
 
     def test_unknown_variant_rejected(self, small_experiment):
@@ -235,6 +235,17 @@ def test_training_size_sweep_shape(small_experiment):
     assert all(s >= 0 for _, s in results)
 
 
+def test_training_size_sweep_fits_the_config_variant(small_experiment):
+    # F1 ignores alpha and beta, so an F1 sweep cannot tell them apart
+    graph, dual, _, trips, _, _ = small_experiment
+
+    def sweep(**settings):
+        config = RunConfig(variant="F1", **settings)
+        return training_size_sweep(trips, graph, dual, config, fractions=(0.5, 1.0))
+
+    assert sweep() == sweep(alpha=1000.0, beta=1000.0)
+
+
 @pytest.mark.parametrize("fractions", [(0.0,), (0.5, 1.5), (-2.0,), (float("nan"),)])
 def test_training_size_sweep_rejects_fractions_outside_unit_interval(
     small_experiment, fractions, monkeypatch
@@ -253,9 +264,7 @@ class TestGridSearch:
     def test_picks_grid_minimum(self, small_experiment):
         graph, dual, _, trips, _, _ = small_experiment
         best, table = grid_search(
-            trips, graph, dual, RunConfig(),
-            alphas=(0.1, 1.0), betas=(0.5, 4.0), gammas=(1e-4,),
-            n_folds=3, seed=8,
+            trips, graph, dual, RunConfig(seed=8), alphas=(0.1, 1.0), betas=(0.5, 4.0)
         )
         assert len(table) == 4
         best_row = min(table, key=lambda r: r["mean_ssl"])
@@ -264,41 +273,27 @@ class TestGridSearch:
 
     def test_deterministic(self, small_experiment):
         graph, dual, _, trips, _, _ = small_experiment
-        _, t1 = grid_search(trips, graph, dual, RunConfig(), alphas=(1.0,),
-                            betas=(1.0, 2.0), n_folds=2, seed=8)
-        _, t2 = grid_search(trips, graph, dual, RunConfig(), alphas=(1.0,),
-                            betas=(1.0, 2.0), n_folds=2, seed=8)
+        _, t1 = grid_search(trips, graph, dual, RunConfig(seed=8), alphas=(1.0,),
+                            betas=(1.0, 2.0))
+        _, t2 = grid_search(trips, graph, dual, RunConfig(seed=8), alphas=(1.0,),
+                            betas=(1.0, 2.0))
         assert t1 == t2
 
     def test_too_few_trips(self, small_experiment):
         graph, dual, _, _, _, _ = small_experiment
         tiny = TripSet(tuple())
-        with pytest.raises(ValueError, match="folds"):
-            grid_search(tiny, graph, dual, RunConfig(), n_folds=3)
-
-    @pytest.mark.parametrize("n_folds", [1, 0, -2])
-    def test_fewer_than_two_folds_rejected(self, small_experiment, monkeypatch, n_folds):
-        graph, dual, _, trips, _, _ = small_experiment
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("folds are checked before any fit")
-
-        monkeypatch.setattr(evaluation, "build_constraints", no_fit)
-        with pytest.raises(ValueError, match=f"at least 2 folds, got {n_folds}"):
-            grid_search(trips, graph, dual, RunConfig(), n_folds=n_folds)
+        with pytest.raises(ValueError, match="0 trips cannot form 3 folds"):
+            grid_search(tiny, graph, dual, RunConfig())
 
     @pytest.mark.parametrize(
         "grid,message",
         [
-            (dict(alphas=()), "at least one value each of alpha, beta and gamma, got "
-                              "alphas=(), betas=(0.1, 1.0, 10.0), gammas=(0.0001,)"),
+            (dict(alphas=()), "at least one value each of alpha and beta, got "
+                              "alphas=(), betas=(0.1, 1.0, 10.0)"),
             (dict(betas=[]), "betas=()"),
-            (dict(gammas=()), "gammas=()"),
-            (dict(variant="F9"), "unknown variant 'F9': must be one of ['F1', 'F2', 'F3', 'F4']"),
             (dict(betas=(1.0, -1.0)), "beta must be finite and non-negative, got -1.0"),
-            (dict(gammas=(1e-4, 0.0)), "gamma must be positive and finite, got 0.0"),
         ],
-        ids=["no-alpha", "no-beta", "no-gamma", "variant", "negative-beta", "zero-gamma"],
+        ids=["no-alpha", "no-beta", "negative-beta"],
     )
     def test_bad_grid_rejected_before_any_fit(self, small_experiment, monkeypatch, grid, message):
         graph, dual, _, trips, _, _ = small_experiment
@@ -310,25 +305,36 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=re.escape(message)):
             grid_search(trips, graph, dual, RunConfig(), **grid)
 
+    def test_variant_and_gamma_come_from_the_config(self, small_experiment):
+        # F1 ignores alpha and beta: every combination fits the same weights
+        graph, dual, _, trips, _, _ = small_experiment
+        best, table = grid_search(trips, graph, dual, RunConfig(variant="F1", seed=8, gamma=1e-3))
+        assert len(table) == 9
+        assert len({row["mean_ssl"] for row in table}) == 1
+        assert {row["gamma"] for row in table} == {1e-3}
+        assert (best.variant, best.gamma, best.seed) == ("F1", 1e-3, 8)
+
     def test_snake_order_with_warm_starts_within_each_fold(self, small_experiment, monkeypatch):
         graph, dual, _, trips, _, _ = small_experiment
         calls, solve = [], evaluation.solve_variant
 
         def recording(matrices, costs, graph, config, variant, *, x0=None):
-            calls.append(((config.alpha, config.beta, config.gamma), x0))
+            calls.append(((config.alpha, config.beta, config.gamma, variant), x0))
             return solve(matrices, costs, graph, config, variant, x0=x0)
 
         monkeypatch.setattr(evaluation, "solve_variant", recording)
-        _, table = grid_search(trips, graph, dual, RunConfig(), alphas=(0.1, 1.0, 10.0),
-                               betas=(0.5, 4.0), gammas=(1e-4, 1e-2), n_folds=2, seed=8)
-        inner = [(0.5, 1e-4), (0.5, 1e-2), (4.0, 1e-4), (4.0, 1e-2)]
-        snake = [(a, *pair) for a, pairs in zip((0.1, 1.0, 10.0), (inner, inner[::-1], inner))
-                 for pair in pairs]
-        assert [combo for combo, _ in calls] == 2 * snake
+        config = RunConfig(seed=8, gamma=1e-2, variant="F2")
+        _, table = grid_search(trips, graph, dual, config, alphas=(0.1, 1.0, 10.0),
+                               betas=(0.5, 4.0))
+        betas = [0.5, 4.0]
+        snake = [(a, b) for a, bs in zip((0.1, 1.0, 10.0), (betas, betas[::-1], betas))
+                 for b in bs]
+        assert [combo for combo, _ in calls] == 3 * [(a, b, 1e-2, "F2") for a, b in snake]
         starts = [x0 for _, x0 in calls]
-        assert starts[0] is None and starts[12] is None  # each fold starts from zero
-        assert all(x0 is not None for x0 in starts[1:12] + starts[13:])
-        assert [(r["alpha"], r["beta"], r["gamma"]) for r in table] == sorted(snake)
+        assert [k for k, x0 in enumerate(starts) if x0 is None] == [0, 6, 12]  # one per fold
+        assert [(r["alpha"], r["beta"], r["gamma"]) for r in table] == [
+            (a, b, 1e-2) for a, b in sorted(snake)
+        ]
 
     def test_one_mask_per_fold(self, small_experiment, monkeypatch):
         graph, dual, _, trips, _, _ = small_experiment
@@ -339,7 +345,7 @@ class TestGridSearch:
             return annotated_mask(*args, **kwargs)
 
         monkeypatch.setattr(evaluation, "annotated_mask", counting_mask)
-        grid_search(trips, graph, dual, RunConfig(), n_folds=3, seed=8)
+        grid_search(trips, graph, dual, RunConfig(seed=8))
         assert len(calls) == 3  # 9 (alpha, beta) solves per fold share one F4 mask
 
     def test_preconditioned_solves_stay_short(self, monkeypatch):
@@ -442,7 +448,7 @@ class TestSharedOrdering:
     def test_one_ordering_per_fold(self, splu_calls):
         spec = SyntheticSpec(rows=12, cols=12, n_trips=144, coverage=0.3, noise=0.05)
         graph, _, trips = generate_synthetic(spec, seed=1)
-        grid_search(trips, graph, build_dual(graph), RunConfig(seed=1), n_folds=3)
+        grid_search(trips, graph, build_dual(graph), RunConfig(seed=1))
         assert splu_calls.count("MMD_AT_PLUS_A") == 3
         assert splu_calls.count("NATURAL") == 24
         assert len(splu_calls) == 27
@@ -480,15 +486,23 @@ class TestSharedOrdering:
             assert all(ref() is None for ref in refs)
 
 
+def _adjacency(train, graph, dual, config):
+    """B itself, which build_constraints keeps only as its Laplacian."""
+    transitions = transition_matrices(dual, partition_by_tag(train, graph.tag_schedule))
+    return build_b(transitions, dual, graph.is_highway(config.highway_cutoff_kmh))
+
+
 class TestConstraintMask:
     def test_matches_annotated_mask_per_active_set(self, small_experiment):
         graph, dual, _, _, train, _ = small_experiment
-        matrices = build_constraints(train, graph, dual, RunConfig())
+        config = RunConfig()
+        matrices = build_constraints(train, graph, dual, config)
+        b = _adjacency(train, graph, dual, config)
         for use_a in (False, True):
             for use_b in (False, True):
                 mask = matrices.mask(use_a, use_b)
                 expected = annotated_mask(
-                    matrices.q, matrices.a if use_a else None, matrices.b if use_b else None
+                    matrices.q, matrices.l_a.chain() if use_a else None, b if use_b else None
                 )
                 assert np.array_equal(mask, expected)
                 assert matrices.mask(use_a, use_b) is mask
@@ -507,12 +521,11 @@ class TestConstraintMask:
         transitions = transition_matrices(dual, partition_by_tag(train, graph.tag_schedule))
         prs = [pagerank(tm, tol=config.pr_tol) for tm in transitions]
         a = build_a(prs, config.similarity_threshold, method="exact")
+        b = _adjacency(train, graph, dual, config)
         masks = set()
         for use_a in (False, True):
             for use_b in (False, True):
-                expected = annotated_mask(
-                    matrices.q, a if use_a else None, matrices.b if use_b else None
-                )
+                expected = annotated_mask(matrices.q, a if use_a else None, b if use_b else None)
                 assert np.array_equal(matrices.mask(use_a, use_b), expected)
                 masks.add(expected.tobytes())
         assert len(masks) > 1  # the active set matters on this instance

@@ -209,9 +209,8 @@ def load_network_rowwise(path, schedule):
         limits.append(limit)
     if problems:
         raise LoadError("malformed-row", problems)
-    return RoadGraph.from_edges(
-        vertices, edges, lengths, schedule, speed_limits=limits, edge_ids=edge_ids
-    )
+    graph = RoadGraph.from_edges(vertices, edges, lengths, schedule, speed_limits=limits)
+    return replace(graph, edge_ids=tuple(edge_ids))
 
 
 def load_weights_rowwise(path, graph):
@@ -789,10 +788,10 @@ def weights_graph():
     schedule = TagSchedule(
         tags=("A", "B"), rules=((WEEKDAY, 0.0, 1440.0, 0), (WEEKEND, 0.0, 1440.0, 1))
     )
-    return RoadGraph.from_edges(
-        ["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "x")], [1.0, 2.0, 3.0], schedule,
-        edge_ids=["e0", "e1", "e,2"],
+    graph = RoadGraph.from_edges(
+        ["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "x")], [1.0, 2.0, 3.0], schedule
     )
+    return replace(graph, edge_ids=("e0", "e1", "e,2"))
 
 
 def assert_weights_loaders_agree(path, graph):

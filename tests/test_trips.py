@@ -90,14 +90,14 @@ class TestTagWeight:
 
 class TestTripCost:
     def test_single_record_single_tag(self, junction_graph):
-        d = CostVector.zeros(junction_graph)
+        d = CostVector(np.zeros(junction_graph.n_entries), 5, 2)
         d.values[entry(junction_graph, 0, 0)] = 0.05
         trip = Trip((LinkRecord(0, WEEKDAY, 100.0, 101.0),), 0.0)
         assert trip_cost(trip, junction_graph, d) == pytest.approx(0.05 * 100.0)
 
     def test_straddling_record_mixes_tags(self, junction_graph):
         a, b = 0.02, 0.07
-        d = CostVector.zeros(junction_graph)
+        d = CostVector(np.zeros(junction_graph.n_entries), 5, 2)
         d.values[entry(junction_graph, 2, 0)] = a
         d.values[entry(junction_graph, 2, 1)] = b
         trip = Trip((LinkRecord(2, WEEKDAY, 410.0, 425.0),), 0.0)
@@ -106,7 +106,7 @@ class TestTripCost:
         assert trip_cost(trip, junction_graph, d) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_costs_give_zero(self, junction_graph):
-        d = CostVector.zeros(junction_graph)
+        d = CostVector(np.zeros(junction_graph.n_entries), 5, 2)
         trip = make_trip([0, 2, 3])
         assert trip_cost(trip, junction_graph, d) == 0.0
 
