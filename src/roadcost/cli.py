@@ -75,9 +75,7 @@ def _add_config_args(parser: argparse.ArgumentParser):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config:
-        config = parse_config_file(args.config, config)
+    config = parse_config_file(args.config) if args.config else RunConfig()
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(RunConfig)
@@ -91,13 +89,23 @@ def _columns(rows: list[tuple[str, ...]]):
     return lambda part: zip(*rows[part])
 
 
+def _numbers(flag: str, text: str, form: str, width: int) -> tuple:
+    """The comma-separated numbers of ``text``, or its lo:hi pairs of them when
+    ``width`` is 2; any other text is an error naming the flag and its form."""
+    try:
+        items = [tuple(map(float, item.split(":"))) for item in text.split(",")]
+    except ValueError:
+        items = []
+    if not items or any(len(item) != width for item in items):
+        raise ValueError(f"{flag} takes {form}, got {text!r}")
+    return tuple(items) if width == 2 else tuple(item[0] for item in items)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     tags = tuple(t.strip() for t in args.tags.split(",") if t.strip())
-    ranges = tuple(
-        tuple(float(x) for x in pair.split(":")) for pair in args.weight_ranges.split(",")
-    )
+    ranges = _numbers("--weight-ranges", args.weight_ranges, "comma-separated lo:hi pairs", 2)
     limits = (
-        tuple(float(x) for x in args.speed_limits.split(","))
+        _numbers("--speed-limits", args.speed_limits, "comma-separated km/h numbers", 1)
         if args.speed_limits
         else None
     )

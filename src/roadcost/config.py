@@ -69,13 +69,13 @@ class RunConfig:
         return (self.alpha if use_a else 0.0, self.beta if use_b else 0.0)
 
 
-def parse_config_file(path: str | Path, base: RunConfig | None = None) -> RunConfig:
-    """Read key=value lines (# comments allowed) on top of a base config.
+def parse_config_file(path: str | Path) -> RunConfig:
+    """Read key=value lines (# comments allowed) on top of the default config.
 
     Each value takes the type of its field's default and is validated as it
     is read, so a bad one is reported as ``path:line``.
     """
-    config = base or RunConfig()
+    config = RunConfig()
     types = {f.name: type(f.default) for f in fields(RunConfig)}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -5,16 +5,16 @@ Files are UTF-8 (a leading byte order mark allowed), comma separated, and
 start with the header ``HEADERS`` names for their format. A network's blank
 speed limit is no limit; a schedule's day ends at 24:00.
 
-Loaders collect every violating row before raising, so one run reports all
-problems. Every loader is columnar: ``_read_columns`` hands it ``_CHUNK_ROWS``
-rows at a time as columns of fields, and it words a diagnostic only for a row
-that fails a check, as a row-by-row pass would (the first check, in file
-order). A plain chunk takes one ``str.split``; from the first chunk that is
-not plain, ``csv.reader`` reads the rest of the file, so every corner case of
-the format is the csv module's. The network loader fills the ``RoadGraph``
-arrays, the trip loader a ``TripSet``'s record table; ``Trip`` objects are
-built only to word a bad trip's diagnostic, or on each iteration or index of
-the set; none is kept.
+Every loader is columnar: ``_read_columns`` hands it ``_CHUNK_ROWS`` rows at
+a time as columns of fields, and it words a diagnostic only for a row that
+fails a check, as a row-by-row pass would (the first check). The reader
+collects them and raises them together, in file order, so one run reports
+all problems. A plain chunk takes one ``str.split``; from the first chunk
+that is not plain, ``csv.reader`` reads the rest of the file, so every corner
+case of the format is the csv module's. The network loader fills the
+``RoadGraph`` arrays, the trip loader a ``TripSet``'s record table; ``Trip``
+objects are built only to word a bad trip's diagnostic, or on each iteration
+or index of the set; none is kept.
 
 ``write_csv`` writes from columns of field texts, a chunk at a time, the bytes
 ``csv.writer`` writes; writers are deterministic for identical inputs.
@@ -51,6 +51,8 @@ _HHMM = re.compile(r"(\d+):([0-5]\d)", re.ASCII)
 _HHMMSS = re.compile(r"(\d+):([0-5]\d):([0-5]\d)", re.ASCII)
 # what csv.writer quotes in a field
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+# a chunk of rows: line numbers, diagnostics by index in the chunk, field columns
+_Chunk = tuple[Sequence[int], dict[int, str], list[Sequence[str]]]
 
 
 def parse_hhmm(text: str) -> float:
@@ -136,21 +138,16 @@ def _plain_columns(lines: list[str], width: int) -> Optional[list[list[str]]]:
     return [flat[i::step] for i in range(width)]
 
 
-def _shape(
-    rows: list[list[str]], linenos: Sequence[int], filler: tuple[str, ...]
-) -> tuple[Sequence[int], dict[int, str], list[Sequence[str]]]:
+def _shape(rows: list[list[str]], linenos: Sequence[int], width: int) -> _Chunk:
     """Line numbers and columns of the non-blank ``rows``, and a message for
-    each row whose field count is wrong; such rows contribute ``filler``."""
+    each row without ``width`` fields; such rows contribute empty fields."""
     if not all(rows):
         linenos = [n for n, row in zip(linenos, rows) if row]
         rows = [row for row in rows if row]
-    width = len(filler)
     counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     wrong = np.flatnonzero(counts != width).tolist()
     if wrong:
-        rows = list(rows)
-        for i in wrong:
-            rows[i] = filler
+        rows = [row if len(row) == width else ("",) * width for row in rows]
     messages = {i: f"expected {width} fields, got {counts[i]}" for i in wrong}
     return linenos, messages, list(zip(*rows)) or [()] * width
 
@@ -173,13 +170,24 @@ def _not_utf8(path: Path) -> str:
         return f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
 
 
-def _read_columns(
-    path: Path, header: Sequence[str], filler: tuple[str, ...]
-) -> Iterator[tuple[Sequence[int], dict[int, str], list[Sequence[str]]]]:
+def _read_columns(path: Path, header: Sequence[str]) -> Iterator[_Chunk]:
+    """``_read_chunks``'s chunks, then a ``LoadError`` "malformed-row" with
+    every row's diagnostic in file order, if any row has one. The caller adds
+    to a chunk's ``bad`` (by index in the chunk: the first check each row
+    fails) before it asks for the next chunk."""
+    messages: dict[int, str] = {}  # by line
+    for linenos, bad, columns in _read_chunks(path, header):
+        yield linenos, bad, columns
+        messages.update((linenos[i], message) for i, message in bad.items())
+    if messages:
+        raise LoadError("malformed-row", [f"{path}:{n}: {messages[n]}" for n in sorted(messages)])
+
+
+def _read_chunks(path: Path, header: Sequence[str]) -> Iterator[_Chunk]:
     """Line numbers, field-count diagnostics and field columns of the non-blank
     rows after the header, at most ``_CHUNK_ROWS`` rows at a time; the last
-    chunk may be empty. A row without ``len(filler)`` fields gets a diagnostic
-    (keyed by its index in the chunk) and contributes ``filler`` to the columns.
+    chunk may be empty. A row without ``len(header)`` fields gets a diagnostic
+    (keyed by its index in the chunk) and contributes empty fields.
 
     Line numbers count CSV records from the header's 1, blank rows included.
     Fields are csv.reader's, surrounding spaces kept. The header, then each
@@ -187,7 +195,7 @@ def _read_columns(
     first that is not, csv.reader reads the rest of the file. A leading UTF-8
     byte order mark is dropped; a byte that is not UTF-8 stops the load.
     """
-    width = len(filler)
+    width = len(header)
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             lines, lineno = [next(handle, "")], 1  # the header is a chunk of its own
@@ -209,7 +217,7 @@ def _read_columns(
                 lineno = 2
             while True:
                 rows = _csv_rows(reader, path, lineno, _CHUNK_ROWS)
-                yield _shape(rows, range(lineno, lineno + len(rows)), filler)
+                yield _shape(rows, range(lineno, lineno + len(rows)), width)
                 lineno += len(rows)
                 if len(rows) < _CHUNK_ROWS:
                     return
@@ -242,26 +250,30 @@ def _quoted(texts: Sequence[str]) -> Sequence[str]:
     return list(map(fields.__getitem__, texts))
 
 
-def _convert(texts: Sequence[str], convert) -> tuple[list, dict[int, str]]:
-    """``convert`` of every stripped field (None where it fails), and the error
-    of each one that fails."""
+def _convert(texts: Sequence[str], convert, bad: dict[int, str], word: str | None = None) -> list:
+    """``convert`` of every stripped field, None where it fails. A failing
+    field's row gets ``word.format(field)`` (the error's text without ``word``)
+    in ``bad`` unless it has a diagnostic; called before the reader is asked
+    for the next chunk."""
     try:
         # int(), float() and the time parsers ignore surrounding whitespace
-        return list(map(convert, texts)), {}
+        return list(map(convert, texts))
     except ValueError:
         pass
-    values, errors = [], {}
+    values = []
     for i, text in enumerate(texts):
         try:
             values.append(convert(text.strip()))
         except ValueError as exc:
             values.append(None)
-            errors[i] = str(exc)
-    return values, errors
+            bad.setdefault(i, str(exc) if word is None else word.format(text.strip()))
+    return values
 
 
-def _clock_column(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, str]]:
-    """``parse_hhmmss`` of every field, and the error of each one that fails.
+def _clock_column(texts: Sequence[str], bad: dict[int, str]) -> np.ndarray:
+    """``parse_hhmmss`` of every field, 0 where it fails. A failing field's row
+    gets the parser's error in ``bad`` unless it has a diagnostic; called
+    before the reader is asked for the next chunk.
 
     Fields of the form hh:mm:ss are decoded together as one byte array; any
     other field goes through ``parse_hhmmss`` on its own.
@@ -285,13 +297,12 @@ def _clock_column(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, str]]:
     fast[fast] = good
     minutes = np.zeros(n)
     minutes[fast] = seconds[good] / 60.0
-    errors = {}
     for i in np.flatnonzero(~fast).tolist():
         try:
             minutes[i] = parse_hhmmss(texts[i].strip())
         except ValueError as exc:
-            errors[i] = str(exc)
-    return minutes, errors
+            bad.setdefault(i, str(exc))
+    return minutes
 
 
 def _codebook(lookup: Callable[[str], int]) -> Callable[[Sequence[str]], np.ndarray]:
@@ -311,34 +322,22 @@ def _codebook(lookup: Callable[[str], int]) -> Callable[[Sequence[str]], np.ndar
     return codes
 
 
-def _check_rows(path: Path, messages: dict[int, str]) -> None:
-    """Raise the diagnostics in ``messages`` (by line number) in file order."""
-    if messages:
-        raise LoadError("malformed-row", [f"{path}:{n}: {messages[n]}" for n in sorted(messages)])
-
-
 def load_schedule(path: str | Path) -> TagSchedule:
     path = Path(path)
     tags: dict[str, int] = {}  # tag index by first appearance
     rules = []
-    messages: dict[int, str] = {}  # by line: the first check each row fails
-    for linenos, bad, (day_texts, start_texts, end_texts, tag_texts) in _read_columns(
-        path, HEADERS["schedule"], ("",) * 4
+    for _, bad, (day_texts, start_texts, end_texts, tag_texts) in _read_columns(
+        path, HEADERS["schedule"]
     ):
         days = list(map(str.strip, day_texts))
         for i, day in enumerate(days):
             if day not in DAY_CLASSES:
                 bad.setdefault(i, f"unknown day class {day!r}")
-        starts, start_errors = _convert(start_texts, parse_hhmm)
-        ends, end_errors = _convert(end_texts, parse_hhmm)
-        for errors in (start_errors, end_errors):
-            for i, message in errors.items():
-                bad.setdefault(i, message)
+        starts = _convert(start_texts, parse_hhmm, bad)
+        ends = _convert(end_texts, parse_hhmm, bad)
         for i, rule in enumerate(zip(days, starts, ends, map(str.strip, tag_texts))):
             if i not in bad:
                 rules.append((*rule[:3], tags.setdefault(rule[3], len(tags))))
-        messages.update((linenos[i], message) for i, message in bad.items())
-    _check_rows(path, messages)
     try:
         return TagSchedule(tags=tuple(tags), rules=tuple(rules))
     except ValueError as exc:
@@ -361,10 +360,9 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
     vertex_index: dict[str, int] = {}
     vertex_codes = _codebook(lambda text: vertex_index.setdefault(text, len(vertex_index)))
     first_line: dict[Optional[str], int] = {}  # by edge id: its first row with five fields
-    messages: dict[int, str] = {}  # by line: the first check each row fails
     parts = []  # (ids, tail and head codes, lengths, limits) of each chunk
     for linenos, bad, (id_texts, tail_texts, head_texts, length_texts, limit_texts) in (
-        _read_columns(path, HEADERS["network"], ("",) * 5)
+        _read_columns(path, HEADERS["network"])
     ):
         ids = list(map(str.strip, id_texts))
         # a row with the wrong field count claims no id
@@ -374,11 +372,9 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
             bad.setdefault(i, f"duplicate edge id {ids[i]!r} (first on line {first[i]})")
         limit_texts = list(map(str.strip, limit_texts))
         given = np.fromiter(map(bool, limit_texts), bool, len(ids))
-        lengths, length_errors = _convert(length_texts, float)
-        limits, limit_errors = _convert([text or "nan" for text in limit_texts], float)
-        for i in (*length_errors, *limit_errors):
-            bad.setdefault(i, "unparseable number")
-        length, limit = np.array(lengths, dtype=float), np.array(limits, dtype=float)
+        word = "unparseable number"
+        length = np.array(_convert(length_texts, float, bad, word), dtype=float)
+        limit = np.array(_convert([t or "nan" for t in limit_texts], float, bad, word), dtype=float)
         for i in np.flatnonzero(~((0 < length) & (length < math.inf))).tolist():
             bad.setdefault(i, f"length {length_texts[i].strip()!r} not positive and finite")
         for i in np.flatnonzero(given & ~((0 < limit) & (limit < math.inf))).tolist():
@@ -386,9 +382,7 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
         ends = vertex_codes(list(itertools.chain.from_iterable(zip(tail_texts, head_texts))))
         for i in np.flatnonzero(ends[0::2] == ends[1::2]).tolist():
             bad.setdefault(i, f"self-loop edge {ids[i]!r}")
-        messages.update((linenos[i], message) for i, message in bad.items())
         parts.append((ids, ends, length, limit))
-    _check_rows(path, messages)
 
     ids, ends, length, limit = zip(*parts)
     tails, heads = np.concatenate(ends).reshape(-1, 2).T.copy()
@@ -424,14 +418,8 @@ def save_network(graph: RoadGraph, path: str | Path) -> None:
 
 def _load_costs(path: Path) -> dict[str, float]:
     costs: dict[str, float] = {}
-    messages: dict[int, str] = {}  # by line
-    for linenos, bad, (id_texts, cost_texts) in _read_columns(
-        path, HEADERS["costs"], ("", "0")
-    ):
-        values, unparseable = _convert(cost_texts, float)
-        for i in unparseable:
-            bad.setdefault(i, f"unparseable cost {cost_texts[i].strip()!r}")
-        values = np.array(values, dtype=float)
+    for _, bad, (id_texts, cost_texts) in _read_columns(path, HEADERS["costs"]):
+        values = np.array(_convert(cost_texts, float, bad, "unparseable cost {!r}"), dtype=float)
         for i in np.flatnonzero(~((0 <= values) & (values < math.inf))).tolist():
             bad.setdefault(i, f"cost {cost_texts[i].strip()!r} negative or not finite")
         for i, text in enumerate(id_texts):
@@ -441,8 +429,6 @@ def _load_costs(path: Path) -> dict[str, float]:
                     bad[i] = f"duplicate trip id {trip_id!r}"
                 else:
                     costs[trip_id] = float(values[i])
-        messages.update((linenos[i], message) for i, message in bad.items())
-    _check_rows(path, messages)
     return costs
 
 
@@ -457,19 +443,14 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
     edge_codes = _codebook(lambda text: graph.edge_lookup.get(text, -1))
     day_codes = _codebook(lambda text: day_index.get(text, -1))
     trip_codes = _codebook(lambda text: trip_ids.setdefault(text, len(trip_ids)))
-    messages: dict[int, str] = {}  # by line: the first check each row fails
     unknown: list[str] = []
     seq: list[int] = []
     parts = []  # (line, trip, edge, day, enter, exit) of each chunk
     for linenos, bad, (trip_texts, seq_texts, edge_texts, day_texts, enter_texts, exit_texts) in (
-        _read_columns(trips_path, HEADERS["trips"], ("", "0", "", "", "00:00:00", "00:00:01"))
+        _read_columns(trips_path, HEADERS["trips"])
     ):
-        seq_values, seq_errors = _convert(seq_texts, int)
-        enter, enter_errors = _clock_column(enter_texts)
-        exit_, exit_errors = _clock_column(exit_texts)
-        for errors in (seq_errors, enter_errors, exit_errors):
-            for i, message in errors.items():
-                bad.setdefault(i, message)
+        seq_values = _convert(seq_texts, int, bad)
+        enter, exit_ = _clock_column(enter_texts, bad), _clock_column(exit_texts, bad)
         edge, day = edge_codes(edge_texts), day_codes(day_texts)
         parsed = np.ones(len(linenos), dtype=bool)
         parsed[list(bad)] = False
@@ -481,11 +462,9 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
                 LinkRecord(int(edge[i]), day_texts[i].strip(), float(enter[i]), float(exit_[i]))
             except ValueError as exc:
                 bad[i] = str(exc)
-        messages.update((linenos[i], message) for i, message in bad.items())
         seq += seq_values
         line = np.asarray(linenos, dtype=np.int64)
         parts.append((line, trip_codes(trip_texts), edge, day.astype(np.int8), enter, exit_))
-    _check_rows(trips_path, messages)
     if unknown:
         raise LoadError("unknown-edge", unknown)
     missing = [t for t in trip_ids if t not in costs]
@@ -596,19 +575,16 @@ def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.nda
     tag_index = {t: i for i, t in enumerate(graph.tag_schedule.tags)}
     edge_codes = _codebook(lambda text: graph.edge_lookup.get(text, -1))
     tag_codes = _codebook(lambda text: tag_index.get(text, -1))
-    messages: dict[int, str] = {}  # by line: the first check each row fails
     for linenos, bad, (edge_texts, tag_texts, value_texts, flag_texts) in _read_columns(
-        path, HEADERS["weights"], ("",) * 4
+        path, HEADERS["weights"]
     ):
         edge, tag = edge_codes(edge_texts), tag_codes(tag_texts)
         for i in np.flatnonzero(edge < 0).tolist():
             bad.setdefault(i, f"unknown edge id {edge_texts[i].strip()!r}")
         for i in np.flatnonzero(tag < 0).tolist():
             bad.setdefault(i, f"unknown tag {tag_texts[i].strip()!r}")
-        chunk_values, value_errors = _convert(value_texts, float)
-        flags, flag_errors = _convert(flag_texts, int)
-        for i in (*value_errors, *flag_errors):
-            bad.setdefault(i, "unparseable value")
+        chunk_values = _convert(value_texts, float, bad, "unparseable value")
+        flags = _convert(flag_texts, int, bad, "unparseable value")
         rows_ok = np.setdiff1d(np.arange(len(linenos)), list(bad))
         pos = tag[rows_ok] * graph.n_edges + edge[rows_ok]
         # an entry filled by an earlier chunk, or by an earlier row of this one
@@ -621,8 +597,6 @@ def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.nda
         values[pos] = np.array(chunk_values, dtype=float)[rows_ok]
         mask[pos] = np.fromiter(map(bool, flags), bool, len(flags))[rows_ok]
         filled[pos] = True
-        messages.update((linenos[i], message) for i, message in bad.items())
-    _check_rows(path, messages)
     if not filled.all():
         raise LoadError(
             "malformed-row", [f"{path}: {int((~filled).sum())} (edge, tag) entries missing"]

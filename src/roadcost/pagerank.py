@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,26 +40,27 @@ class TransitionMatrix:
     """Row-stochastic transition matrix over dual vertices for one tag.
 
     ``matrix`` holds the explicit probabilities on the dual-edge sparsity
-    pattern. Dead-end rows (dual vertices with no outgoing dual edge) are
-    kept implicit: the ``dangling`` mask marks them and they behave as a
-    uniform 1/n row everywhere the matrix is applied.
+    pattern, its ``data`` in dual-edge order. Dead-end rows (dual vertices
+    with no outgoing dual edge) store no entry: the ``dangling`` mask marks
+    them and they behave as a uniform 1/n row everywhere the matrix is applied.
     """
 
     tag: int
     matrix: sp.csr_matrix
-    dangling: np.ndarray
-    edge_probs: Optional[np.ndarray] = None  # aligned with the dual edge list
 
     def __post_init__(self):
         n = self.matrix.shape[0]
         if self.matrix.shape != (n, n):
             raise ValueError("transition matrix must be square")
-        if self.dangling.shape != (n,):
-            raise ValueError("dangling mask must have one flag per dual vertex")
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def dangling(self) -> np.ndarray:
+        """The dead-end rows: those with no stored entry."""
+        return np.diff(self.matrix.indptr) == 0
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         """Return M^T v including the implicit uniform dead-end rows."""
@@ -115,12 +116,8 @@ def dual_weights(dual: DualGraph, trips_k: TripSet, tag: int = 0) -> TransitionM
     denom = (row_totals + out_deg)[dual.edge_src]
     probs = (counts + 1.0) / denom
 
-    matrix = sp.csr_matrix(
-        (probs, dual.edge_dst, dual.out_indptr), shape=(n, n)
-    )
-    return TransitionMatrix(
-        tag=tag, matrix=matrix, dangling=np.asarray(out_deg == 0), edge_probs=probs
-    )
+    matrix = sp.csr_matrix((probs, dual.edge_dst, dual.out_indptr), shape=(n, n))
+    return TransitionMatrix(tag=tag, matrix=matrix)
 
 
 def transition_matrices(dual: DualGraph, partitions: Sequence[TripSet]) -> list[TransitionMatrix]:

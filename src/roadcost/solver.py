@@ -225,9 +225,10 @@ def build_b(
     for k, tm in enumerate(transitions):
         if tm.tag != k:
             raise ValueError("transition matrices must be ordered by tag")
-        if tm.edge_probs is None:
-            raise ValueError("transition matrix lacks dual-edge-aligned probabilities")
-        w = tm.edge_probs[keep]
+        m = tm.matrix
+        if not all(map(np.array_equal, (m.indptr, m.indices), (dual.out_indptr, dual.edge_dst))):
+            raise ValueError("transition matrix is not on the dual graph's edges")
+        w = m.data[keep]
         base = k * ne
         rows.append(base + src)
         cols.append(base + dst)

@@ -392,6 +392,12 @@ def test_unreachable_coverage_exits_2(tmp_path, capsys):
         (["--weight-ranges", "0.04:inf,0.08:0.20"], "bad weight range (0.04, inf)"),
         (["--speed-limits", "nan"], "speed limit nan"),
         (["--speed-limits", "50,inf", "--truth-from-speed-limits"], "speed limit inf"),
+        (["--tags", "A", "--weight-ranges", "0.1"],
+         "--weight-ranges takes comma-separated lo:hi pairs, got '0.1'"),
+        (["--weight-ranges", "0.04:0.1:0.2"],
+         "--weight-ranges takes comma-separated lo:hi pairs, got '0.04:0.1:0.2'"),
+        (["--speed-limits", "50,,"],
+         "--speed-limits takes comma-separated km/h numbers, got '50,,'"),
     ],
 )
 def test_synth_rejects_non_finite_bounds(tmp_path, capsys, extra, message):

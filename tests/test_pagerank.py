@@ -24,7 +24,7 @@ from conftest import make_trip, stationary_bruteforce, tripset
 
 def _dense_transitions(dense: np.ndarray) -> TransitionMatrix:
     """A tag-0 transition matrix holding ``dense``; all-zero rows are dead ends."""
-    return TransitionMatrix(tag=0, matrix=sp.csr_matrix(dense), dangling=~dense.any(axis=1))
+    return TransitionMatrix(tag=0, matrix=sp.csr_matrix(dense))
 
 
 def _junction_trips(n_bc: int, n_bd: int, n_ba: int, start: float) -> TripSet:
@@ -65,7 +65,7 @@ class TestDualWeights:
     def test_counts_match_the_loop(self, junction_graph, walks):
         dual = build_dual(junction_graph)
         trips = tripset(*(make_trip(walk, start=430.0) for walk in walks))
-        assert dual_weights(dual, trips).edge_probs.tolist() == (
+        assert dual_weights(dual, trips).matrix.data.tolist() == (
             dual_weights_loop(dual, trips).tolist()
         )
 
@@ -74,7 +74,7 @@ class TestDualWeights:
     def test_random_walks_match_the_loop(self, junction_graph, walks):
         dual = build_dual(junction_graph)
         trips = tripset(*(make_trip(walk) for walk in walks))
-        assert dual_weights(dual, trips).edge_probs.tolist() == (
+        assert dual_weights(dual, trips).matrix.data.tolist() == (
             dual_weights_loop(dual, trips).tolist()
         )
 
@@ -82,7 +82,7 @@ class TestDualWeights:
         g = RoadGraph.from_edges(["A", "B"], [("A", "B")], [10.0], two_tag_schedule)
         dual = build_dual(g)
         m = dual_weights(dual, tripset(make_trip([0, 0])))
-        assert dual.n_edges == 0 and m.edge_probs.shape == (0,)
+        assert dual.n_edges == 0 and m.matrix.data.shape == (0,)
         assert m.matrix.nnz == 0 and m.dangling.tolist() == [True]
 
     def test_smoothed_peak_weights(self, junction_graph):
@@ -196,7 +196,7 @@ class TestPagerank:
 
     def test_non_finite_probability_raises(self):
         matrix = sp.csr_matrix(np.array([[0.0, 1.0], [np.nan, 0.5]]))
-        m = TransitionMatrix(tag=0, matrix=matrix, dangling=np.zeros(2, dtype=bool))
+        m = TransitionMatrix(tag=0, matrix=matrix)
         with pytest.raises(ConvergenceError, match="non-finite"):
             pagerank(m)
 

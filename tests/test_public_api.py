@@ -1,6 +1,7 @@
 """Every public function, class and method of roadcost is reached from
-somewhere other than its own unit tests: the package, the benchmark harness
-or the README. So is every defaulted parameter: some call there sets it."""
+code other than its own unit tests: the package, the benchmark harness or the
+README's python blocks. A docstring or a README sentence naming it does not
+count. So is every defaulted parameter: some call there sets it."""
 
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ ALLOWED = {
     "dense": "tests/test_acceptance.py compares PageRank against the dense matrix",
     "row_sums": "tests/test_acceptance.py checks that transition rows are stochastic",
     "peak_offpeak_schedule": "the tests' default schedule fixture",
+    "format_hhmmss": "the scalar reference the tests compare _format_clock_column against",
+    "speed_limit_baseline": "tests/test_acceptance.py checks the speed-limit baselines",
 }
 
 # parameters that only the acceptance criteria set, as function.parameter
@@ -48,13 +51,18 @@ def _public_defs() -> list[tuple[str, ast.FunctionDef | ast.ClassDef, bool]]:
     return found
 
 
-def _caller_sources() -> list[str]:
-    """The code that counts as a caller: the package without __init__.py's
-    re-exports, the harness and the README's python blocks."""
-    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    sources += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    return sources
+def _caller_trees() -> list[tuple[ast.Module, bool]]:
+    """The code that counts as a caller, parsed, each with whether its string
+    constants name code too: the package without __init__.py's re-exports,
+    the harness (True: its TIMED list names functions in strings) and the
+    README's python blocks."""
+    package = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return [
+        *((ast.parse(p.read_text()), False) for p in package),
+        *((ast.parse(p.read_text()), True) for p in sorted((ROOT / "perfbench").glob("*.py"))),
+        *((ast.parse(block), False) for block in blocks),
+    ]
 
 
 def _module_aliases(tree: ast.AST) -> set[str]:
@@ -80,8 +88,7 @@ def _method_accesses() -> set[str]:
     """Attribute names accessed on something other than a module: ``x.m``
     reaches a method m, ``np.m`` does not."""
     found = set()
-    for source in _caller_sources():
-        tree = ast.parse(source)
+    for tree, _ in _caller_trees():
         aliases = _module_aliases(tree)
         found |= {
             node.attr
@@ -91,32 +98,28 @@ def _method_accesses() -> set[str]:
     return found
 
 
+def _name_uses() -> set[str]:
+    """Every name and attribute that the callers' code reads, and every word
+    of the string constants that name code."""
+    found = set()
+    for tree, strings_name_code in _caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif strings_name_code and isinstance(node, ast.Constant):
+                found.update(re.findall(r"\w+", str(node.value)))
+    return found
+
+
 def test_every_public_name_is_used_outside_its_tests():
-    # the package without __init__.py's re-exports, the harness (its TIMED
-    # list names functions in strings) and the README
-    package = [
-        line
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-        for line in path.read_text().splitlines()
+    used, accessed = _name_uses(), _method_accesses()
+    unused = [
+        f"{module}.{node.name}"
+        for module, node, is_method in _public_defs()
+        if node.name not in ALLOWED and node.name not in (accessed if is_method else used)
     ]
-    others = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    others.append((ROOT / "README.md").read_text())
-    accessed = _method_accesses()
-    unused = []
-    for module, node, is_method in _public_defs():
-        name = node.name
-        if name in ALLOWED:
-            continue
-        if is_method:
-            used = name in accessed
-        else:
-            definition = re.compile(rf"^\s*(def|class)\s+{name}\b")
-            word = re.compile(rf"\b{name}\b")
-            code = (line for line in package if not definition.match(line))
-            used = any(map(word.search, [*code, *others]))
-        if not used:
-            unused.append(f"{module}.{name}")
     assert not unused, f"defined, but used nowhere outside the unit tests: {unused}"
 
 
@@ -141,8 +144,8 @@ def _set_parameters() -> tuple[dict[str, set], dict[str, float]]:
     """For each callee name: the keywords some call passes it, and the most
     positional arguments one passes (unbounded from a starred one on)."""
     keywords, counts = defaultdict(set), defaultdict(int)
-    for source in _caller_sources():
-        for node in ast.walk(ast.parse(source)):
+    for tree, _ in _caller_trees():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

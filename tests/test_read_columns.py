@@ -1,6 +1,6 @@
 """The chunk reader every loader shares, against the csv module.
 
-``dataio._read_columns`` splits quote-free text on commas a chunk of lines at
+``dataio._read_chunks`` splits quote-free text on commas a chunk of lines at
 a time and hands text with a quote character to ``csv.reader``. Both paths
 must give what ``csv.reader`` over the whole file gives: the same line
 numbers, fields and diagnostics.
@@ -53,11 +53,11 @@ def reference(path, header, width):
 
 
 def chunked(path, header, width):
-    """``_read_columns``'s chunks in the reference's form."""
-    filler = tuple(f"fill{i}" for i in range(width))
+    """``_read_chunks``'s chunks in the reference's form."""
+    filler = ("",) * width
     rows = []
     try:
-        for linenos, bad, columns in dataio._read_columns(path, header, filler):
+        for linenos, bad, columns in dataio._read_chunks(path, header):
             assert len(linenos) <= dataio._CHUNK_ROWS
             assert len(columns) == width
             assert all(len(column) == len(linenos) for column in columns)

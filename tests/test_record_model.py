@@ -121,7 +121,7 @@ def assert_model_matches_loops(trips, graph):
     m = dual_weights(dual, trips)
     row_totals = np.bincount(dual.edge_src, weights=counts, minlength=dual.n_vertices)
     denom = (row_totals + dual.out_degrees())[dual.edge_src]
-    np.testing.assert_array_equal(m.edge_probs, (counts + 1.0) / denom)
+    np.testing.assert_array_equal(m.matrix.data, (counts + 1.0) / denom)
 
 
 @pytest.mark.parametrize(
@@ -179,7 +179,7 @@ def test_same_edge_twice_accumulates(junction_graph):
     pairs = list(zip(dual.edge_src.tolist(), dual.edge_dst.tolist()))
     k01, k10 = pairs.index((0, 1)), pairs.index((1, 0))
     # AB has 3 successors and one observed turn, BA has 1 and one
-    assert m.edge_probs[k01] == 2 / 4 and m.edge_probs[k10] == 2 / 2
+    assert m.matrix.data[k01] == 2 / 4 and m.matrix.data[k10] == 2 / 2
 
 
 def test_record_table_is_cached_and_read_only(junction_graph):

@@ -7,7 +7,13 @@ from roadcost.config import RunConfig
 from roadcost.errors import ConvergenceError
 from roadcost.evaluation import build_constraints
 from roadcost.graph import WEEKDAY, CostVector, RoadGraph, TagSchedule, build_dual
-from roadcost.pagerank import PageRankVector, dual_weights, pagerank, transition_matrices
+from roadcost.pagerank import (
+    PageRankVector,
+    TransitionMatrix,
+    dual_weights,
+    pagerank,
+    transition_matrices,
+)
 from roadcost.solver import (
     PRECONDITIONER_FILL_LIMIT,
     AugmentedPattern,
@@ -51,7 +57,7 @@ def adjacency_penalty_oracle(transitions, dual, is_highway, d):
             u, v = int(dual.edge_src[idx]), int(dual.edge_dst[idx])
             if dual.reverse_mask[idx] or is_highway[u] != is_highway[v]:
                 continue
-            total += tm.edge_probs[idx] * (d[k * ne + u] - d[k * ne + v]) ** 2
+            total += tm.matrix.data[idx] * (d[k * ne + u] - d[k * ne + v]) ** 2
     return total
 
 
@@ -296,6 +302,15 @@ class TestBuildB:
         ne, peak = 5, 1
         assert b[peak * ne + 0, peak * ne + 2] == 0.0
         assert b[peak * ne + 0, peak * ne + 4] == 11 / 43  # AB->BD both urban
+
+    def test_matrix_off_the_dual_edges_rejected(self, junction_graph):
+        dual, transitions = self._setup(junction_graph)
+        # AB -> BC becomes AB -> CB, which is not a dual edge
+        m = transitions[1].matrix.toarray()
+        m[0, [2, 3]] = m[0, [3, 2]]
+        transitions[1] = TransitionMatrix(tag=1, matrix=sp.csr_matrix(m))
+        with pytest.raises(ValueError, match="not on the dual graph's edges"):
+            build_b(transitions, dual, np.zeros(5, dtype=bool))
 
     def test_symmetric_and_block_diagonal(self, junction_graph):
         dual, transitions = self._setup(junction_graph)
