@@ -212,7 +212,7 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     # back to the uniform random walk on the dual graph
     if (args.trips is None) != (args.costs is None):
         raise ValueError("--trips and --costs are read together: give both or neither")
-    config = _config_from_args(args)
+    _config_from_args(args)  # no setting applies here, but a bad one is still an error
     tag_names = load_schedule(args.schedule).tags
     if args.tag and args.tag not in tag_names:
         raise ValueError(f"unknown tag {args.tag!r}; known tags: {', '.join(tag_names)}")
@@ -224,7 +224,7 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     transitions = transition_matrices(dual, partitions)
 
     tag = tag_names.index(args.tag) if args.tag else 0
-    pr = pagerank(transitions[tag], tol=config.pr_tol)
+    pr = pagerank(transitions[tag])
     percentages = pagerank_stats(pr)
     buckets = [(str(b + 1), "%.17g" % p) for b, p in enumerate(percentages.tolist())]
     write_csv(

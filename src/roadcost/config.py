@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .graph import HIGHWAY_CUTOFF_KMH
 from .pagerank import DEFAULT_TOL
 from .solver import DEFAULT_CG_TOL
 
@@ -26,31 +25,30 @@ class RunConfig:
 
     alpha weighs the flow-similarity penalty, beta the directional-adjacency
     penalty, gamma the ridge term (must stay positive). The similarity
-    threshold filters segment pairs by PageRank ratio; the highway cutoff
-    splits edges into highway/urban categories for the adjacency penalty.
-    These fields are the one list of run settings: the config-file keys and
-    the command-line flags are read off them, and every library entry point
-    takes its variant, seed and gamma from here (grid_search searches alpha
-    and beta alone; training_size_sweep's seed, for its split, defaults to
-    this one).
+    threshold filters segment pairs by PageRank ratio. These fields are the
+    one list of run settings: the config-file keys and the command-line
+    flags are read off them, and every library entry point takes its
+    variant, seed and gamma from here (grid_search searches alpha and beta
+    alone; training_size_sweep's seed, for its split, defaults to this one).
+    The 90 km/h highway split and PageRank's 1e-10 tolerance are constants.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 1e-4
     similarity_threshold: float = 0.95
-    highway_cutoff_kmh: float = HIGHWAY_CUTOFF_KMH
     cg_tol: float = DEFAULT_CG_TOL
-    pr_tol: float = DEFAULT_TOL
     seed: int = 0
     variant: str = "F4"
+
+    pr_tol = DEFAULT_TOL  # not a field: perfbench's PageRank hook reads it here
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        for name in ("gamma", "highway_cutoff_kmh", "cg_tol", "pr_tol"):
+        for name in ("gamma", "cg_tol"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -3,7 +3,8 @@ and ``write_csv``, which writes every CSV file roadcost writes.
 
 Files are UTF-8 (a leading byte order mark allowed), comma separated, and
 start with the header ``HEADERS`` names for their format. A network's blank
-speed limit is no limit; a schedule's day ends at 24:00.
+speed limit is no limit, but a blank id, vertex or tag is an error; a
+schedule's day ends at 24:00.
 
 Every loader is columnar: ``_read_columns`` hands it ``_CHUNK_ROWS`` rows at
 a time as columns of fields, and it words a diagnostic only for a row that
@@ -305,6 +306,30 @@ def _clock_column(texts: Sequence[str], bad: dict[int, str]) -> np.ndarray:
     return minutes
 
 
+def _blank(texts: Sequence[str], column: str, bad: dict[int, str]) -> None:
+    """A row whose field is blank (empty or spaces) gets "blank ``column``" in
+    ``bad`` unless it has a diagnostic; called before the reader is asked for
+    the next chunk."""
+    if not all(map(str.strip, texts)):
+        for i, text in enumerate(texts):
+            if not text.strip():
+                bad.setdefault(i, f"blank {column}")
+
+
+def _claim(
+    keys: Sequence, linenos: Sequence[int], bad: dict[int, str], claims: dict, word: str
+) -> None:
+    """Each row without a diagnostic claims its key in ``claims``, the file's
+    first line for each key; a row whose key an earlier row claimed gets
+    ``word.format(key, first line)`` in ``bad`` instead."""
+    rows = [i for i in range(len(keys)) if i not in bad] if bad else range(len(keys))
+    if bad:
+        keys, linenos = [keys[i] for i in rows], [linenos[i] for i in rows]
+    first = np.fromiter(map(claims.setdefault, keys, linenos), np.int64, len(rows))
+    for k in np.flatnonzero(first != np.asarray(linenos)).tolist():
+        bad[rows[k]] = word.format(keys[k], first[k])
+
+
 def _codebook(lookup: Callable[[str], int]) -> Callable[[Sequence[str]], np.ndarray]:
     """A function from a column of fields to ``lookup`` of each stripped field.
 
@@ -335,6 +360,7 @@ def load_schedule(path: str | Path) -> TagSchedule:
                 bad.setdefault(i, f"unknown day class {day!r}")
         starts = _convert(start_texts, parse_hhmm, bad)
         ends = _convert(end_texts, parse_hhmm, bad)
+        _blank(tag_texts, "tag", bad)
         for i, rule in enumerate(zip(days, starts, ends, map(str.strip, tag_texts))):
             if i not in bad:
                 rules.append((*rule[:3], tags.setdefault(rule[3], len(tags))))
@@ -355,21 +381,19 @@ def save_schedule(schedule: TagSchedule, path: str | Path) -> None:
 def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
     """Read a network straight into a ``RoadGraph``'s arrays; vertices are
     numbered by first appearance, each row's tail before its head. A blank
-    speed limit is no limit."""
+    speed limit is no limit; a blank id or vertex is an error."""
     path = Path(path)
     vertex_index: dict[str, int] = {}
     vertex_codes = _codebook(lambda text: vertex_index.setdefault(text, len(vertex_index)))
-    first_line: dict[Optional[str], int] = {}  # by edge id: its first row with five fields
+    first_line: dict[str, int] = {}  # by edge id: the line of the row that claims it
     parts = []  # (ids, tail and head codes, lengths, limits) of each chunk
     for linenos, bad, (id_texts, tail_texts, head_texts, length_texts, limit_texts) in (
         _read_columns(path, HEADERS["network"])
     ):
         ids = list(map(str.strip, id_texts))
-        # a row with the wrong field count claims no id
-        claims = [None if i in bad else k for i, k in enumerate(ids)] if bad else ids
-        first = np.fromiter(map(first_line.setdefault, claims, linenos), np.int64, len(ids))
-        for i in np.flatnonzero(first != np.asarray(linenos)).tolist():
-            bad.setdefault(i, f"duplicate edge id {ids[i]!r} (first on line {first[i]})")
+        for column, texts in (("edge_id", ids), ("tail", tail_texts), ("head", head_texts)):
+            _blank(texts, column, bad)
+        _claim(ids, linenos, bad, first_line, "duplicate edge id {0!r} (first on line {1})")
         limit_texts = list(map(str.strip, limit_texts))
         given = np.fromiter(map(bool, limit_texts), bool, len(ids))
         word = "unparseable number"
@@ -418,17 +442,15 @@ def save_network(graph: RoadGraph, path: str | Path) -> None:
 
 def _load_costs(path: Path) -> dict[str, float]:
     costs: dict[str, float] = {}
-    for _, bad, (id_texts, cost_texts) in _read_columns(path, HEADERS["costs"]):
+    lines: dict[str, int] = {}  # by trip id: the line of the row that claims it
+    for linenos, bad, (id_texts, cost_texts) in _read_columns(path, HEADERS["costs"]):
+        ids = list(map(str.strip, id_texts))
+        _blank(ids, "trip_id", bad)
         values = np.array(_convert(cost_texts, float, bad, "unparseable cost {!r}"), dtype=float)
         for i in np.flatnonzero(~((0 <= values) & (values < math.inf))).tolist():
             bad.setdefault(i, f"cost {cost_texts[i].strip()!r} negative or not finite")
-        for i, text in enumerate(id_texts):
-            if i not in bad:
-                trip_id = text.strip()
-                if trip_id in costs:
-                    bad[i] = f"duplicate trip id {trip_id!r}"
-                else:
-                    costs[trip_id] = float(values[i])
+        _claim(ids, linenos, bad, lines, "duplicate trip id {0!r}")
+        costs.update(zip(ids, values.tolist()))  # read only if no row has a diagnostic
     return costs
 
 
@@ -449,6 +471,7 @@ def load_trips(trips_path: str | Path, costs_path: str | Path, graph: RoadGraph)
     for linenos, bad, (trip_texts, seq_texts, edge_texts, day_texts, enter_texts, exit_texts) in (
         _read_columns(trips_path, HEADERS["trips"])
     ):
+        _blank(trip_texts, "trip_id", bad)
         seq_values = _convert(seq_texts, int, bad)
         enter, exit_ = _clock_column(enter_texts, bad), _clock_column(exit_texts, bad)
         edge, day = edge_codes(edge_texts), day_codes(day_texts)
@@ -571,7 +594,7 @@ def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.nda
     path = Path(path)
     values = np.zeros(graph.n_entries)
     mask = np.zeros(graph.n_entries, dtype=bool)
-    filled = np.zeros(graph.n_entries, dtype=bool)
+    lines: dict[tuple[str, str], int] = {}  # by stripped (edge, tag): the line that fills it
     tag_index = {t: i for i, t in enumerate(graph.tag_schedule.tags)}
     edge_codes = _codebook(lambda text: graph.edge_lookup.get(text, -1))
     tag_codes = _codebook(lambda text: tag_index.get(text, -1))
@@ -585,21 +608,15 @@ def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.nda
             bad.setdefault(i, f"unknown tag {tag_texts[i].strip()!r}")
         chunk_values = _convert(value_texts, float, bad, "unparseable value")
         flags = _convert(flag_texts, int, bad, "unparseable value")
+        keys = list(zip(map(str.strip, edge_texts), map(str.strip, tag_texts)))
+        _claim(keys, linenos, bad, lines, "duplicate row for edge {0[0]!r}, tag {0[1]!r}")
         rows_ok = np.setdiff1d(np.arange(len(linenos)), list(bad))
         pos = tag[rows_ok] * graph.n_edges + edge[rows_ok]
-        # an entry filled by an earlier chunk, or by an earlier row of this one
-        later = np.ones(len(pos), dtype=bool)
-        later[np.unique(pos, return_index=True)[1]] = False
-        for i in rows_ok[filled[pos] | later].tolist():
-            bad[i] = (
-                f"duplicate row for edge {edge_texts[i].strip()!r}, tag {tag_texts[i].strip()!r}"
-            )
         values[pos] = np.array(chunk_values, dtype=float)[rows_ok]
         mask[pos] = np.fromiter(map(bool, flags), bool, len(flags))[rows_ok]
-        filled[pos] = True
-    if not filled.all():
+    if len(lines) < graph.n_entries:
         raise LoadError(
-            "malformed-row", [f"{path}: {int((~filled).sum())} (edge, tag) entries missing"]
+            "malformed-row", [f"{path}: {graph.n_entries - len(lines)} (edge, tag) entries missing"]
         )
     return CostVector(values, graph.n_edges, graph.n_tags), mask
 

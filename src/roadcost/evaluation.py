@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import RunConfig
-from .graph import DAY_CLASSES, CostVector, DualGraph, RoadGraph
+from .graph import CostVector, DualGraph, RoadGraph
 from .pagerank import pagerank, transition_matrices
 from .solver import (
     AugmentedPattern,
@@ -32,14 +32,23 @@ def ssl(trips: TripSet, graph: RoadGraph, costs: CostVector) -> float:
 def alr_curve(trips: TripSet, graph: RoadGraph, costs: CostVector) -> list[tuple[int, float]]:
     """Fraction of trips whose absolute loss ratio, |estimated - actual| / actual,
     stays within each threshold of 1, 2, ..., 100 percent."""
+    _check_positive_costs(trips)
     actual = trips.costs()
-    if np.any(actual <= 0):
-        raise ValueError("absolute loss ratio needs a positive actual cost")
     ratios = np.abs(trip_costs(trips, graph, costs) - actual) / actual
     return [
         (pct, float(np.mean(ratios <= pct / 100.0)) if len(ratios) else 0.0)
         for pct in range(1, 101)
     ]
+
+
+def _check_positive_costs(trips: TripSet) -> None:
+    """Refuse test trips of cost 0: the absolute loss ratio divides by it."""
+    zero = np.flatnonzero(trips.costs() <= 0)
+    if len(zero):
+        raise ValueError(
+            f"{len(zero)} test trip(s) have cost 0, but the absolute loss ratio needs a "
+            f"positive actual cost; first: trip {trips.ids()[zero[0]]!r}"
+        )
 
 
 def edge_coverage(graph: RoadGraph, entry_mask: np.ndarray) -> float:
@@ -110,9 +119,9 @@ def build_constraints(
     """Assemble every matrix the variant solves share for one training set."""
     partitions = partition_by_tag(train, graph.tag_schedule)
     transitions = transition_matrices(dual, partitions)
-    prs = [pagerank(tm, tol=config.pr_tol) for tm in transitions]
+    prs = [pagerank(tm) for tm in transitions]
     l_a = SimilarityLaplacian(prs, config.similarity_threshold)
-    l_b = laplacian(build_b(transitions, dual, graph.is_highway(config.highway_cutoff_kmh)))
+    l_b = laplacian(build_b(transitions, dual, graph.is_highway()))
     q = build_q(train, graph)
     return ConstraintMatrices(q=q, l_a=l_a, l_b=l_b, pattern=AugmentedPattern(q))
 
@@ -168,16 +177,7 @@ def run_comparison(
         raise ValueError("run_comparison needs at least one variant")
     for variant in variants:
         config.variant_coefficients(variant)  # raises on an unknown variant
-    zero_cost = np.flatnonzero(test.costs() <= 0)
-    if len(zero_cost):
-        table = test.table
-        first = np.searchsorted(table.trip, zero_cost[0])  # the trip's first record
-        raise ValueError(
-            f"{len(zero_cost)} test trip(s) have cost 0, but the absolute loss ratio "
-            f"needs a positive actual cost; first: test trip {zero_cost[0]}, starting on "
-            f"edge {graph.edge_ids[table.edge[first]]!r} on a "
-            f"{DAY_CLASSES[table.day[first]]} at minute {float(table.enter[first]):g}"
-        )
+    _check_positive_costs(test)
     matrices = build_constraints(train, graph, dual, config)
     train_costs = train.costs()
 

@@ -194,13 +194,11 @@ class RoadGraph:
         """Edge index by edge id."""
         return {e: i for i, e in enumerate(self.edge_ids)}
 
-    def is_highway(self, cutoff_kmh: float = HIGHWAY_CUTOFF_KMH) -> np.ndarray:
-        """Per-edge highway mask: speed limit at or above the cutoff.
-
-        Edges without a known speed limit count as urban.
-        """
+    def is_highway(self) -> np.ndarray:
+        """Per-edge highway mask, the one highway/urban split: speed limit at or
+        above ``HIGHWAY_CUTOFF_KMH``. Edges without a known limit count as urban."""
         with np.errstate(invalid="ignore"):
-            return np.nan_to_num(self.speed_limits, nan=0.0) >= cutoff_kmh
+            return np.nan_to_num(self.speed_limits, nan=0.0) >= HIGHWAY_CUTOFF_KMH
 
 
 @dataclass(frozen=True)

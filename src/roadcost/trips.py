@@ -55,8 +55,8 @@ class Trip:
     def __post_init__(self):
         if not self.records:
             raise ValueError("trip has no link records")
-        if self.cost < 0:
-            raise ValueError(f"trip cost must be non-negative, got {self.cost}")
+        if not 0 <= self.cost < math.inf:
+            raise ValueError(f"trip cost must be non-negative and finite, got {self.cost}")
         day = self.records[0].day_class
         for prev, cur in zip(self.records, self.records[1:]):
             if cur.day_class != day:

@@ -245,6 +245,35 @@ def test_non_finite_cost_exits_2(tmp_path, capsys):
     assert f"{costs}:2: cost 'nan' negative or not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, field, column",
+    [
+        ("network", 0, "edge_id"),
+        ("network", 1, "tail"),
+        ("network", 2, "head"),
+        ("schedule", 3, "tag"),
+        ("trips", 0, "trip_id"),
+        ("costs", 0, "trip_id"),
+    ],
+)
+def test_blank_id_exits_2(tmp_path, capsys, name, field, column):
+    data = _synth(tmp_path)
+    path = data / f"{name}.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[field] = " "
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(
+        ["annotate", *_dataset_args(data), "--out", str(out / "w.csv"),
+         "--report", str(out / "report.json")]
+    )
+    assert code == 2
+    assert f"{path}:2: blank {column}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_zero_cost_test_trip_exits_2_before_fitting(tmp_path, capsys, monkeypatch):
     data = _synth(tmp_path)
     costs = data / "costs.csv"
@@ -301,14 +330,20 @@ def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
 
 def test_unknown_flag_exits_2(tmp_path, capsys):
     data = _synth(tmp_path)
-    for flag, value in (("--similarity-method", "exact"), ("--cg-max-iters", "50")):
+    out = tmp_path / "out"
+    for flag, value in (
+        ("--similarity-method", "exact"), ("--cg-max-iters", "50"),
+        # constants, not settings
+        ("--pr-tol", "1e-6"), ("--highway-cutoff-kmh", "80"),
+    ):
         with pytest.raises(SystemExit) as exit_info:
             main(
                 ["annotate", *_dataset_args(data), flag, value, "--out",
-                 str(tmp_path / "w.csv"), "--report", str(tmp_path / "report.json")]
+                 str(out / "w.csv"), "--report", str(out / "report.json")]
             )
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -418,9 +453,9 @@ def test_synth_rejects_non_finite_bounds(tmp_path, capsys, extra, message):
         (["--cg-tol", "0"], None, "cg_tol must be positive and finite, got 0.0"),
         (["--cg-tol", "-1"], None, "cg_tol must be positive and finite, got -1.0"),
         (["--cg-tol", "nan"], None, "cg_tol must be positive and finite, got nan"),
-        (["--pr-tol", "-1"], None, "pr_tol must be positive and finite, got -1.0"),
-        (["--highway-cutoff-kmh", "nan"], None,
-         "highway_cutoff_kmh must be positive and finite, got nan"),
+        # PageRank's tolerance and the highway split are constants, not settings
+        ([], "pr_tol = 1e-6\n", "run.cfg:1: unknown config key 'pr_tol'"),
+        ([], "highway_cutoff_kmh = 80\n", "run.cfg:1: unknown config key 'highway_cutoff_kmh'"),
         ([], "seed = 1.5\n",
          "run.cfg:1: seed=1.5: invalid literal for int() with base 10: '1.5'"),
         ([], "# tuned\nalpha = abc\n",

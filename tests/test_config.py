@@ -1,31 +1,39 @@
-"""RunConfig is the one list of run settings: flags, file keys and help follow it."""
+"""RunConfig is the one list of run settings: flags, file keys and help follow
+it, and each setting changes what a run writes."""
 
 import dataclasses
+import inspect
 import json
 
 import pytest
 
 from roadcost.cli import main
 from roadcost.config import RunConfig, parse_config_file
+from roadcost.graph import RoadGraph
+from roadcost.pagerank import DEFAULT_TOL
 
-# a valid value, other than the default, for every run setting
+# a valid value, other than the default, for every run setting; each changes
+# an output on the module's dataset
 SETTINGS = {
-    "alpha": 0.25,
+    "alpha": 3.0,
     "beta": 3.0,
-    "gamma": 2e-4,
-    "similarity_threshold": 0.9,
-    "highway_cutoff_kmh": 80.0,
-    "cg_tol": 1e-9,
-    "pr_tol": 1e-11,
-    "seed": 5,
-    "variant": "F2",
+    "gamma": 0.01,
+    "similarity_threshold": 0.5,
+    "cg_tol": 1e-3,
+    "seed": 1,
+    "variant": "F1",
 }
 
 
 def test_settings_cover_every_field():
     defaults = dataclasses.asdict(RunConfig())
-    assert set(SETTINGS) == set(defaults)
+    assert list(SETTINGS) == [f.name for f in dataclasses.fields(RunConfig)]
     assert all(SETTINGS[name] != defaults[name] for name in SETTINGS)
+
+
+def test_constants_are_not_settings():
+    assert RunConfig().pr_tol == DEFAULT_TOL  # read by perfbench's PageRank hook
+    assert list(inspect.signature(RoadGraph.is_highway).parameters) == ["self"]
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +57,34 @@ def _reported_config(tmp_path, dataset, settings_args):
          "--report", str(report)]
     ) == 0
     return json.loads(report.read_text())["config"]
+
+
+def _outputs(out, dataset, settings_args):
+    """annotate's weights and its report without the config echo, then the
+    files evaluate writes."""
+    report = out / "report.json"
+    assert main(
+        ["annotate", *dataset, *settings_args, "--out", str(out / "w.csv"),
+         "--report", str(report)]
+    ) == 0
+    echo = json.loads(report.read_text())
+    del echo["config"]
+    assert main(["evaluate", *dataset, *settings_args, "--out-dir", str(out / "eval")]) == 0
+    return [
+        (out / "w.csv").read_bytes(), echo,
+        *((p.name, p.read_bytes()) for p in sorted((out / "eval").iterdir())),
+    ]
+
+
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory, dataset):
+    return _outputs(tmp_path_factory.mktemp("defaults"), dataset, [])
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_setting_changes_an_output(tmp_path, dataset, default_outputs, name):
+    flag = "--" + name.replace("_", "-")
+    assert _outputs(tmp_path, dataset, [flag, str(SETTINGS[name])]) != default_outputs
 
 
 @pytest.mark.parametrize("name", sorted(SETTINGS))

@@ -153,10 +153,9 @@ class TestRoadGraph:
             [("A", "B"), ("B", "C"), ("C", "A")],
             [10.0, 10.0, 10.0],
             two_tag_schedule,
-            speed_limits=[50.0, 110.0, None],
+            speed_limits=[89.9, 90.0, None],  # 90 km/h and above is highway
         )
         assert g.is_highway().tolist() == [False, True, False]
-        assert g.is_highway(cutoff_kmh=40.0).tolist() == [True, True, False]
 
 
 class TestCostVector:

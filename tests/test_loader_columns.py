@@ -81,6 +81,9 @@ def load_trips_rowwise(trips_path, costs_path, graph):
             problems.append(f"{costs_path}:{lineno}: expected 2 fields, got {len(row)}")
             continue
         trip_id, cost_text = (field.strip() for field in row)
+        if not trip_id:
+            problems.append(f"{costs_path}:{lineno}: blank trip_id")
+            continue
         try:
             cost = float(cost_text)
         except ValueError:
@@ -102,6 +105,9 @@ def load_trips_rowwise(trips_path, costs_path, graph):
             problems.append(f"{trips_path}:{lineno}: expected 6 fields, got {len(row)}")
             continue
         trip_id, seq_text, edge_id, day, enter_text, exit_text = (field.strip() for field in row)
+        if not trip_id:
+            problems.append(f"{trips_path}:{lineno}: blank trip_id")
+            continue
         try:
             seq = int(seq_text)
             enter, exit_ = parse_hhmmss(enter_text), parse_hhmmss(exit_text)
@@ -158,6 +164,9 @@ def load_schedule_rowwise(path):
         except ValueError as exc:
             problems.append(f"{path}:{lineno}: {exc}")
             continue
+        if not tag:
+            problems.append(f"{path}:{lineno}: blank tag")
+            continue
         if tag not in tags:
             tags.append(tag)
         rules.append((day, start, end, tags.index(tag)))
@@ -178,6 +187,10 @@ def load_network_rowwise(path, schedule):
             problems.append(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
             continue
         edge_id, tail, head, length_text, limit_text = (field.strip() for field in row)
+        blank = [name for name, text in zip(NETWORK_HEADER, (edge_id, tail, head)) if not text]
+        if blank:
+            problems.append(f"{path}:{lineno}: blank {blank[0]}")
+            continue
         first = edge_lines.setdefault(edge_id, lineno)
         if first != lineno:
             problems.append(
@@ -606,6 +619,10 @@ def _fault(kind, trip_rows, cost_rows, row):
                 c[1] = "nan"
     elif kind == "cost-fields":
         cost_rows.insert(row % (len(cost_rows) + 1), ["x"])
+    elif kind == "blank-id":
+        _put(record, 0, " ")
+    elif kind == "blank-cost-id":
+        cost_rows.insert(row % (len(cost_rows) + 1), ["", "1"])
     else:
         raise AssertionError(kind)
 
@@ -614,7 +631,7 @@ FAULTS = (
     "extra-field", "missing-field", "bad-seq", "minute-60", "after-day", "hour-25",
     "newline-clock",
     "unknown-edge", "unknown-day", "enter-after-exit", "mixed-days", "overlap",
-    "missing-cost", "duplicate-cost", "bad-cost", "cost-fields",
+    "missing-cost", "duplicate-cost", "bad-cost", "cost-fields", "blank-id", "blank-cost-id",
 )
 
 
@@ -697,7 +714,7 @@ NETWORK_FAULT_ROWS = [
     'e4,A,B,10,fast',  # unparseable speed limit
     'e5,A,B,10',  # too few fields: claims no id
     'e6,A,B,10,50,x',  # too many fields
-    ',C,B,5,',  # a blank id: rows with the wrong field count did not claim it
+    ',C,B,5,',  # a blank id
     'e7,A,B,0,',
     'e8,A,B,nan,',
     'e9,A,B,inf,50',
@@ -712,6 +729,8 @@ NETWORK_FAULT_ROWS = [
     'e14,A,B,-1,0',  # length comes before speed limit
     'e15,C,D,1e400,',  # overflows to inf
     'e16,D,C,  7.5 , 60 ',
+    'e17, ,B,5,',  # a blank tail, and an id that no other row claims
+    'e18,C,,5,',  # a blank head
     '',
     '',
 ]
@@ -724,7 +743,8 @@ def _network_file(path, rows):
 def test_network_diagnostics_match_row_by_row_loader(tmp_path, two_tag_schedule):
     _network_file(tmp_path / "network.csv", NETWORK_FAULT_ROWS)
     code, problems = assert_network_loaders_agree(tmp_path / "network.csv", two_tag_schedule)
-    assert code == "malformed-row" and len(problems) == 17
+    assert code == "malformed-row" and len(problems) == 20
+    assert f"{tmp_path / 'network.csv'}:10: blank edge_id" in problems
     assert f"{tmp_path / 'network.csv'}:17: duplicate edge id 'e3' (first on line 5)" in problems
 
 
@@ -772,7 +792,7 @@ def test_empty_network_file(tmp_path, two_tag_schedule):
         # every row kind of fault: field count, day class, start, end, both times
         ["weekday,00:00,24:00", "holiday,00:00,24:00,X", "weekday,7:60,24:00,X",
          "weekday,00:00,24:01,X", "weekend,x,y,X", "", "weekend,00:00,24:00,X,Y",
-         "weekend,00:00,24:00,X"],
+         "weekend,00:00,24:00, ", "weekend,00:00,24:00,X"],
         # rows that parse but do not partition the day
         ["weekday,00:00,06:00,A", "weekday,07:00,24:00,B", "weekend,00:00,24:00,A"],
     ],

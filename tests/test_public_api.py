@@ -29,6 +29,7 @@ ALLOWED = {
 ALLOWED_PARAMETERS = {
     "build_a.method": "tests/test_acceptance.py builds the exact similarity matrix by name",
     "pagerank.max_iters": "tests/test_acceptance.py refines to 1e-13 with more steps",
+    "pagerank.tol": "tests/test_acceptance.py solves to 1e-13",
     "run_comparison.variants": "tests/test_acceptance.py compares a subset of F1-F4",
     "speed_limit_baseline.lam": "tests/test_acceptance.py doubles the urban travel time",
     "training_size_sweep.seed": "tests/test_acceptance.py draws one split per dataset",

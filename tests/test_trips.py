@@ -58,6 +58,13 @@ class TestTripValidation:
         with pytest.raises(ValueError, match="cost"):
             Trip((r,), -1.0)
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_non_finite_cost_rejected(self, cost):
+        # the costs loader rejects these too; a NaN cost used to reach the solver
+        r = LinkRecord(0, WEEKDAY, 100.0, 105.0)
+        with pytest.raises(ValueError, match=f"non-negative and finite, got {cost}"):
+            Trip((r,), cost)
+
 
 class TestTagWeight:
     def test_boundary_straddling_record(self, two_tag_schedule):
