@@ -5,6 +5,11 @@ split of a trips file), ``annotate`` (fit edge weights and write them out),
 ``evaluate`` (compare the objective variants on a held-out split), and
 ``pagerank-stats`` (dual-graph PageRank and degree statistics).
 
+The run settings, RunConfig's fields and ``--config``, are options of
+``annotate`` and ``evaluate`` only: ``pagerank-stats`` reads none of them.
+``evaluate --variant`` picks the variant its loss-ratio curve and its
+training-size sweep report.
+
 Exit codes: 0 success, 2 input validation failure, 3 solver non-convergence,
 4 I/O error. Settings are checked and output directories created before any
 input is loaded. Diagnostics go to stderr only. Set ROADCOST_LOG to a level
@@ -101,7 +106,7 @@ def _numbers(flag: str, text: str, form: str, width: int) -> tuple:
     return tuple(items) if width == 2 else tuple(item[0] for item in items)
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _synth_spec(args: argparse.Namespace) -> SyntheticSpec:
     tags = tuple(t.strip() for t in args.tags.split(",") if t.strip())
     ranges = _numbers("--weight-ranges", args.weight_ranges, "comma-separated lo:hi pairs", 2)
     limits = (
@@ -109,7 +114,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         if args.speed_limits
         else None
     )
-    spec = SyntheticSpec(
+    return SyntheticSpec(
         rows=args.rows,
         cols=args.cols,
         tags=tags,
@@ -122,7 +127,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         truth_from_speed_limits=args.truth_from_speed_limits,
         cover_all_entries=args.cover_all_entries,
     )
-    graph, truth, trips = generate_synthetic(spec, args.seed)
+
+
+def _cmd_synth(args: argparse.Namespace) -> int:
+    graph, truth, trips = generate_synthetic(_synth_spec(args), args.seed)
     paths = save_dataset(graph, trips, args.out, truth=truth)
     logging.getLogger(__name__).info(
         "wrote %d trips over %d edges to %s", len(trips), graph.n_edges, args.out
@@ -183,7 +191,10 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    fractions = pool_fractions(args.sweep_fractions.split(",")) if args.sweep_fractions else ()
+    fractions = ()
+    if args.sweep_fractions:
+        numbers = _numbers("--sweep-fractions", args.sweep_fractions, "comma-separated numbers", 1)
+        fractions = pool_fractions(numbers)
     check_split(args.train_fraction, config.seed)  # annotate uses no seed: RunConfig takes any
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,7 +223,6 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     # back to the uniform random walk on the dual graph
     if (args.trips is None) != (args.costs is None):
         raise ValueError("--trips and --costs are read together: give both or neither")
-    _config_from_args(args)  # no setting applies here, but a bad one is still an error
     tag_names = load_schedule(args.schedule).tags
     if args.tag and args.tag not in tag_names:
         raise ValueError(f"unknown tag {args.tag!r}; known tags: {', '.join(tag_names)}")
@@ -254,22 +264,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec = SyntheticSpec()
     p = sub.add_parser("synth", help="generate a synthetic grid dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--rows", type=int, default=10)
-    p.add_argument("--cols", type=int, default=10)
-    p.add_argument("--tags", default="OFFPEAK,PEAK", help="comma-separated tag names")
+    p.add_argument("--rows", type=int, default=spec.rows)
+    p.add_argument("--cols", type=int, default=spec.cols)
+    p.add_argument("--tags", default=",".join(spec.tags), help="comma-separated tag names")
     p.add_argument(
         "--weight-ranges",
-        default="0.04:0.10,0.08:0.20",
+        default=",".join(f"{lo!r}:{hi!r}" for lo, hi in spec.weight_ranges),
         help="per-tag lo:hi unit-cost ranges, comma separated",
     )
-    p.add_argument("--n-trips", type=int, default=200)
-    p.add_argument("--trip-len-min", type=int, default=4)
-    p.add_argument("--trip-len-max", type=int, default=12)
-    p.add_argument("--coverage", type=float, default=None, help="edge coverage target")
-    p.add_argument("--noise", type=float, default=0.0, help="relative cost noise")
-    p.add_argument("--speed-limits", default=None, help="comma-separated km/h choices")
+    p.add_argument("--n-trips", type=int, default=spec.n_trips)
+    p.add_argument("--trip-len-min", type=int, default=spec.trip_len[0])
+    p.add_argument("--trip-len-max", type=int, default=spec.trip_len[1])
+    p.add_argument("--coverage", type=float, default=spec.coverage, help="edge coverage target")
+    p.add_argument("--noise", type=float, default=spec.noise, help="relative cost noise")
+    p.add_argument("--speed-limits", help="comma-separated km/h choices")
     p.add_argument("--truth-from-speed-limits", action="store_true")
     p.add_argument("--cover-all-entries", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -304,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pagerank-stats", help="dual-graph PageRank and degree statistics")
     _add_dataset_args(p, trips_required=False)
-    _add_config_args(p)
     p.add_argument("--tag", default=None, help="tag name (default: first tag)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_pagerank_stats)

@@ -169,14 +169,19 @@ def run_comparison(
 
     All variants share the same constraint matrices and training data; only
     the (alpha, beta) coefficients differ, so SSL ratios isolate the effect
-    of each penalty term. The loss-ratio curve reports the last variant, so
-    every test trip needs a positive cost; that is checked, with the variant
-    names, before any fit.
+    of each penalty term. The loss-ratio curve reports config.variant, which
+    must be one of ``variants``, so every test trip needs a positive cost;
+    that is checked, with the variant names, before any fit.
     """
     if not variants:
         raise ValueError("run_comparison needs at least one variant")
     for variant in variants:
         config.variant_coefficients(variant)  # raises on an unknown variant
+    if config.variant not in variants:
+        raise ValueError(
+            f"the reported variant {config.variant!r} is not among the compared "
+            f"variants {list(variants)}"
+        )
     _check_positive_costs(test)
     matrices = build_constraints(train, graph, dual, config)
     train_costs = train.costs()
@@ -193,8 +198,7 @@ def run_comparison(
     ratios = {
         v: (value / base if base else float("nan")) for v, value in ssl_per.items()
     }
-    curve_variant = variants[-1]
-    curve = alr_curve(test, graph, weights_per[curve_variant]) if len(test) else []
+    curve = alr_curve(test, graph, weights_per[config.variant]) if len(test) else []
     return EvalReport(
         ssl_per_variant=ssl_per,
         ratios=ratios,

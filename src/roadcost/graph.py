@@ -133,11 +133,11 @@ class RoadGraph:
         if np.any(self.tails == self.heads):
             bad = int(np.nonzero(self.tails == self.heads)[0][0])
             raise ValueError(f"self-loop edge {self.edge_ids[bad]!r} is not allowed")
-        if ne and not np.all(self.lengths > 0):
-            raise ValueError("edge lengths must be positive")
+        if not np.all((self.lengths > 0) & (self.lengths < np.inf)):
+            raise ValueError("edge lengths must be positive and finite")
         with np.errstate(invalid="ignore"):
-            if ne and np.any(self.speed_limits <= 0):
-                raise ValueError("speed limits must be positive where present")
+            if np.any((self.speed_limits <= 0) | (self.speed_limits == np.inf)):
+                raise ValueError("speed limits must be positive and finite where present")
         for name in ("tails", "heads", "lengths", "speed_limits"):
             _freeze(getattr(self, name))
 

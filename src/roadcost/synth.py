@@ -118,9 +118,11 @@ class SyntheticSpec:
 
 
 def equal_split_schedule(tags: tuple[str, ...]) -> TagSchedule:
-    """Weekday split evenly across the tags; weekends all map to the first tag."""
+    """Weekday split evenly across the tags, each boundary rounded to a whole
+    minute (exact when the tag count divides 1440); weekends all map to the
+    first tag."""
     n = len(tags)
-    bounds = [MINUTES_PER_DAY * i / n for i in range(n + 1)]
+    bounds = [float(round(MINUTES_PER_DAY * i / n)) for i in range(n + 1)]
     rules = [(WEEKDAY, bounds[i], bounds[i + 1], i) for i in range(n)]
     rules.append((WEEKEND, 0.0, MINUTES_PER_DAY, 0))
     return TagSchedule(tags=tags, rules=tuple(rules))

@@ -7,8 +7,8 @@ import pytest
 
 import roadcost.cli as cli
 from roadcost.cli import main
-from roadcost.dataio import save_dataset
-from roadcost.synth import SyntheticSpec, generate_synthetic
+from roadcost.dataio import load_schedule, save_dataset
+from roadcost.synth import SyntheticSpec, equal_split_schedule, generate_synthetic
 
 
 def _synth(tmp_path, seed=0, extra=()):
@@ -37,6 +37,26 @@ def test_synth_writes_dataset(tmp_path):
     out = _synth(tmp_path)
     for name in ("network.csv", "schedule.csv", "trips.csv", "costs.csv", "truth_weights.csv"):
         assert (out / name).exists()
+
+
+def test_synth_defaults_are_the_spec_defaults():
+    args = cli._build_parser().parse_args(["synth", "--out", "x"])
+    assert cli._synth_spec(args) == SyntheticSpec()
+
+
+def test_synth_rounds_tag_boundaries_to_whole_minutes(tmp_path, capsys):
+    # 1440 / 7 is no whole minute: each weekday boundary is rounded to one
+    tags = tuple("abcdefg")
+    out = tmp_path / "data"
+    code = main(
+        ["synth", "--out", str(out), "--tags", ",".join(tags),
+         "--weight-ranges", ",".join(["1:2"] * len(tags)), "--n-trips", "5"]
+    )
+    assert code == 0, capsys.readouterr().err
+    assert load_schedule(out / "schedule.csv") == equal_split_schedule(tags)
+    assert [start for start, _, _ in equal_split_schedule(tags).day_rules("weekday")] == [
+        0, 206, 411, 617, 823, 1029, 1234
+    ]
 
 
 def test_synth_byte_identical_for_same_seed(tmp_path):
@@ -328,21 +348,26 @@ def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
         assert f"run.cfg:2: unknown config key '{key}'" in capsys.readouterr().err
 
 
-def test_unknown_flag_exits_2(tmp_path, capsys):
+def test_unknown_flag_exits_2(tmp_path, capsys, monkeypatch):
     data = _synth(tmp_path)
     out = tmp_path / "out"
-    for flag, value in (
-        ("--similarity-method", "exact"), ("--cg-max-iters", "50"),
+    loads, load = [], cli.load_dataset
+    monkeypatch.setattr(cli, "load_dataset", lambda *args: loads.append(args) or load(*args))
+    annotate_outputs = ["--out", str(out / "w.csv"), "--report", str(out / "report.json")]
+    for command, flag, value in (
+        ("annotate", "--similarity-method", "exact"), ("annotate", "--cg-max-iters", "50"),
         # constants, not settings
-        ("--pr-tol", "1e-6"), ("--highway-cutoff-kmh", "80"),
+        ("annotate", "--pr-tol", "1e-6"), ("annotate", "--highway-cutoff-kmh", "80"),
+        # pagerank-stats reads no run setting, so it takes none
+        ("pagerank-stats", "--seed", "-1"), ("pagerank-stats", "--alpha", "1"),
+        ("pagerank-stats", "--config", "f"),
     ):
+        outputs = annotate_outputs if command == "annotate" else ["--out-dir", str(out)]
         with pytest.raises(SystemExit) as exit_info:
-            main(
-                ["annotate", *_dataset_args(data), flag, value, "--out",
-                 str(out / "w.csv"), "--report", str(out / "report.json")]
-            )
+            main([command, *_dataset_args(data), flag, value, *outputs])
         assert exit_info.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert loads == []
         assert not out.exists()
 
 
@@ -351,7 +376,8 @@ def test_unknown_flag_exits_2(tmp_path, capsys):
     [
         ("0,1.5,-2", "training-pool fractions must be in (0, 1], got [0.0, 1.5, -2.0]"),
         ("0.5,nan", "training-pool fractions must be in (0, 1], got [nan]"),
-        ("0.5,half", "could not convert string to float: 'half'"),
+        ("0.5,half", "--sweep-fractions takes comma-separated numbers, got '0.5,half'"),
+        ("0.5,,1", "--sweep-fractions takes comma-separated numbers, got '0.5,,1'"),
     ],
 )
 def test_bad_sweep_fractions_exit_2_before_any_output(tmp_path, capsys, fractions, message):
@@ -501,9 +527,9 @@ def test_bad_run_setting_exits_2_before_loading(
         ("split", "negative seed", 2, "seed must be a non-negative integer, got -1"),
         ("evaluate", "bad train fraction", 2, "train fraction must be in (0, 1), got 1.5"),
         ("split", "bad train fraction", 2, "train fraction must be in (0, 1), got 1.5"),
-        # annotate and pagerank-stats use no seed, so they accept any
+        # annotate uses no seed, so it accepts any; pagerank-stats takes no
+        # --seed at all (test_unknown_flag_exits_2)
         ("annotate", "negative seed", 0, None),
-        ("pagerank-stats", "negative seed", 0, None),
     ],
 )
 def test_bad_output_or_split_setting_fails_before_loading(

@@ -188,6 +188,8 @@ class TestRunComparison:
         [
             (("F1", "F9"), "unknown variant 'F9': must be one of ['F1', 'F2', 'F3', 'F4']"),
             ((), "run_comparison needs at least one variant"),
+            (("F1", "F2"),
+             "the reported variant 'F4' is not among the compared variants ['F1', 'F2']"),
         ],
     )
     def test_variants_checked_before_any_fit(
@@ -217,6 +219,15 @@ class TestRunComparison:
             "2 test trip(s) have cost 0, but the absolute loss ratio needs a positive "
             "actual cost; first: trip 't00002'"
         )
+
+    def test_curve_reports_the_configured_variant(self, small_experiment):
+        graph, dual, _, _, train, test = small_experiment
+        config = RunConfig(variant="F1")
+        report = run_comparison(train, test, graph, dual, config)
+        matrices = build_constraints(train, graph, dual, config)
+        weights, _, _ = solve_variant(matrices, train.costs(), graph, config, "F1")
+        assert report.alr_curve == alr_curve(test, graph, weights)
+        assert report.alr_curve != run_comparison(train, test, graph, dual, RunConfig()).alr_curve
 
     def test_deterministic(self, small_experiment):
         graph, dual, _, _, train, test = small_experiment

@@ -137,6 +137,22 @@ class TestRoadGraph:
         with pytest.raises(ValueError, match="length"):
             RoadGraph.from_edges(["A", "B"], [("A", "B")], [0.0], two_tag_schedule)
 
+    @pytest.mark.parametrize(
+        "lengths, limits, message",
+        [
+            ([np.inf, 10.0], None, "edge lengths must be positive and finite"),
+            ([10.0, 10.0], [np.inf, 50.0], "speed limits must be positive and finite"),
+        ],
+    )
+    def test_infinite_length_or_limit_rejected(self, two_tag_schedule, lengths, limits, message):
+        # the rule load_network states: save_network would write "inf", which
+        # no load accepts, and an infinite limit would mean zero travel time
+        with pytest.raises(ValueError, match=message):
+            RoadGraph.from_edges(
+                ["A", "B"], [("A", "B"), ("B", "A")], lengths, two_tag_schedule,
+                speed_limits=limits,
+            )
+
     def test_parallel_edges_allowed(self, two_tag_schedule):
         g = RoadGraph.from_edges(
             ["A", "B"], [("A", "B"), ("A", "B")], [10.0, 12.0], two_tag_schedule
