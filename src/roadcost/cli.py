@@ -47,7 +47,7 @@ from .evaluation import (
     training_size_sweep,
 )
 from .graph import build_dual
-from .pagerank import degree_stats, pagerank, pagerank_stats, transition_matrices
+from .pagerank import degree_stats, dual_weights, pagerank, pagerank_stats
 from .solver import objective_terms
 from .synth import SyntheticSpec, generate_synthetic
 from .trips import check_split, partition_by_tag, split_trips
@@ -231,10 +231,8 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     graph, trips = load_dataset(args.network, args.schedule, args.trips, args.costs)
     dual = build_dual(graph)
     partitions = partition_by_tag(trips, graph.tag_schedule)
-    transitions = transition_matrices(dual, partitions)
-
     tag = tag_names.index(args.tag) if args.tag else 0
-    pr = pagerank(transitions[tag])
+    pr = pagerank(dual_weights(dual, partitions[tag], tag=tag))
     percentages = pagerank_stats(pr)
     buckets = [(str(b + 1), "%.17g" % p) for b, p in enumerate(percentages.tolist())]
     write_csv(

@@ -82,6 +82,7 @@ class EvalReport:
     ratios: dict[str, float]  # SSL relative to F1
     coverage_per_variant: dict[str, float]
     alr_curve: list[tuple[int, float]]
+    alr_variant: str  # the variant alr_curve belongs to
     solve_info: dict[str, SolveInfo] = field(default_factory=dict)
 
 
@@ -204,6 +205,7 @@ def run_comparison(
         ratios=ratios,
         coverage_per_variant=coverage_per,
         alr_curve=curve,
+        alr_variant=config.variant,
         solve_info=infos,
     )
 

@@ -8,11 +8,11 @@ with no trips therefore falls back to the uniform 1/out(u) of the unweighted
 random walk.
 
 With damping 1, power iteration on a grid-like dual needs on the order of
-diameter^2 steps. The stationary vector is instead solved exactly, one sparse
-LU factorization per closed class of the chain: pinning one unknown to 1 and
-dropping its equation turns the singular (I - P^T) v = 0 into a regular
-system (Stewart, Introduction to the Numerical Solution of Markov Chains,
-1994, ch. 2-3).
+diameter^2 steps. The stationary vector is instead solved exactly, by one
+sparse LU factorization that covers every closed class of the chain: pinning
+one unknown of each class to 1 and dropping its equation turns the singular
+(I - P^T) v = 0 into a regular system (Stewart, Introduction to the
+Numerical Solution of Markov Chains, 1994, ch. 2-3).
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ class TransitionMatrix:
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         """Return M^T v including the implicit uniform dead-end rows."""
         out = self.matrix.T @ v
-        if self.dangling.any():
-            out = out + v[self.dangling].sum() / self.n
+        dangling = self.dangling
+        if dangling.any():
+            out = out + v[dangling].sum() / self.n
         return out
 
     def row_sums(self) -> np.ndarray:
@@ -125,8 +126,9 @@ def transition_matrices(dual: DualGraph, partitions: Sequence[TripSet]) -> list[
     return [dual_weights(dual, trips_k, tag=k) for k, trips_k in enumerate(partitions)]
 
 
-def _closed_classes(m: TransitionMatrix) -> list[np.ndarray]:
-    """Members of each closed class of the repaired chain.
+def _closed_classes(m: TransitionMatrix) -> np.ndarray:
+    """Label of each dual vertex's closed class of the repaired chain, -1 for
+    transient vertices.
 
     A dead-end row reaches every vertex, so it is modeled with one virtual
     relay vertex instead of n explicit edges. A class is closed when no
@@ -150,67 +152,63 @@ def _closed_classes(m: TransitionMatrix) -> list[np.ndarray]:
     open_[src[src != dst]] = True
     class_size = np.bincount(labels, minlength=n_labels)
     open_[labels[dangling_idx][class_size[labels[dangling_idx]] < n]] = True
-    return [np.flatnonzero(labels == lab) for lab in np.flatnonzero(~open_)]
-
-
-def _pinned_system(
-    m: TransitionMatrix, members: np.ndarray
-) -> tuple[sp.csc_matrix, np.ndarray, bool]:
-    """(I - P^T) x = 0 on one closed class with one unknown pinned to 1.
-
-    Returns (A, b, relay). A class holding a dead end is the whole chain, and
-    the pinned unknown is its relay vertex: the relay's uniform row enters
-    only b = 1/n, never the factor, and x is the class vector. Otherwise the
-    first member is pinned, its row and column are dropped, and x is the
-    class vector without that member.
-    """
-    sub = m.matrix if len(members) == m.n else m.matrix[members][:, members]
-    a = sp.identity(len(members), format="csc") - sub.T
-    if m.dangling[members].any():
-        return a, np.full(len(members), 1.0 / len(members)), True
-    return a[1:, 1:], sub[0].toarray().ravel()[1:], False
+    return np.where(open_[labels], -1, labels)
 
 
 def pagerank(m: TransitionMatrix, tol: float = DEFAULT_TOL, max_iters: int = 3) -> PageRankVector:
-    """Stationary distribution of the dual-graph chain by one sparse LU per
-    closed class.
+    """Stationary distribution of the dual-graph chain by one sparse LU.
 
     The returned vector v satisfies ||M^T v - v||_1 <= tol and sums to 1.
-    Each closed class is solved exactly with one unknown pinned, then
-    normalized; when the combined vector misses tol, up to max_iters steps
-    of iterative refinement against the same factors follow
-    (``iterations`` counts them). On a reducible chain (disconnected
-    networks) the class vectors are combined proportionally to class size;
-    transient vertices get zero and a warning lists them. Raises
+    No probability leaves a closed class, so I - P^T on the closed vertices
+    is block diagonal: one factor solves every class, with each class's
+    first member pinned to 1 and its row and column dropped. A class holding
+    a dead end is the whole chain, and its relay vertex is pinned instead: it
+    enters only b = 1/n, never the factor. Each class carries mass in
+    proportion to its size; transient vertices get zero and a warning lists
+    them. When v misses tol, up to max_iters steps of iterative refinement
+    against the factor follow (``iterations`` counts them). Raises
     ConvergenceError when tol is still missed or a non-finite value appears.
     """
     n = m.n
     if n == 0:
         raise ValueError("empty transition matrix")
-    closed = _closed_classes(m)
-    total = sum(len(c) for c in closed)
-    if len(closed) > 1 or total < n:
-        transient = np.setdiff1d(np.arange(n), np.concatenate(closed))
+    labels = _closed_classes(m)
+    closed = np.flatnonzero(labels >= 0)
+    _, first, cls, sizes = np.unique(
+        labels[closed], return_index=True, return_inverse=True, return_counts=True
+    )
+    total = len(closed)
+    if len(sizes) > 1 or total < n:
+        transient = np.flatnonzero(labels < 0)
         logger.warning(
             "dual graph is reducible: %d closed component(s), %d unreachable "
             "(transient) dual vertices %s get zero mass",
-            len(closed),
+            len(sizes),
             len(transient),
             transient[:10].tolist(),
         )
 
-    systems = []
-    for members in closed:
-        a, b, relay = _pinned_system(m, members)
-        lu = splu(a, permc_spec="COLAMD", panel_size=1, relax=1)
-        systems.append((members, a, b, relay, lu))
-    xs = [lu.solve(b) for _, _, b, _, lu in systems]
+    sub = m.matrix if total == n else m.matrix[closed][:, closed]
+    a = sp.identity(total, format="csc") - sub.T
+    free = np.ones(total, dtype=bool)
+    if m.dangling[closed].any():
+        b = np.full(n, 1.0 / n)
+    else:
+        free[first] = False
+        a, b = a[free][:, free], (sub.T @ (~free).astype(float))[free]
+    lu = splu(a, permc_spec="COLAMD", panel_size=1, relax=1)
+    x = lu.solve(b)
+    by_class = np.argsort(cls, kind="stable")
     steps = 0
     while True:
+        full = np.ones(total)
+        full[free] = x
+        # one ndarray.sum per class over its members in ascending order keeps
+        # numpy's pairwise rounding, which a bincount of all classes changes
+        parts = np.split(full[by_class], np.cumsum(sizes)[:-1])
+        sums = np.array([part.sum() for part in parts])
         v = np.zeros(n)
-        for (members, _, _, relay, _), x in zip(systems, xs):
-            full = x if relay else np.concatenate(([1.0], x))
-            v[members] = full * (len(members) / total / full.sum())
+        v[closed] = full * (sizes / total / sums)[cls]
         residual = float(np.abs(m.apply_transpose(v) - v).sum())
         if not np.isfinite(residual):
             raise ConvergenceError("stationary solve produced a non-finite value", residual, steps)
@@ -218,7 +216,7 @@ def pagerank(m: TransitionMatrix, tol: float = DEFAULT_TOL, max_iters: int = 3) 
             return PageRankVector(tag=m.tag, values=v, iterations=steps, residual=residual)
         if steps >= max_iters:
             raise ConvergenceError("stationary solve misses tolerance", residual, steps)
-        xs = [x + lu.solve(b - a @ x) for (_, a, b, _, lu), x in zip(systems, xs)]
+        x = x + lu.solve(b - a @ x)
         steps += 1
 
 

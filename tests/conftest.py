@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from collections import Counter
 
 import numpy as np
@@ -63,6 +64,21 @@ def splu_calls(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(solver, "splu", recording)
     return specs
+
+
+@pytest.fixture
+def pagerank_splu_calls(monkeypatch) -> list[int]:
+    """The order of every PageRank factorization, in call order."""
+    # the package's ``pagerank`` attribute is the function, not the module
+    pagerank = importlib.import_module("roadcost.pagerank")
+    orders, factor = [], pagerank.splu
+
+    def recording(matrix, *args, **kwargs):
+        orders.append(matrix.shape[0])
+        return factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(pagerank, "splu", recording)
+    return orders
 
 
 @pytest.fixture

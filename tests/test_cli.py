@@ -145,6 +145,7 @@ def test_evaluate_outputs(tmp_path):
     assert [r["train_pool_fraction"] for r in sweep] == ["0.500", "1.000"]
     report = json.loads((out / "report.json").read_text())
     assert report["ratios"]["F1"] == 1.0
+    assert report["alr_variant"] == "F4"
     with open(out / "alr_curve.csv") as handle:
         curve = list(csv.DictReader(handle))
     assert len(curve) == 100
@@ -153,6 +154,15 @@ def test_evaluate_outputs(tmp_path):
     with open(out / "coverage.csv") as handle:
         coverage = {r["variant"]: float(r["coverage"]) for r in csv.DictReader(handle)}
     assert set(coverage) == {"F1", "F2", "F3", "F4"}
+
+
+def test_evaluate_report_names_its_variant(tmp_path):
+    data = _synth(tmp_path)
+    out = tmp_path / "eval"
+    assert main(
+        ["evaluate", *_dataset_args(data), "--variant", "F1", "--out-dir", str(out)]
+    ) == 0
+    assert json.loads((out / "report.json").read_text())["alr_variant"] == "F1"
 
 
 def test_pagerank_stats_outputs(tmp_path):

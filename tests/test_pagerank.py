@@ -247,6 +247,45 @@ class TestPagerank:
         pr = pagerank(_dense_transitions(dense), tol=1e-14)
         assert pr.values == pytest.approx([0.45, 0.5, 0.0, 0.05, 0.0], abs=1e-15)
 
+    def test_one_factorization_per_tag(self, grid20_transitions, pagerank_splu_calls):
+        pagerank(_two_closed_classes_and_transients())
+        assert pagerank_splu_calls == [3]  # 5 closed vertices, one pinned per class
+        pagerank_splu_calls.clear()
+        for m in grid20_transitions:
+            pagerank(m)
+        assert pagerank_splu_calls == [m.n - 1 for m in grid20_transitions]
+
+    def test_many_closed_classes(self, single_tag_schedule, pagerank_splu_calls, caplog):
+        # 600 two-way squares (8 dual vertices each) and 500 two-way triangles
+        # (6 each) are 1,100 closed classes; 1-4 trips along three sides of
+        # every third island make its vector uneven, and three one-way stubs
+        # into islands are transient
+        vertices, edges, islands, trips = [], [], [], []
+        for k in range(1100):
+            corners = [f"i{k}c{j}" for j in range(4 if k < 600 else 3)]
+            first = len(edges)
+            for j, u in enumerate(corners):
+                v = corners[(j + 1) % len(corners)]
+                edges += [(u, v), (v, u)]
+            vertices += corners
+            islands.append(np.arange(first, len(edges)))
+            if k % 3 == 0:
+                trips += [make_trip([first, first + 2, first + 4])] * (1 + k % 4)
+        for k in (0, 1, 700):
+            vertices.append(f"stub{k}")
+            edges.append((f"stub{k}", f"i{k}c0"))
+        g = RoadGraph.from_edges(vertices, edges, np.full(len(edges), 10.0), single_tag_schedule)
+        m = dual_weights(build_dual(g), tripset(*trips))
+        with caplog.at_level(logging.WARNING, logger="roadcost.pagerank"):
+            pr = pagerank(m, tol=1e-14)
+        assert "1100 closed component(s), 3 unreachable" in caplog.text
+        total = 600 * 8 + 500 * 6
+        assert pagerank_splu_calls == [total - 1100]
+        for members in islands:
+            oracle = stationary_bruteforce(m.matrix[members][:, members].toarray())
+            assert pr.values[members] == pytest.approx(oracle * len(members) / total, abs=1e-15)
+        assert pr.values[total:].tolist() == [0.0, 0.0, 0.0]
+
     def test_grid_solve_is_exact(self, grid20_transitions):
         for m in grid20_transitions:
             pr = pagerank(m)
@@ -285,6 +324,16 @@ class TestPagerank:
             assert np.abs(pr.values - oracle).max() <= 1e-8
             checked += 1
         assert checked >= 20
+
+
+def _two_closed_classes_and_transients() -> TransitionMatrix:
+    """Closed {0, 1} and {2, 3, 4}; 5 and 6 are transient and feed both."""
+    dense = np.zeros((7, 7))
+    dense[0, 1] = dense[1, 0] = dense[2, 3] = dense[4, 2] = 1.0
+    dense[3, 4], dense[3, 2] = 0.5, 0.5
+    dense[5, 0], dense[5, 6] = 0.5, 0.5
+    dense[6, 2], dense[6, 5] = 0.9, 0.1
+    return _dense_transitions(dense)
 
 
 @pytest.fixture(scope="module")
