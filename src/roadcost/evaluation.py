@@ -12,9 +12,9 @@ from .config import RunConfig
 from .graph import CostVector, DualGraph, RoadGraph
 from .pagerank import pagerank, transition_matrices
 from .solver import (
-    AugmentedPattern,
     SimilarityLaplacian,
     SolveInfo,
+    TripSpacePattern,
     annotated_mask,
     build_b,
     build_q,
@@ -93,7 +93,7 @@ class ConstraintMatrices:
     q: sp.csr_matrix
     l_a: SimilarityLaplacian
     l_b: sp.csr_matrix
-    pattern: AugmentedPattern  # Q's: one factor ordering for every solve here
+    pattern: TripSpacePattern  # Q's: one factor ordering for every solve here
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mask(self, use_a: bool, use_b: bool) -> np.ndarray:
@@ -124,7 +124,7 @@ def build_constraints(
     l_a = SimilarityLaplacian(prs, config.similarity_threshold)
     l_b = laplacian(build_b(transitions, dual, graph.is_highway()))
     q = build_q(train, graph)
-    return ConstraintMatrices(q=q, l_a=l_a, l_b=l_b, pattern=AugmentedPattern(q))
+    return ConstraintMatrices(q=q, l_a=l_a, l_b=l_b, pattern=TripSpacePattern(q))
 
 
 def solve_variant(

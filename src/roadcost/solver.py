@@ -11,7 +11,7 @@ together), and L_B is the Laplacian of the directional-adjacency matrix
 directions of one physical road excluded). Setting the gradient to zero
 gives the SPD system (Q Q^T + alpha L_A + beta L_B + gamma I) d = Q c.
 solve_weights solves it by preconditioned conjugate gradient, applying the
-operator and forming the preconditioner's D itself; AugmentedPattern is the
+operator and forming the preconditioner's D itself; TripSpacePattern is the
 only state a solve shares with others on the same Q.
 
 A links every pair of a tag's segments whose PageRank ratio min/max reaches
@@ -21,24 +21,21 @@ SimilarityLaplacian applies L_A in linear time from sorted PageRank values.
 The preconditioner is P = D + Q Q^T with D = gamma + alpha diag(L_A) +
 beta diag(L_B): it inverts the misfit term exactly, so CG is left with only
 the off-diagonal Laplacian coupling. Q Q^T is never formed: each product
-with the operator is a handful of sparse mat-vecs. P^-1 v is read
-off one sparse LU of the (n + t) x (n + t) augmented matrix
-[[D, Q], [Q^T, -I]], which is quasi-definite (D positive, -I negative) and
-therefore factors stably under any symmetric ordering without pivoting
-(Vanderbei, "Symmetric quasidefinite matrices", SIAM J. Optim., 1995).
-That factor fills as trips overlap. When an estimate of its fill, taken
-from Q's row counts before anything is factored, exceeds
-PRECONDITIONER_FILL_LIMIT times the augmented matrix's own nonzeros, the
+with the operator is a handful of sparse mat-vecs, and P^-1 v is read off
+one sparse LU in trip space, of the SPD matrix S = I + Q_m^T D'^-1 Q_m
+(Woodbury; see TripSpacePattern). S factors stably under any symmetric
+ordering without pivoting. That factor fills as trips overlap. When an
+estimate of its fill, taken from Q's row counts before anything is
+factored, exceeds PRECONDITIONER_FILL_LIMIT times 2 nnz(Q) + n + t, the
 solve runs plain CG instead: on the grids measured, that many trips per
 unknown left Q Q^T well enough conditioned for plain CG to be the faster
 and leaner path.
 
 Solves with the same Q (the objective variants, a grid of coefficients)
-differ only in D, so AugmentedPattern keeps what Q alone decides: Q^T, the
-fill verdict, and the fill-reducing ordering of the first factor. Every
-later factor permutes the matrix symmetrically by that ordering and pays
-only for the numeric factorization, with the same fill. Each solve still
-factors its own D: the preconditioner is the same matrix as before.
+differ only in D, so TripSpacePattern keeps what Q alone decides, the
+fill-reducing ordering of the first factor included: every later factor
+pays only for the numeric factorization, with the same fill. Each solve
+still factors its own D: the preconditioner is the same matrix as before.
 
 A solve may also start from a guess x0 instead of zero. A grid of
 coefficients moves the solution a little from one point to the next, so
@@ -63,15 +60,15 @@ from .pagerank import PageRankVector, TransitionMatrix
 from .trips import build_q  # noqa: F401  (public path: roadcost.solver.build_q)
 
 DEFAULT_CG_TOL = 1e-8
-# Largest estimated fill of the preconditioner's factor, per nonzero of the
-# augmented matrix, that is still factored (AugmentedPattern.factored).
+# Largest estimated fill of the preconditioner's factor, per unit of
+# 2 nnz(Q) + n + t, that is still factored (TripSpacePattern.factored).
 # On synthetic 12x12 to 60x60 grids with 72-7,000 training trips the estimate
 # read 0.35-5.1 and the preconditioned F1 + F4 solves were 1.4-6.2x faster
 # than plain CG (which missed tol on F1 at 7,000 trips on 30x30); at 7.2-10,
 # 15-21 trips per unknown on average, plain CG was 1.3-6.2x faster.
 PRECONDITIONER_FILL_LIMIT = 6.0
 # SuperLU settings of every preconditioner factor: diagonal pivots, no
-# supernodes (the augmented matrix is quasi-definite and sparse).
+# supernodes (S is SPD and sparse).
 _SPLU_OPTIONS = dict(
     diag_pivot_thresh=0.0, panel_size=1, relax=1, options={"SymmetricMode": True}
 )
@@ -254,40 +251,42 @@ def laplacian(s: sp.spmatrix) -> sp.csr_matrix:
     return (sp.diags(row_sums) - s).tocsr()
 
 
-class _PermutedFactor:
-    """Solves K x = v with the LU of K[inv][:, inv], the symmetric permutation of K."""
+class _TripSpaceFactor:
+    """Applies P^-1 = (D' + Q_m Q_m^T)^-1 from D' and an LU of S = I + Q_m^T D'^-1 Q_m."""
 
-    def __init__(self, lu, inv: np.ndarray):
-        self.lu = lu
-        self.inv = inv
-
-    @property
-    def nnz(self) -> int:
-        return self.lu.nnz
+    def __init__(self, d: np.ndarray, qm: sp.csr_matrix, qmt: sp.csr_matrix, lu):
+        self.d, self.qm, self.qmt, self.lu = d, qm, qmt, lu
+        self.nnz = 0 if lu is None else lu.nnz
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        x = np.empty_like(v)
-        x[self.inv] = self.lu.solve(v[self.inv])
-        return x
+        if self.lu is None:  # no trip through two unknowns: P = D'
+            return v / self.d
+        y = self.lu.solve(self.qmt @ (v / self.d))
+        return (v - self.qm @ y) / self.d
 
 
-class AugmentedPattern:
+class TripSpacePattern:
     """What Q alone decides about the preconditioner, shared by Q's solves.
 
-    The preconditioner D + Q Q^T is the leading n-block of the augmented
-    matrix's inverse: eliminating the trip block y = Q^T x from
-    [[D, Q], [Q^T, -I]] [x; y] = [v; 0] leaves (D + Q Q^T) x = v.
-    Eliminating unknown i joins the r_i trips through it, so sum_i r_i^2
-    estimates the factor's fill before it is paid for (measured L + U:
-    1.4-7.6 times the estimate). Above PRECONDITIONER_FILL_LIMIT per nonzero
-    of the augmented matrix, ``factored`` is False and the solves run plain CG.
+    A trip through one unknown adds only to the diagonal of Q Q^T, so D' = D
+    + its q^2 absorbs it exactly; Q_m keeps the other trips, and P = D' +
+    Q_m Q_m^T. By the Woodbury identity (Hager, SIAM Review 31, 1989), P^-1 v
+    = D'^-1 (v - Q_m S^-1 Q_m^T D'^-1 v) with the t_m x t_m SPD matrix S =
+    I + Q_m^T D'^-1 Q_m. Where D'_i is small next to (Q_m Q_m^T)_ii, the
+    difference cancels (Yip, SIAM J. Sci. Stat. Comput. 7, 1986) and loses
+    about eps (Q_m Q_m^T)_ii / D'_i, which CG's iterations make up; the fold
+    keeps D'_i >= q^2 wherever a trip runs through unknown i alone.
 
-    Holds Q^T, the fill gate's verdict (``factored``) and, after the first
-    factor, that factor's fill-reducing ordering (SuperLU MMD on A^T + A).
-    The second factor builds once the augmented matrix permuted
-    symmetrically by that ordering; from then on each factor copies it,
-    writes its own D and factors it in the given order, the numeric step
-    only. The fill is the first factor's, and no factor is kept.
+    With r_i trips through unknown i, sum_i r_i^2 bounds S's nonzeros before
+    its LU fills it. Above PRECONDITIONER_FILL_LIMIT times 2 nnz(Q) + n + t
+    (the nonzeros of the bordered matrix [[D, Q], [Q^T, -I]] the limit was
+    set on), ``factored`` is False and the solves run plain CG.
+
+    The first factor orders S (SuperLU MMD on S^T + S); the second puts
+    Q_m's columns in that order, once, so every later S arrives ordered and
+    its factor is numeric only, with the same fill. Until then Q_m is Q
+    itself when no trip runs through one unknown: a lone solve copies
+    nothing. No factor is kept.
     """
 
     def __init__(self, q: sp.csr_matrix):
@@ -297,55 +296,49 @@ class AugmentedPattern:
         trips_per_unknown = q.getnnz(axis=1).astype(float)
         fill_estimate = trips_per_unknown @ trips_per_unknown
         self.factored = bool(fill_estimate <= PRECONDITIONER_FILL_LIMIT * (2 * q.nnz + n + t))
-        self._inv = None  # argsort of the first factor's column permutation
-        self._template = None  # the augmented matrix, permuted
-        self._diag_pos = None  # position in its data of each unknown's D entry
+        unknowns_per_trip = np.diff(self.qt.indptr)
+        self._fold = None  # D' - D: the q^2 of each trip through one unknown
+        self._qm, self._qmt = q, self.qt
+        if (unknowns_per_trip == 1).any():
+            at = self.qt.indptr[:-1][unknowns_per_trip == 1]
+            self._fold = np.bincount(self.qt.indices[at], self.qt.data[at] ** 2, n)
+            multi = np.flatnonzero(unknowns_per_trip > 1)
+            self._qm, self._qmt = q[:, multi], self.qt[multi]
+        self._order = None  # argsort of the first factor's perm_c, until Q_m stands in it
+        self._permc = "MMD_AT_PLUS_A"  # NATURAL once it does
 
-    def _augmented(self, diag: np.ndarray) -> sp.csc_matrix:
-        t = self.q.shape[1]
-        return sp.bmat([[sp.diags(diag), self.q], [self.qt, -sp.identity(t)]], format="csc")
+    def factor(self, diag: np.ndarray) -> _TripSpaceFactor:
+        """A factor of D + Q Q^T with D = diag(diag): its solve(v) solves that system.
 
-    def _build_template(self) -> None:
-        n = self.q.shape[0]
-        # ones on the D block: sp.diags would drop explicit zeros
-        k = self._augmented(np.ones(n)).tocoo()
-        perm = np.argsort(self._inv)  # new position of each row and column
-        template = sp.csc_matrix((k.data, (perm[k.row], perm[k.col])), shape=k.shape)
-        template.sort_indices()
-        cols = np.repeat(np.arange(k.shape[1]), np.diff(template.indptr))
-        on_diag = np.flatnonzero(template.indices == cols)
-        entry = self._inv[cols[on_diag]]
-        d_block = entry < n
-        self._diag_pos = np.empty(n, dtype=np.int64)
-        self._diag_pos[entry[d_block]] = on_diag[d_block]
-        self._template = template
-
-    def factor(self, diag: np.ndarray):
-        """An LU of [[diag(D), Q], [Q^T, -I]]: its solve(v) solves that system.
-
-        The first call orders and factors; later calls reuse the ordering.
-        Raises RuntimeError (from SuperLU) on a zero pivot.
+        The first call orders S and factors it; later calls reuse the ordering.
+        Raises RuntimeError on a non-finite D' (S = I + ... never meets the zero
+        pivot a NaN would give), before anything is factored.
         """
-        if self._inv is None:
-            lu = splu(self._augmented(diag), permc_spec="MMD_AT_PLUS_A", **_SPLU_OPTIONS)
-            # a new array: perm_c is a view whose base is the LU itself
-            self._inv = np.argsort(lu.perm_c)
-            return lu
-        if self._template is None:
-            self._build_template()
-        data = self._template.data.copy()
-        data[self._diag_pos] = diag
-        permuted = sp.csc_matrix(
-            (data, self._template.indices, self._template.indptr), shape=self._template.shape
+        d = diag if self._fold is None else diag + self._fold  # no n-array when nothing folds
+        if not np.isfinite(d).all():
+            raise RuntimeError("non-finite diagonal")
+        if self._qm.shape[1] == 0:
+            return _TripSpaceFactor(d, self._qm, self._qmt, None)
+        if self._order is not None:  # the second factor: every S arrives ordered from here on
+            self._qm, self._qmt = self._qm[:, self._order], self._qmt[self._order]
+            self._order, self._permc = None, "NATURAL"
+        qm = self._qm
+        scaled = sp.csr_matrix(
+            (qm.data / np.repeat(d, np.diff(qm.indptr)), qm.indices, qm.indptr), shape=qm.shape
         )
-        return _PermutedFactor(splu(permuted, permc_spec="NATURAL", **_SPLU_OPTIONS), self._inv)
+        s = self._qmt @ scaled + sp.identity(qm.shape[1], format="csr")
+        lu = splu(s.tocsc(), permc_spec=self._permc, **_SPLU_OPTIONS)  # tocsc sorts, in O(nnz)
+        if self._permc == "MMD_AT_PLUS_A":
+            # a new array: perm_c is a view whose base is the LU itself
+            self._order = np.argsort(lu.perm_c)
+        return _TripSpaceFactor(d, self._qm, self._qmt, lu)
 
 
 @dataclass(frozen=True)
 class SolveInfo:
     iterations: int
     residual: float  # relative, ||M d - Q c|| / ||Q c||
-    factor_nnz: int = 0  # nonzeros of the preconditioner's L + U (0: plain CG or no solve)
+    factor_nnz: int = 0  # nonzeros of S's L + U (0: plain CG, no solve, or no S to factor)
 
 
 def solve_weights(
@@ -357,7 +350,7 @@ def solve_weights(
     beta: float,
     gamma: float,
     tol: float = DEFAULT_CG_TOL,
-    pattern: Optional[AugmentedPattern] = None,
+    pattern: Optional[TripSpacePattern] = None,
     x0: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, SolveInfo]:
     """Minimize the full objective by preconditioned CG on its normal system.
@@ -366,15 +359,16 @@ def solve_weights(
     gamma positive: gamma makes the operator positive definite and the
     minimizer unique. Each call factors its own preconditioner (see the
     module docstring), unless its estimated fill is too large, in which case
-    CG runs unpreconditioned. Pass ``pattern``, Q's AugmentedPattern, to
-    share Q^T, the fill verdict and the factor's ordering with other solves
-    on the same Q: after the first, each factor is numeric only. Pass ``x0``,
-    a finite vector with one entry per unknown, to start CG there instead of
-    at zero (a warm start from the solution of a nearby system); the stop
-    test does not change, so the result meets the same tol. Returns the cost
-    vector and solve statistics; raises ConvergenceError when the relative
-    residual does not reach tol within 10 iterations per unknown, at the
-    first non-finite residual, and when the factorization meets a zero pivot.
+    CG runs unpreconditioned. Pass ``pattern``, Q's TripSpacePattern, to
+    share Q^T, Q_m, the fill verdict and the factor's ordering with other
+    solves on the same Q: after the first, each factor is numeric only. Pass
+    ``x0``, a finite vector with one entry per unknown, to start CG there
+    instead of at zero (a warm start from the solution of a nearby system);
+    the stop test does not change, so the result meets the same tol.
+    Returns the cost vector and solve statistics; raises ConvergenceError
+    when the relative residual does not reach tol within 10 iterations per
+    unknown, at the first non-finite residual, and before factoring when D
+    is not finite.
     """
     if not np.isfinite([alpha, beta, gamma]).all():
         raise ValueError("alpha, beta and gamma must be finite")
@@ -383,9 +377,9 @@ def solve_weights(
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be non-negative")
     if pattern is None:
-        pattern = AugmentedPattern(q)
+        pattern = TripSpacePattern(q)
     elif pattern.q is not q:
-        raise ValueError("the augmented pattern belongs to another Q")
+        raise ValueError("the trip-space pattern belongs to another Q")
     if alpha and l_a is None:
         raise ValueError("alpha > 0 requires a similarity Laplacian")
     if beta and l_b is None:
@@ -423,15 +417,14 @@ def solve_weights(
             diag += beta * l_b.diagonal()
         try:
             lu = pattern.factor(diag)
-        except RuntimeError as err:  # SuperLU: a zero pivot (non-finite or degenerate input)
+        except RuntimeError as err:  # a non-finite D, or a zero pivot from SuperLU
             raise ConvergenceError(f"preconditioner factorization failed: {err}", 1.0, 0) from err
     factor_nnz = 0 if lu is None else lu.nnz
-    pad = np.zeros(q.shape[1])
 
     def precondition(v: np.ndarray) -> np.ndarray:
         if lu is None:  # plain CG
             return v
-        return lu.solve(np.concatenate((v, pad)))[:n]
+        return lu.solve(v)
 
     if x0 is None:
         x = np.zeros(n)

@@ -16,8 +16,8 @@ from roadcost.pagerank import (
 )
 from roadcost.solver import (
     PRECONDITIONER_FILL_LIMIT,
-    AugmentedPattern,
     SimilarityLaplacian,
+    TripSpacePattern,
     annotated_mask,
     build_a,
     build_b,
@@ -518,7 +518,7 @@ class TestSolve:
         # every trip covers all 4 unknowns: the estimate 4 t^2 is held against
         # the limit times the augmented matrix's 2 (4 t) + 4 + t nonzeros
         def factored(t):
-            return AugmentedPattern(sp.csr_matrix(np.ones((4, t)))).factored
+            return TripSpacePattern(sp.csr_matrix(np.ones((4, t)))).factored
 
         t_max = max(t for t in range(1, 1000)
                     if 4 * t * t <= PRECONDITIONER_FILL_LIMIT * (9 * t + 4))
@@ -533,7 +533,7 @@ class TestSolve:
         q = sp.csr_matrix(rng.uniform(0.5, 2, (n, t)) * (rng.random((n, t)) < 0.7))
         l_a = laplacian(_random_similarity(rng, n, 0.3))
         c = rng.uniform(0.5, 2, t)
-        assert not AugmentedPattern(q).factored
+        assert not TripSpacePattern(q).factored
         d, info = solve_weights(q, c, l_a, None, 0.5, 0.0, 1e-4, tol=1e-12)
         dense = (q @ q.T).toarray() + 0.5 * l_a.toarray() + 1e-4 * np.eye(n)
         expected = np.linalg.solve(dense, q @ c)
@@ -557,7 +557,7 @@ class TestSolve:
         c = rng.uniform(0.5, 2, 8)
         expected = np.linalg.solve(dense, q @ c)
         for factored in (True, False):
-            pattern = AugmentedPattern(q)
+            pattern = TripSpacePattern(q)
             pattern.factored = factored
             d, info = solve_weights(q, c, lap, None, 1.2, 0.0, gamma, tol=1e-12, pattern=pattern)
             assert np.linalg.norm(d - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -570,53 +570,116 @@ def _grid_q():
     return build_q(trips, graph), trips.costs()
 
 
-class TestAugmentedPattern:
+def _trip_space_errors(low, cover_all):
+    """Relative errors of a trip-space factor of D + Q Q^T against a dense solve.
+
+    Q holds one-unknown trips (one on every unknown when ``cover_all``) and
+    30 trips through two or more unknowns; D spans low..10. Also returns
+    max_i (Q_m Q_m^T)_ii / D'_i, the factor's cancellation ratio.
+    """
+    rng = np.random.default_rng(11)
+    n = 25
+    rows = np.r_[np.arange(n), rng.integers(0, n, 15)] if cover_all else rng.integers(0, n, 40)
+    values = rng.uniform(0.5, 2, len(rows))
+    single = sp.csr_matrix((values, (rows, np.arange(len(rows)))), shape=(n, len(rows)))
+    multi = rng.uniform(0.5, 2, (n, 30)) * (rng.random((n, 30)) < 0.15)
+    multi[rng.integers(0, n, 30), np.arange(30)] = 1.0
+    multi[(rng.integers(0, n, 30) + 1 + np.arange(30)) % n, np.arange(30)] += 0.5
+    q = sp.hstack([single, sp.csr_matrix(multi)], format="csr")
+    counts = q.getnnz(axis=0)
+    assert (counts[: len(rows)] == 1).all() and (counts[len(rows):] >= 2).all()
+    diag = 10.0 ** rng.uniform(np.log10(low), 1, n)
+    dense = np.diag(diag) + (q @ q.T).toarray()
+    factor = TripSpacePattern(q).factor(diag)
+    assert factor.nnz > 0
+    folded = diag + np.bincount(rows, values**2, n)
+    ratio = ((multi**2).sum(axis=1) / folded).max()
+    errors = []
+    for _ in range(3):
+        v = rng.standard_normal(n)
+        expected = np.linalg.solve(dense, v)
+        errors.append(np.linalg.norm(factor.solve(v) - expected) / np.linalg.norm(expected))
+    return errors, ratio
+
+
+class TestTripSpacePattern:
     def test_reused_ordering_keeps_the_fill_and_the_solve(self, splu_calls):
         q, _ = _grid_q()
-        n, t = q.shape
+        n = q.shape[0]
         rng = np.random.default_rng(5)
-        pattern = AugmentedPattern(q)
+        pattern = TripSpacePattern(q)
         pattern.factor(np.full(n, 1e-4))
         for _ in range(4):
             diag = 10.0 ** rng.uniform(-4, 1, n)  # gamma up to gamma + alpha L_A + beta L_B
             reused = pattern.factor(diag)
-            fresh = AugmentedPattern(q).factor(diag)
+            fresh = TripSpacePattern(q).factor(diag)
             assert reused.nnz == fresh.nnz
             for _ in range(3):
-                v = np.concatenate((rng.standard_normal(n), np.zeros(t)))
-                expected = fresh.solve(v)[:n]
-                got = reused.solve(v)[:n]
+                v = rng.standard_normal(n)
+                expected = fresh.solve(v)
+                got = reused.solve(v)
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
         assert splu_calls == ["MMD_AT_PLUS_A"] + 4 * ["NATURAL", "MMD_AT_PLUS_A"]
 
     def test_non_finite_diagonal_on_the_reused_ordering(self, splu_calls):
         q, c = _grid_q()
         n = q.shape[0]
-        pattern = AugmentedPattern(q)
+        pattern = TripSpacePattern(q)
         lap = sp.csr_matrix((n, n))
         solve_weights(q, c, lap, None, 1.0, 0.0, 0.1, pattern=pattern)
         lap = sp.diags(np.r_[np.nan, np.zeros(n - 1)]).tocsr()
         with pytest.raises(ConvergenceError, match="preconditioner factorization failed") as err:
             solve_weights(q, c, lap, None, 1.0, 0.0, 0.1, pattern=pattern)
         assert err.value.iterations == 0
-        assert splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
+        assert splu_calls == ["MMD_AT_PLUS_A"]  # the NaN is caught before S is built
+
+    @pytest.mark.parametrize("low", [1e-10, 1e-4, 1.0])
+    def test_solves_the_preconditioner_to_dense_accuracy(self, low, splu_calls):
+        # every unknown carries a trip through it alone, as cover_all_entries
+        # gives: the fold lifts each D' to at least that trip's q^2
+        errors, _ = _trip_space_errors(low, cover_all=True)
+        assert max(errors) <= 1e-14
+        assert splu_calls == ["MMD_AT_PLUS_A"]
+
+    @pytest.mark.parametrize("low", [1e-10, 1e-4, 1.0])
+    def test_cancellation_stays_within_its_bound(self, low):
+        # unknowns crossed only by trips through several unknowns keep a small
+        # D': P^-1 v is then a difference that loses about eps (Q_m Q_m^T)_ii
+        # / D'_i (a factor 4 of slack covers "about" and the dense reference)
+        errors, ratio = _trip_space_errors(low, cover_all=False)
+        assert max(errors) <= 4 * np.finfo(float).eps * ratio
+        if low < 1e-4:
+            assert ratio > 1e6  # deep in the cancellation regime, far above rounding
+
+    def test_no_trip_through_two_unknowns_factors_nothing(self, splu_calls):
+        # every trip folds into D' = D + q^2; the sums are exact in binary
+        rows = np.array([0, 1, 1, 3, 4, 4, 4])
+        values = np.array([1.0, 2.0, 0.5, 1.0, 2.0, 1.0, 0.5])
+        q = sp.csr_matrix((values, (rows, np.arange(7))), shape=(5, 7))
+        diag = np.array([0.25, 1.0, 2.0, 4.0, 0.5])
+        folded = diag + np.array([1.0, 4.25, 0.0, 1.0, 5.25])
+        factor = TripSpacePattern(q).factor(diag)
+        v = np.random.default_rng(3).standard_normal(5)
+        assert factor.solve(v).tobytes() == (v / folded).tobytes()
+        assert factor.nnz == 0
+        assert splu_calls == []
 
     def test_pattern_of_another_q_rejected(self):
         q, c = _tiny_system()
         with pytest.raises(ValueError, match="another Q"):
-            solve_weights(q, c, None, None, 0.0, 0.0, 0.1, pattern=AugmentedPattern(q.copy()))
+            solve_weights(q, c, None, None, 0.0, 0.0, 0.1, pattern=TripSpacePattern(q.copy()))
 
 
 def _cold_cg(q, costs, l_a, l_b, alpha, beta, gamma, tol):
     """The preconditioned CG loop as it ran before warm starts, step for step."""
-    pattern = AugmentedPattern(q)
+    pattern = TripSpacePattern(q)
     qt, n = pattern.qt, q.shape[0]
     diag = np.full(n, gamma)
     if alpha:
         diag += alpha * l_a.diagonal()
     if beta:
         diag += beta * l_b.diagonal()
-    lu, pad = pattern.factor(diag), np.zeros(q.shape[1])
+    lu = pattern.factor(diag)
 
     def apply(x):
         y = q @ (qt @ x)
@@ -628,7 +691,7 @@ def _cold_cg(q, costs, l_a, l_b, alpha, beta, gamma, tol):
         return y
 
     def precondition(v):
-        return lu.solve(np.concatenate((v, pad)))[:n]
+        return lu.solve(v)
 
     b = q @ np.asarray(costs, dtype=float)
     b_norm = float(np.linalg.norm(b))
