@@ -606,13 +606,17 @@ def load_weights(path: str | Path, graph: RoadGraph) -> tuple[CostVector, np.nda
             bad.setdefault(i, f"unknown edge id {edge_texts[i].strip()!r}")
         for i in np.flatnonzero(tag < 0).tolist():
             bad.setdefault(i, f"unknown tag {tag_texts[i].strip()!r}")
-        chunk_values = _convert(value_texts, float, bad, "unparseable value")
+        chunk_values = np.array(_convert(value_texts, float, bad, "unparseable value"), float)
         flags = _convert(flag_texts, int, bad, "unparseable value")
+        for i in np.flatnonzero(~np.isfinite(chunk_values)).tolist():
+            bad.setdefault(i, f"cost_per_meter {value_texts[i].strip()!r} not finite")
+        for i in np.flatnonzero([flag not in (0, 1) for flag in flags]).tolist():
+            bad.setdefault(i, f"annotated_flag {flag_texts[i].strip()!r} not 0 or 1")
         keys = list(zip(map(str.strip, edge_texts), map(str.strip, tag_texts)))
         _claim(keys, linenos, bad, lines, "duplicate row for edge {0[0]!r}, tag {0[1]!r}")
         rows_ok = np.setdiff1d(np.arange(len(linenos)), list(bad))
         pos = tag[rows_ok] * graph.n_edges + edge[rows_ok]
-        values[pos] = np.array(chunk_values, dtype=float)[rows_ok]
+        values[pos] = chunk_values[rows_ok]
         mask[pos] = np.fromiter(map(bool, flags), bool, len(flags))[rows_ok]
     if len(lines) < graph.n_entries:
         raise LoadError(

@@ -26,10 +26,10 @@ one sparse LU in trip space, of the SPD matrix S = I + Q_m^T D'^-1 Q_m
 (Woodbury; see TripSpacePattern). S factors stably under any symmetric
 ordering without pivoting. That factor fills as trips overlap. When an
 estimate of its fill, taken from Q's row counts before anything is
-factored, exceeds PRECONDITIONER_FILL_LIMIT times 2 nnz(Q) + n + t, the
-solve runs plain CG instead: on the grids measured, that many trips per
-unknown left Q Q^T well enough conditioned for plain CG to be the faster
-and leaner path.
+factored, exceeds PRECONDITIONER_FILL_LIMIT times 2 nnz(Q) + n + t, every
+trip folds into D' instead: P is then the operator's own diagonal, the
+Jacobi preconditioner (Saad, Iterative Methods for Sparse Linear Systems,
+2nd ed., 2003, sec. 10.2), applied by the same code with no S to factor.
 
 Solves with the same Q (the objective variants, a grid of coefficients)
 differ only in D, so TripSpacePattern keeps what Q alone decides, the
@@ -61,11 +61,11 @@ from .trips import build_q  # noqa: F401  (public path: roadcost.solver.build_q)
 
 DEFAULT_CG_TOL = 1e-8
 # Largest estimated fill of the preconditioner's factor, per unit of
-# 2 nnz(Q) + n + t, that is still factored (TripSpacePattern.factored).
-# On synthetic 12x12 to 60x60 grids with 72-7,000 training trips the estimate
-# read 0.35-5.1 and the preconditioned F1 + F4 solves were 1.4-6.2x faster
-# than plain CG (which missed tol on F1 at 7,000 trips on 30x30); at 7.2-10,
-# 15-21 trips per unknown on average, plain CG was 1.3-6.2x faster.
+# 2 nnz(Q) + n + t, that is still factored (TripSpacePattern.factored); above
+# it every trip folds into D'. Evaluate's four solves on 30x30 (dataset seed
+# 6, 2 vCPUs): at 7,000 training trips (estimate 3.98) 1.3-1.5 s factored,
+# while F1 misses tol in 69,600 iterations with every trip folded; at 10,000
+# (5.58) 3.9-4.0 s factored against 0.59-0.76 s folded.
 PRECONDITIONER_FILL_LIMIT = 6.0
 # SuperLU settings of every preconditioner factor: diagonal pivots, no
 # supernodes (S is SPD and sparse).
@@ -259,7 +259,7 @@ class _TripSpaceFactor:
         self.nnz = 0 if lu is None else lu.nnz
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        if self.lu is None:  # no trip through two unknowns: P = D'
+        if self.lu is None:  # every trip folded: P = D'
             return v / self.d
         y = self.lu.solve(self.qmt @ (v / self.d))
         return (v - self.qm @ y) / self.d
@@ -280,7 +280,8 @@ class TripSpacePattern:
     With r_i trips through unknown i, sum_i r_i^2 bounds S's nonzeros before
     its LU fills it. Above PRECONDITIONER_FILL_LIMIT times 2 nnz(Q) + n + t
     (the nonzeros of the bordered matrix [[D, Q], [Q^T, -I]] the limit was
-    set on), ``factored`` is False and the solves run plain CG.
+    set on), ``factored`` is False and every trip folds: D' = D + diag(Q
+    Q^T), Q_m is empty and P^-1 v = v / D'.
 
     The first factor orders S (SuperLU MMD on S^T + S); the second puts
     Q_m's columns in that order, once, so every later S arrives ordered and
@@ -297,13 +298,14 @@ class TripSpacePattern:
         fill_estimate = trips_per_unknown @ trips_per_unknown
         self.factored = bool(fill_estimate <= PRECONDITIONER_FILL_LIMIT * (2 * q.nnz + n + t))
         unknowns_per_trip = np.diff(self.qt.indptr)
-        self._fold = None  # D' - D: the q^2 of each trip through one unknown
+        folded = unknowns_per_trip == 1 if self.factored else np.ones(t, dtype=bool)
+        self._fold = None  # D' - D: the q^2 of each folded trip's entries
         self._qm, self._qmt = q, self.qt
-        if (unknowns_per_trip == 1).any():
-            at = self.qt.indptr[:-1][unknowns_per_trip == 1]
+        if folded.any():
+            at = np.repeat(folded, unknowns_per_trip)
             self._fold = np.bincount(self.qt.indices[at], self.qt.data[at] ** 2, n)
-            multi = np.flatnonzero(unknowns_per_trip > 1)
-            self._qm, self._qmt = q[:, multi], self.qt[multi]
+            kept = np.flatnonzero(~folded & (unknowns_per_trip > 1))
+            self._qm, self._qmt = q[:, kept], self.qt[kept]
         self._order = None  # argsort of the first factor's perm_c, until Q_m stands in it
         self._permc = "MMD_AT_PLUS_A"  # NATURAL once it does
 
@@ -338,7 +340,7 @@ class TripSpacePattern:
 class SolveInfo:
     iterations: int
     residual: float  # relative, ||M d - Q c|| / ||Q c||
-    factor_nnz: int = 0  # nonzeros of S's L + U (0: plain CG, no solve, or no S to factor)
+    factor_nnz: int = 0  # nonzeros of S's L + U (0: no solve, or every trip folded into D')
 
 
 def solve_weights(
@@ -358,10 +360,10 @@ def solve_weights(
     alpha, beta and gamma must be finite, alpha and beta non-negative and
     gamma positive: gamma makes the operator positive definite and the
     minimizer unique. Each call factors its own preconditioner (see the
-    module docstring), unless its estimated fill is too large, in which case
-    CG runs unpreconditioned. Pass ``pattern``, Q's TripSpacePattern, to
-    share Q^T, Q_m, the fill verdict and the factor's ordering with other
-    solves on the same Q: after the first, each factor is numeric only. Pass
+    module docstring); past the fill limit that factor is the diagonal D'
+    alone. Pass ``pattern``, Q's TripSpacePattern, to share Q^T, Q_m, the
+    fold and the factor's ordering with other solves on the same Q: after
+    the first, each factor is numeric only. Pass
     ``x0``, a finite vector with one entry per unknown, to start CG there
     instead of at zero (a warm start from the solution of a nearby system);
     the stop test does not change, so the result meets the same tol.
@@ -408,23 +410,15 @@ def solve_weights(
     if b_norm == 0.0:
         return np.zeros(n), SolveInfo(iterations=0, residual=0.0)
 
-    lu = None
-    if pattern.factored:
-        diag = np.full(n, gamma)  # D = gamma + alpha diag(L_A) + beta diag(L_B)
-        if alpha:
-            diag += alpha * l_a.diagonal()
-        if beta:
-            diag += beta * l_b.diagonal()
-        try:
-            lu = pattern.factor(diag)
-        except RuntimeError as err:  # a non-finite D, or a zero pivot from SuperLU
-            raise ConvergenceError(f"preconditioner factorization failed: {err}", 1.0, 0) from err
-    factor_nnz = 0 if lu is None else lu.nnz
-
-    def precondition(v: np.ndarray) -> np.ndarray:
-        if lu is None:  # plain CG
-            return v
-        return lu.solve(v)
+    diag = np.full(n, gamma)  # D = gamma + alpha diag(L_A) + beta diag(L_B)
+    if alpha:
+        diag += alpha * l_a.diagonal()
+    if beta:
+        diag += beta * l_b.diagonal()
+    try:
+        factor = pattern.factor(diag)
+    except RuntimeError as err:  # a non-finite D, or a zero pivot from SuperLU
+        raise ConvergenceError(f"preconditioner factorization failed: {err}", 1.0, 0) from err
 
     if x0 is None:
         x = np.zeros(n)
@@ -447,7 +441,7 @@ def solve_weights(
             true_norm = float(np.linalg.norm(true_r))
             if true_norm <= tol * b_norm:
                 return x, SolveInfo(
-                    iterations=iterations, residual=true_norm / b_norm, factor_nnz=factor_nnz
+                    iterations=iterations, residual=true_norm / b_norm, factor_nnz=factor.nnz
                 )
             r = true_r  # recurrence drifted; restart from the true residual
             res_norm = true_norm
@@ -455,9 +449,9 @@ def solve_weights(
             raise ConvergenceError(
                 "conjugate gradient did not converge", res_norm / b_norm, iterations
             )
-        z = precondition(r)
+        z = factor.solve(r)
         rz_new = float(r @ z)
-        p = z.copy() if p is None else z + (rz_new / rz) * p  # z may be r, updated in place
+        p = z if p is None else z + (rz_new / rz) * p
         rz = rz_new
         ap = apply(p)
         p_ap = float(p @ ap)

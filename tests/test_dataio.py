@@ -321,6 +321,31 @@ class TestWeightsIO:
         with pytest.raises(LoadError, match="missing"):
             load_weights(path, graph)
 
+    @pytest.mark.parametrize(
+        "value,flag,problem",
+        [
+            ("nan", "1", "cost_per_meter 'nan' not finite"),
+            ("inf", "0", "cost_per_meter 'inf' not finite"),
+            ("-inf", "1", "cost_per_meter '-inf' not finite"),
+            ("0.5", "2", "annotated_flag '2' not 0 or 1"),
+            ("0.5", "7", "annotated_flag '7' not 0 or 1"),
+            ("0.5", "-1", "annotated_flag '-1' not 0 or 1"),
+        ],
+    )
+    def test_values_never_written_rejected(self, tmp_path, synth_dataset, value, flag, problem):
+        # write_weights writes finite costs and flags 0 or 1; anything else is a bad row
+        graph, truth, _ = synth_dataset
+        path = tmp_path / "weights.csv"
+        write_weights(path, graph, truth, np.ones(graph.n_entries, dtype=bool))
+        lines = path.read_text().splitlines()
+        edge_id, tag = lines[2].split(",")[:2]
+        lines[2] = f"{edge_id},{tag},{value},{flag}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError) as err:
+            load_weights(path, graph)
+        assert err.value.code == "malformed-row"
+        assert err.value.problems == [f"{path}:3: {problem}"]
+
     def test_duplicate_entry_rejected(self, tmp_path, synth_dataset):
         # a second row for an entry used to overwrite the first without a word
         graph, truth, _ = synth_dataset

@@ -359,7 +359,7 @@ class TestGridSearch:
         assert len(calls) == 3  # 9 (alpha, beta) solves per fold share one F4 mask
 
     def test_preconditioned_solves_stay_short(self, monkeypatch):
-        # plain CG took 169-688 iterations per solve on this dataset
+        # CG with no preconditioner took 169-688 iterations per solve on this dataset
         spec = SyntheticSpec(rows=12, cols=12, n_trips=144, coverage=0.3, noise=0.05)
         graph, _, trips = generate_synthetic(spec, seed=1)
         iterations = []
@@ -418,7 +418,7 @@ def test_grid_search_matches_the_dense_reference(seed):
 @pytest.mark.parametrize("n_trips,factored", [(144, True), (4000, False)])
 def test_trip_overlap_selects_the_solve_path(n_trips, factored):
     # 2,000 training trips on a 12x12 grid put about 15 on each unknown,
-    # where plain CG beats the preconditioner's factor
+    # past the fill limit: every trip folds into the diagonal, nothing is factored
     spec = SyntheticSpec(rows=12, cols=12, n_trips=n_trips, coverage=0.3, noise=0.05)
     graph, _, trips = generate_synthetic(spec, seed=1)
     train, _ = split_trips(trips, 0.5, seed=1)
@@ -433,6 +433,18 @@ def _grid12(n_trips=144):
     spec = SyntheticSpec(rows=12, cols=12, n_trips=n_trips, coverage=0.3, noise=0.05)
     graph, _, trips = generate_synthetic(spec, seed=1)
     return graph, build_dual(graph), *split_trips(trips, 0.5, seed=1)
+
+
+def test_folded_trips_precondition_the_overlap_path():
+    # past the fill limit P is the operator's diagonal: F4 on
+    # test_trip_overlap_selects_the_solve_path's 4,000-trip shape took 384
+    # iterations with no preconditioner and takes 225 with it
+    graph, dual, train, _ = _grid12(4000)
+    config = RunConfig(seed=1)
+    matrices = build_constraints(train, graph, dual, config)
+    _, _, info = solve_variant(matrices, train.costs(), graph, config, "F4")
+    assert info.factor_nnz == 0
+    assert info.iterations <= 300
 
 
 class TestSharedOrdering:

@@ -248,16 +248,22 @@ def load_weights_rowwise(path, graph):
             continue
         try:
             value = float(value_text)
-            flag = bool(int(flag_text))
+            flag = int(flag_text)
         except ValueError:
             problems.append(f"{path}:{lineno}: unparseable value")
+            continue
+        if not math.isfinite(value):
+            problems.append(f"{path}:{lineno}: cost_per_meter {value_text!r} not finite")
+            continue
+        if flag not in (0, 1):
+            problems.append(f"{path}:{lineno}: annotated_flag {flag_text!r} not 0 or 1")
             continue
         pos = tag_index[tag_name] * graph.n_edges + edge
         if filled[pos]:
             problems.append(f"{path}:{lineno}: duplicate row for edge {edge_id!r}, tag {tag_name!r}")
             continue
         values[pos] = value
-        mask[pos] = flag
+        mask[pos] = bool(flag)
         filled[pos] = True
     if problems:
         raise LoadError("malformed-row", problems)
@@ -840,10 +846,16 @@ WEIGHT_ROWS = [
     " e1 , A , 2 , 0 ",  # the first valid row for (e1, A)
     '"e,2",A,3,1',
     "e0,B,4,0",
-    "e1,B,5,2",
+    "e1,B,5,1",
     '"e,2",B,6,0',
     "e0,A,1,1",  # a duplicate from an earlier chunk
-    "e1,A,nan,1",  # a duplicate, though unparsed rows above claimed nothing
+    "e1,A,7,1",  # a duplicate, though unparsed rows above claimed nothing
+    "e1,B,nan,1",  # values and flags that parse but that no weights file holds
+    "e0,B, -inf ,0",
+    "e1,A,1e400,0",
+    "e1,B,5,2",
+    "e0,B,4, -1 ",
+    "e1,B,inf,7",  # the value's diagnostic comes first
 ]
 
 
@@ -854,7 +866,7 @@ def _weights_file(path, rows):
 def test_weights_diagnostics_match_row_by_row_loader(tmp_path, weights_graph):
     _weights_file(tmp_path / "w.csv", WEIGHT_ROWS)
     code, problems = assert_weights_loaders_agree(tmp_path / "w.csv", weights_graph)
-    assert code == "malformed-row" and len(problems) == 11
+    assert code == "malformed-row" and len(problems) == 17
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -869,8 +881,8 @@ def test_valid_weights_load_bitwise_equal(tmp_path, weights_graph):
     _weights_file(
         tmp_path / "w.csv",
         ['"e,2",B,6,0', "", "e0,A,0.5,1", " e1 , A , 2 , 0 ", '"e,2",A,3,1', "e0,B,4,0",
-         "e1,B,5,2"],
+         "e1,B,-5,1"],
     )
     costs, mask = assert_weights_loaders_agree(tmp_path / "w.csv", weights_graph)
-    assert costs.values.tolist() == [0.5, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert costs.values.tolist() == [0.5, 2.0, 3.0, 4.0, -5.0, 6.0]  # negative weights are legal
     assert mask.tolist() == [True, False, True, False, True, False]

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from roadcost import solver
 from roadcost.config import RunConfig
 from roadcost.errors import ConvergenceError
 from roadcost.evaluation import build_constraints
@@ -514,9 +515,20 @@ class TestSolve:
             solve_weights(q, c, lap, None, 1.0, 0.0, 0.1)
         assert err.value.iterations == 0
 
+    def test_non_finite_matrix_stops_before_iterating_past_the_fill_limit(self, monkeypatch):
+        # every trip folds into D', whose NaN is caught as on the factored side
+        monkeypatch.setattr(solver, "PRECONDITIONER_FILL_LIMIT", 0.0)
+        q, c = sp.csr_matrix(np.array([[1.0, 0.5], [0.0, 2.0]])), np.ones(2)
+        lap = sp.csr_matrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        assert not TripSpacePattern(q).factored
+        with pytest.raises(ConvergenceError, match="factorization") as err:
+            solve_weights(q, c, lap, None, 1.0, 0.0, 0.1)
+        assert err.value.iterations == 0
+
     def test_fill_estimate_decides_the_factor(self):
         # every trip covers all 4 unknowns: the estimate 4 t^2 is held against
-        # the limit times the augmented matrix's 2 (4 t) + 4 + t nonzeros
+        # the limit times 2 nnz(Q) + n + t = 2 (4 t) + 4 + t, the nonzeros of
+        # the bordered matrix [[D, Q], [Q^T, -I]] the limit was set on
         def factored(t):
             return TripSpacePattern(sp.csr_matrix(np.ones((4, t)))).factored
 
@@ -525,9 +537,10 @@ class TestSolve:
         assert factored(t_max)
         assert not factored(t_max + 1)
 
-    def test_heavy_overlap_runs_plain_cg(self):
-        # 60 trips over 12 unknowns, each through about 40 of them: the factor
-        # is skipped and plain CG still reaches the exact minimizer
+    def test_heavy_overlap_folds_every_trip(self):
+        # 60 trips over 12 unknowns, each through about 40 of them: every trip
+        # folds into D', nothing is factored, and Jacobi-preconditioned CG
+        # still reaches the exact minimizer
         rng = np.random.default_rng(9)
         n, t = 12, 60
         q = sp.csr_matrix(rng.uniform(0.5, 2, (n, t)) * (rng.random((n, t)) < 0.7))
@@ -541,10 +554,10 @@ class TestSolve:
         assert info.factor_nnz == 0
         assert 1 < info.iterations <= n + 2  # CG's finite termination, with rounding slack
 
-    def test_spd_property(self):
+    def test_spd_property(self, monkeypatch):
         # the system is Q Q^T + alpha L_A + gamma I, SPD with smallest eigenvalue
-        # at least gamma; the preconditioned and the plain CG path both reach
-        # its dense solution
+        # at least gamma; both sides of the fill limit, the trip-space factor
+        # and every trip folded into D', reach its dense solution
         rng = np.random.default_rng(21)
         q = sp.csr_matrix(rng.uniform(0, 2, (15, 8)) * (rng.random((15, 8)) < 0.4))
         raw = rng.uniform(0, 1, (15, 15)) * (rng.random((15, 15)) < 0.3)
@@ -557,8 +570,8 @@ class TestSolve:
         c = rng.uniform(0.5, 2, 8)
         expected = np.linalg.solve(dense, q @ c)
         for factored in (True, False):
+            monkeypatch.setattr(solver, "PRECONDITIONER_FILL_LIMIT", np.inf if factored else 0.0)
             pattern = TripSpacePattern(q)
-            pattern.factored = factored
             d, info = solve_weights(q, c, lap, None, 1.2, 0.0, gamma, tol=1e-12, pattern=pattern)
             assert np.linalg.norm(d - expected) <= 1e-9 * np.linalg.norm(expected)
             assert (info.factor_nnz > 0) == factored
@@ -661,6 +674,20 @@ class TestTripSpacePattern:
         factor = TripSpacePattern(q).factor(diag)
         v = np.random.default_rng(3).standard_normal(5)
         assert factor.solve(v).tobytes() == (v / folded).tobytes()
+        assert factor.nnz == 0
+        assert splu_calls == []
+
+    def test_past_the_fill_limit_every_trip_folds(self, monkeypatch, splu_calls):
+        # P = D + diag(Q Q^T), the Jacobi preconditioner; the sums are exact in binary
+        monkeypatch.setattr(solver, "PRECONDITIONER_FILL_LIMIT", 0.0)
+        q = sp.csr_matrix(np.array([[1.0, 0.5, 0.0], [2.0, 0.0, 1.0], [0.0, 0.25, 2.0]]))
+        diag = np.array([0.25, 1.0, 2.0])
+        pattern = TripSpacePattern(q)
+        assert not pattern.factored
+        factor = pattern.factor(diag)
+        v = np.random.default_rng(3).standard_normal(3)
+        jacobi = diag + np.asarray(q.multiply(q).sum(axis=1)).ravel()
+        assert factor.solve(v).tobytes() == (v / jacobi).tobytes()
         assert factor.nnz == 0
         assert splu_calls == []
 
