@@ -189,11 +189,6 @@ class RoadGraph:
     def n_entries(self) -> int:
         return self.n_edges * self.n_tags
 
-    @cached_property
-    def edge_lookup(self) -> dict[str, int]:
-        """Edge index by edge id."""
-        return {e: i for i, e in enumerate(self.edge_ids)}
-
     def is_highway(self) -> np.ndarray:
         """Per-edge highway mask, the one highway/urban split: speed limit at or
         above ``HIGHWAY_CUTOFF_KMH``. Edges without a known limit count as urban."""

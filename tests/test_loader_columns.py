@@ -75,6 +75,7 @@ def rows_of(path, expected_header):
 
 def load_trips_rowwise(trips_path, costs_path, graph):
     trips_path, costs_path = Path(trips_path), Path(costs_path)
+    edge_index = {e: i for i, e in enumerate(graph.edge_ids)}
     costs, problems = {}, []
     for lineno, row in rows_of(costs_path, COST_HEADER):
         if len(row) != 2:
@@ -115,7 +116,7 @@ def load_trips_rowwise(trips_path, costs_path, graph):
             problems.append(f"{trips_path}:{lineno}: {exc}")
             continue
         try:
-            edge = graph.edge_lookup[edge_id]
+            edge = edge_index[edge_id]
         except KeyError:
             unknown_edges.append(f"{trips_path}:{lineno}: unknown edge id {edge_id!r}")
             continue
@@ -228,6 +229,7 @@ def load_network_rowwise(path, schedule):
 
 def load_weights_rowwise(path, graph):
     path = Path(path)
+    edge_index = {e: i for i, e in enumerate(graph.edge_ids)}
     values = np.zeros(graph.n_entries)
     mask = np.zeros(graph.n_entries, dtype=bool)
     filled = np.zeros(graph.n_entries, dtype=bool)
@@ -239,7 +241,7 @@ def load_weights_rowwise(path, graph):
             continue
         edge_id, tag_name, value_text, flag_text = (field.strip() for field in row)
         try:
-            edge = graph.edge_lookup[edge_id]
+            edge = edge_index[edge_id]
         except KeyError:
             problems.append(f"{path}:{lineno}: unknown edge id {edge_id!r}")
             continue
