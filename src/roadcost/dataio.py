@@ -286,17 +286,17 @@ def _check_header(path: Path, names: Sequence[str], header: Sequence[str]) -> No
         raise LoadError("malformed-row", [f"{path}:1: expected header {','.join(header)}"])
 
 
-def _not_utf8(path: Path) -> str:
-    """The diagnostic for the first byte of ``path`` that is not UTF-8, on its
-    line as the reader counts lines (each ends with LF, CR LF or a lone CR)."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-        return f"{path}: not UTF-8 text"  # the file changed since it was read
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+def _not_utf8(path: Path, lineno: int, head: bytes, byte: int, after_cr: bool = False) -> str:
+    """The diagnostic for a byte that is not UTF-8, read after ``head``, whose
+    first byte starts line ``lineno`` (after a CR when ``after_cr``)."""
+    return f"{path}:{lineno + _line_ends(head, after_cr)}: not UTF-8 text (byte 0x{byte:02x})"
+
+
+def _line_ends(data: bytes, after_cr: bool) -> int:
+    """Line ends in ``data`` as the reader counts them (LF, CR LF or a lone CR),
+    the first byte following a CR when ``after_cr``."""
+    crlf = data.count(b"\r\n") + (after_cr and data[:1] == b"\n")
+    return data.count(b"\n") + data.count(b"\r") - crlf
 
 
 def _read_columns(path: Path, header: Sequence[str]) -> Iterator[_Chunk]:
@@ -335,8 +335,9 @@ def _read_chunks(path: Path, header: Sequence[str]) -> Iterator[_Chunk]:
             if n is not None and not data.isascii():
                 try:
                     data.decode()
-                except UnicodeDecodeError:
-                    raise LoadError("malformed-row", [_not_utf8(path)]) from None
+                except UnicodeDecodeError as exc:
+                    message = _not_utf8(path, lineno, data[: exc.start], data[exc.start])
+                    raise LoadError("malformed-row", [message]) from None
             columns = None if n is None else _plain_spans(data, n, width)
             if columns is None:
                 break
@@ -348,7 +349,8 @@ def _read_chunks(path: Path, header: Sequence[str]) -> Iterator[_Chunk]:
             lineno += n
             if n < _CHUNK_ROWS:
                 return
-        text = io.TextIOWrapper(_Resumed(data + rest, handle), encoding="utf-8", newline="")
+        resumed = _Resumed(data + rest, handle, lineno)
+        text = io.TextIOWrapper(resumed, encoding="utf-8", newline="")
         try:
             reader = csv.reader(text)
             if lineno == 1:  # the file has a line, or it would be plain
@@ -360,19 +362,34 @@ def _read_chunks(path: Path, header: Sequence[str]) -> Iterator[_Chunk]:
                 lineno += len(rows)
                 if len(rows) < _CHUNK_ROWS:
                     return
-        except UnicodeDecodeError:
-            raise LoadError("malformed-row", [_not_utf8(path)]) from None
+        except UnicodeDecodeError as exc:
+            raise LoadError("malformed-row", [resumed.not_utf8(path, exc)]) from None
 
 
 class _Resumed(io.BytesIO):
-    """A binary stream of ``head``, then what ``handle`` has left."""
+    """A binary stream of ``head``, then what ``handle`` has left, ``head``
+    starting line ``lineno``. It keeps its latest block and the line that
+    block starts on, which place a decode error."""
 
-    def __init__(self, head: bytes, handle):
+    def __init__(self, head: bytes, handle, lineno: int):
         super().__init__(head)
         self.handle = handle
+        self.latest, self.lineno, self.after_cr = b"", lineno, False
 
     def read1(self, size: int = -1) -> bytes:
-        return super().read1(size) or self.handle.read1(size)
+        block = super().read1(size) or self.handle.read1(size)
+        self.lineno += _line_ends(self.latest, self.after_cr)
+        self.after_cr = self.latest[-1:] == b"\r" if self.latest else self.after_cr
+        self.latest = block
+        return block
+
+    def not_utf8(self, path: Path, exc: UnicodeDecodeError) -> str:
+        """``_not_utf8`` for the decoder's error ``exc``. The decoder's input
+        ends with the latest block; what precedes that block in it is part of
+        a character, which holds no line end."""
+        at = len(self.latest) - (len(exc.object) - exc.start)
+        head = self.latest[: max(at, 0)]
+        return _not_utf8(path, self.lineno, head, exc.object[exc.start], self.after_cr)
 
 
 def _line_chunks(handle) -> Iterator[tuple[bytes, Optional[int], bytes]]:

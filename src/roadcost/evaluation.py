@@ -120,7 +120,7 @@ def build_constraints(
     """Assemble every matrix the variant solves share for one training set."""
     partitions = partition_by_tag(train, graph.tag_schedule)
     transitions = transition_matrices(dual, partitions)
-    prs = [pagerank(tm) for tm in transitions]
+    prs = [pagerank(tm, pattern=dual.chain_pattern) for tm in transitions]
     l_a = SimilarityLaplacian(prs, config.similarity_threshold)
     l_b = laplacian(build_b(transitions, dual, graph.is_highway()))
     q = build_q(train, graph)

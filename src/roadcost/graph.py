@@ -250,6 +250,14 @@ class DualGraph:
         """``src * n_vertices + dst`` of every dual edge, ascending like the edges."""
         return _freeze(self.edge_src * self.n_vertices + self.edge_dst)
 
+    @cached_property
+    def chain_pattern(self):
+        """The ``pagerank.ChainPattern`` every tag's transition chain on this
+        dual shares: Laplace smoothing gives each chain the dual's pattern."""
+        from .pagerank import ChainPattern  # pagerank imports this module
+
+        return ChainPattern(self.out_indptr, self.edge_dst)
+
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
 

@@ -82,6 +82,20 @@ def pagerank_splu_calls(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
+def chain_factor_specs(monkeypatch) -> list[str]:
+    """The permc_spec of every PageRank factorization, in call order."""
+    pagerank = importlib.import_module("roadcost.pagerank")
+    specs, factor = [], pagerank.splu
+
+    def recording(matrix, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return factor(matrix, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(pagerank, "splu", recording)
+    return specs
+
+
+@pytest.fixture
 def rng_calls(monkeypatch) -> Counter:
     """Draw calls on the synthetic generator's random generators, by method."""
     counts, make = Counter(), synth.default_rng

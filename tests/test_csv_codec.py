@@ -3,7 +3,9 @@ not UTF-8 and on a trips file given without its costs (or the reverse)."""
 
 import csv
 import io
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,44 @@ def test_byte_that_is_not_utf8_exits_2(dataset_12x12, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert f"{paths['trips']}:6: not UTF-8 text (byte 0xff)" in captured.err
+
+
+def load_from_pipe(tmp_path, data: bytes, load, seconds: float = 10.0):
+    """``load(pipe)`` of a named pipe that a thread fills with ``data``, run in a
+    worker joined with a timeout: the result, or the exception it raised. A
+    load that does not return fails the test instead of hanging the run."""
+    pipe = tmp_path / "file.pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    outcome = []
+
+    def work():
+        try:
+            outcome.append(load(pipe))
+        except Exception as exc:  # noqa: BLE001 (handed to the test)
+            outcome.append(exc)
+
+    worker = threading.Thread(target=work, daemon=True)
+    writer.start()
+    worker.start()
+    worker.join(seconds)
+    if worker.is_alive():  # a second open waits for a writer: give it one, so it ends
+        os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+        pytest.fail(f"the load from a pipe did not return within {seconds} s")
+    writer.join(seconds)
+    return outcome[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_byte_that_is_not_utf8_in_a_pipe_raises(tmp_path, quoted):
+    # the plain chunk is checked as bytes; a quoted file goes to csv.reader
+    day = b'"weekday"' if quoted else b"weekday"
+    header, last = b"day_class,start_hhmm,end_hhmm,tag\r\n", b"weekday,1200,2400,b\xff\r\n"
+    data = header + day + b",0000,1200,a\r\n" + last
+    err = load_from_pipe(tmp_path, data, dataio.load_schedule)
+    assert isinstance(err, LoadError) and err.code == "malformed-row"
+    assert err.problems == [f"{tmp_path / 'file.pipe'}:3: not UTF-8 text (byte 0xff)"]
 
 
 # ---------------------------------------------------------------- trips and costs go together

@@ -475,6 +475,15 @@ class TestSharedOrdering:
         assert splu_calls.count("NATURAL") == 24
         assert len(splu_calls) == 27
 
+    def test_one_chain_ordering_per_dual_graph(self, chain_factor_specs):
+        # 3 folds and the refit, 2 tags each: the dual's ChainPattern orders once
+        spec = SyntheticSpec(rows=12, cols=12, n_trips=144, coverage=0.3, noise=0.05)
+        graph, _, trips = generate_synthetic(spec, seed=1)
+        dual = build_dual(graph)
+        best, _ = grid_search(trips, graph, dual, RunConfig(seed=1))
+        build_constraints(trips, graph, dual, best)
+        assert chain_factor_specs == ["COLAMD"] + 7 * ["NATURAL"]
+
     def test_gated_training_set_never_factors(self, splu_calls):
         graph, dual, train, test = _grid12(n_trips=4000)
         report = run_comparison(train, test, graph, dual, RunConfig(seed=1))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from roadcost.errors import ConvergenceError
 from roadcost.graph import WEEKDAY, RoadGraph, build_dual
 from roadcost.pagerank import (
+    ChainPattern,
     TransitionMatrix,
     degree_stats,
     dual_weights,
@@ -201,17 +202,9 @@ class TestPagerank:
             pagerank(m)
 
     def test_dead_end_chain_pins_relay(self):
-        # 0 -> 1 -> 2 -> 3 with a branch back to 0; 3 dangles, so the only
-        # closed class is the whole chain and the relay is the pinned unknown
-        dense = np.array(
-            [
-                [0.0, 1.0, 0.0, 0.0],
-                [0.2, 0.0, 0.8, 0.0],
-                [0.0, 0.3, 0.0, 0.7],
-                [0.0, 0.0, 0.0, 0.0],
-            ]
-        )
-        m = _dense_transitions(dense)
+        # the only closed class is the whole chain, and the relay is the
+        # pinned unknown
+        m = _dead_end_chain()
         pr = pagerank(m, tol=1e-14)
         assert np.abs(pr.values - stationary_bruteforce(m.dense())).max() <= 1e-14
         assert pr.iterations == 0
@@ -238,13 +231,9 @@ class TestPagerank:
         assert pr.values == pytest.approx(expected, abs=1e-15)
 
     def test_periodic_class_with_transients(self):
-        # closed class {0, 1, 3} has period 2 and an uneven stationary vector;
-        # 2 and 4 are transient (power iteration on the class oscillated here)
-        dense = np.zeros((5, 5))
-        dense[0, 1] = dense[3, 1] = dense[4, 3] = 1.0
-        dense[1, 0], dense[1, 3] = 0.9, 0.1
-        dense[2, 0], dense[2, 3] = 0.7, 0.3
-        pr = pagerank(_dense_transitions(dense), tol=1e-14)
+        # the class has an uneven stationary vector (power iteration on it
+        # oscillated here)
+        pr = pagerank(_transient_chain(), tol=1e-14)
         assert pr.values == pytest.approx([0.45, 0.5, 0.0, 0.05, 0.0], abs=1e-15)
 
     def test_one_factorization_per_tag(self, grid20_transitions, pagerank_splu_calls):
@@ -260,22 +249,7 @@ class TestPagerank:
         # (6 each) are 1,100 closed classes; 1-4 trips along three sides of
         # every third island make its vector uneven, and three one-way stubs
         # into islands are transient
-        vertices, edges, islands, trips = [], [], [], []
-        for k in range(1100):
-            corners = [f"i{k}c{j}" for j in range(4 if k < 600 else 3)]
-            first = len(edges)
-            for j, u in enumerate(corners):
-                v = corners[(j + 1) % len(corners)]
-                edges += [(u, v), (v, u)]
-            vertices += corners
-            islands.append(np.arange(first, len(edges)))
-            if k % 3 == 0:
-                trips += [make_trip([first, first + 2, first + 4])] * (1 + k % 4)
-        for k in (0, 1, 700):
-            vertices.append(f"stub{k}")
-            edges.append((f"stub{k}", f"i{k}c0"))
-        g = RoadGraph.from_edges(vertices, edges, np.full(len(edges), 10.0), single_tag_schedule)
-        m = dual_weights(build_dual(g), tripset(*trips))
+        m, islands = _islands(single_tag_schedule)
         with caplog.at_level(logging.WARNING, logger="roadcost.pagerank"):
             pr = pagerank(m, tol=1e-14)
         assert "1100 closed component(s), 3 unreachable" in caplog.text
@@ -324,6 +298,58 @@ class TestPagerank:
             assert np.abs(pr.values - oracle).max() <= 1e-8
             checked += 1
         assert checked >= 20
+
+
+def _islands(schedule) -> tuple[TransitionMatrix, list[np.ndarray]]:
+    """The 1,100-class chain of test_many_closed_classes and each island's
+    dual vertices."""
+    vertices, edges, islands, trips = [], [], [], []
+    for k in range(1100):
+        corners = [f"i{k}c{j}" for j in range(4 if k < 600 else 3)]
+        first = len(edges)
+        for j, u in enumerate(corners):
+            v = corners[(j + 1) % len(corners)]
+            edges += [(u, v), (v, u)]
+        vertices += corners
+        islands.append(np.arange(first, len(edges)))
+        if k % 3 == 0:
+            trips += [make_trip([first, first + 2, first + 4])] * (1 + k % 4)
+    for k in (0, 1, 700):
+        vertices.append(f"stub{k}")
+        edges.append((f"stub{k}", f"i{k}c0"))
+    g = RoadGraph.from_edges(vertices, edges, np.full(len(edges), 10.0), schedule)
+    return dual_weights(build_dual(g), tripset(*trips)), islands
+
+
+def _dead_end_chain() -> TransitionMatrix:
+    """0 -> 1 -> 2 -> 3 with a branch back to 0; 3 dangles, so the relay is pinned."""
+    dense = np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [0.2, 0.0, 0.8, 0.0],
+            [0.0, 0.3, 0.0, 0.7],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    return _dense_transitions(dense)
+
+
+def _transient_chain() -> TransitionMatrix:
+    """Closed class {0, 1, 3} of period 2; 2 and 4 are transient."""
+    dense = np.zeros((5, 5))
+    dense[0, 1] = dense[3, 1] = dense[4, 3] = 1.0
+    dense[1, 0], dense[1, 3] = 0.9, 0.1
+    dense[2, 0], dense[2, 3] = 0.7, 0.3
+    return _dense_transitions(dense)
+
+
+def _reweighted(m: TransitionMatrix, seed: int) -> TransitionMatrix:
+    """Another chain on m's pattern: random positive rows that sum to 1."""
+    weights = np.random.default_rng(seed).uniform(0.1, 1.0, m.matrix.nnz)
+    rows = np.repeat(np.arange(m.n), np.diff(m.matrix.indptr))
+    sums = np.bincount(rows, weights, minlength=m.n)[rows]
+    matrix = sp.csr_matrix((weights / sums, m.matrix.indices, m.matrix.indptr), shape=(m.n, m.n))
+    return TransitionMatrix(tag=m.tag, matrix=matrix)
 
 
 def _two_closed_classes_and_transients() -> TransitionMatrix:
@@ -381,6 +407,75 @@ def _is_unichain(dense: np.ndarray) -> bool:
         if not dense[members][:, ~members].any():
             closed += 1
     return closed == 1
+
+
+class TestChainPattern:
+    @pytest.mark.parametrize(
+        "chains",
+        [
+            lambda tms, schedule: tms,
+            lambda tms, schedule: [_dead_end_chain()],
+            lambda tms, schedule: [_islands(schedule)[0]],
+            lambda tms, schedule: [_two_closed_classes_and_transients()],
+            lambda tms, schedule: [_transient_chain()],
+        ],
+        ids=["grid20", "dead-end", "1100-classes", "two-classes-transients", "transients"],
+    )
+    def test_shared_pattern_matches_a_fresh_one_bitwise(
+        self, grid20_transitions, single_tag_schedule, chains
+    ):
+        # the first call orders the columns, the second relabels the structure,
+        # and every later factor is numeric only
+        ms = chains(grid20_transitions, single_tag_schedule)
+        if len(ms) == 1:
+            ms = [ms[0], _reweighted(ms[0], 1), _reweighted(ms[0], 2)]
+        pattern = ChainPattern(ms[0].matrix.indptr, ms[0].matrix.indices)
+        for m in ms + ms:
+            assert pagerank(m, pattern=pattern).values.tobytes() == pagerank(m).values.tobytes()
+
+    def test_refinement_on_the_relabelled_factor(self, grid20_transitions):
+        m0, m1 = grid20_transitions
+        pattern = ChainPattern(m0.matrix.indptr, m0.matrix.indices)
+        pagerank(m0, pattern=pattern)
+        first = pagerank(m1, pattern=pattern)  # numeric only, in the first factor's order
+        assert first.iterations == 0
+        refined = pagerank(m1, tol=0.99 * first.residual, pattern=pattern)
+        assert refined.iterations == 1
+        assert refined.residual < first.residual
+        with pytest.raises(ConvergenceError) as err:
+            pagerank(m1, tol=0.5 * first.residual, max_iters=1, pattern=pattern)
+        assert (err.value.residual, err.value.iterations) == (refined.residual, 1)
+
+    def test_a_transition_matrix_of_another_pattern_is_refused(self, grid20_transitions):
+        m = grid20_transitions[0]
+        pattern = ChainPattern(m.matrix.indptr, m.matrix.indices)
+        other = m.matrix.copy()
+        other.indices = other.indices.copy()
+        other.indices[[0, 1]] = other.indices[[1, 0]]  # same shape and count, another edge order
+        for wrong in (_dead_end_chain(), TransitionMatrix(tag=0, matrix=other)):
+            with pytest.raises(ValueError, match="another transition matrix"):
+                pagerank(wrong, pattern=pattern)
+
+    def test_unsorted_rows_are_refused(self):
+        matrix = sp.csr_matrix((np.array([0.5, 0.5, 1.0]), [1, 0, 0], [0, 2, 3]), shape=(2, 2))
+        with pytest.raises(ValueError, match="ascending"):
+            pagerank(TransitionMatrix(tag=0, matrix=matrix))
+
+    def test_reducible_warning_once_per_dual_graph(self, two_tag_schedule, caplog):
+        # two islands: a 2-cycle A<->B and a path C->D (D dangles)
+        g = RoadGraph.from_edges(
+            ["A", "B", "C", "D"],
+            [("A", "B"), ("B", "A"), ("C", "D")],
+            [10.0, 10.0, 10.0],
+            two_tag_schedule,
+        )
+        dual = build_dual(g)
+        trips = tripset(make_trip([0, 1, 0], start=430.0), make_trip([1, 0], start=100.0))
+        tms = transition_matrices(dual, partition_by_tag(trips, two_tag_schedule))
+        with caplog.at_level(logging.WARNING, logger="roadcost.pagerank"):
+            for m in tms + tms:
+                pagerank(m, pattern=dual.chain_pattern)
+        assert [r.message.count("reducible") for r in caplog.records] == [1]
 
 
 class TestPagerankStats:
