@@ -32,10 +32,12 @@ Jacobi preconditioner (Saad, Iterative Methods for Sparse Linear Systems,
 2nd ed., 2003, sec. 10.2), applied by the same code with no S to factor.
 
 Solves with the same Q (the objective variants, a grid of coefficients)
-differ only in D, so TripSpacePattern keeps what Q alone decides, the
-fill-reducing ordering of the first factor included: every later factor
-pays only for the numeric factorization, with the same fill. Each solve
-still factors its own D: the preconditioner is the same matrix as before.
+differ only in D, so TripSpacePattern keeps what Q alone decides: the
+fill-reducing ordering of the first factor and, from the second factor on,
+a map of S's sparse product term by term. Every later S is then one gather
+and one bincount, bitwise the sparse product's, and its factor is numeric
+only, with the same fill. Each solve still factors its own D: the
+preconditioner is the same matrix as before.
 
 A solve may also start from a guess x0 instead of zero. A grid of
 coefficients moves the solution a little from one point to the next, so
@@ -265,6 +267,60 @@ class _TripSpaceFactor:
         return (v - self.qm @ y) / self.d
 
 
+class _ProductMap:
+    """S = I + Q_m^T D'^-1 Q_m from D' alone, for one fixed Q_m.
+
+    S_kl sums q_ik * (q_il / d_i) over the unknowns i that trips k and l
+    share. Each term pairs two entries of row i of Q_m: every entry (i, k)
+    gives r_i terms in a row, one per entry (i, l), with r_i the trips of
+    Q_m through unknown i. For each term, ``right`` holds the position of
+    q_il in Q_m's data and ``slot`` the position of S_kl in S's sorted CSC.
+    The terms run unknown by unknown, i ascending. csr_matmat sums each S_kl
+    in the order of row k of Q_m^T, whose unknowns ascend too. So one
+    bincount, adding from zero, gives S bitwise as the sparse product does.
+    The map holds 8 bytes for each of the sum_i r_i^2 terms.
+    """
+
+    def __init__(self, qm: sp.csr_matrix):
+        t = qm.shape[1]
+        self.data = qm.data
+        self.trips_per_unknown = np.diff(qm.indptr)
+        self.terms_per_entry = np.repeat(self.trips_per_unknown, self.trips_per_unknown)
+        ends = np.cumsum(self.terms_per_entry)
+        # q_il sits at row i's start plus the term's rank among its entry's terms
+        shift = np.repeat(qm.indptr[:-1], self.trips_per_unknown) - ends + self.terms_per_entry
+        self.right = np.repeat(shift.astype(np.int32), self.terms_per_entry)
+        self.right += np.arange(len(self.right), dtype=np.int32)
+        # S_kl's key l * t + k sorts as S's sorted CSC: by column, then row. I
+        # puts every diagonal entry in S, whether or not a term adds to it.
+        key = np.int32 if t * t <= np.iinfo(np.int32).max else np.int64
+        keys = np.empty(len(self.right) + t, dtype=key)
+        np.multiply(qm.indices[self.right], t, out=keys[:-t], dtype=key)
+        keys[:-t] += np.repeat(qm.indices.astype(key), self.terms_per_entry)
+        keys[-t:] = np.arange(t, dtype=key) * key(t + 1)
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.r_[True, keys[1:] != keys[:-1]]
+        slot = np.empty(len(keys), dtype=np.int32)
+        slot[order] = np.cumsum(first, dtype=np.int32) - 1
+        self.slot, self.diagonal = slot[:-t], slot[-t:]
+        keys = keys[first]
+        column = keys // t
+        self.indices = (keys - column * t).astype(np.int32)
+        self.indptr = np.r_[0, np.cumsum(np.bincount(column, minlength=t))].astype(np.int32)
+        self.shape = (t, t)
+
+    def matrix(self, d: np.ndarray) -> sp.csc_matrix:
+        """S for D' = diag(d)."""
+        scaled = self.data / np.repeat(d, self.trips_per_unknown)
+        terms = np.repeat(self.data, self.terms_per_entry)
+        terms *= scaled[self.right]  # q_ik * (q_il / d_i), as csr_matmat multiplies
+        # (astype: bincount of no terms at all returns integers)
+        values = np.bincount(self.slot, terms, len(self.indices)).astype(float, copy=False)
+        values[self.diagonal] += 1.0
+        return sp.csc_matrix((values, self.indices, self.indptr), shape=self.shape)
+
+
 class TripSpacePattern:
     """What Q alone decides about the preconditioner, shared by Q's solves.
 
@@ -283,11 +339,17 @@ class TripSpacePattern:
     set on), ``factored`` is False and every trip folds: D' = D + diag(Q
     Q^T), Q_m is empty and P^-1 v = v / D'.
 
-    The first factor orders S (SuperLU MMD on S^T + S); the second puts
-    Q_m's columns in that order, once, so every later S arrives ordered and
-    its factor is numeric only, with the same fill. Until then Q_m is Q
-    itself when no trip runs through one unknown: a lone solve copies
-    nothing. No factor is kept.
+    The first factor orders S (SuperLU MMD on S^T + S), whose values come
+    from the sparse product Q_m^T (D'^-1 Q_m). The second factor changes the
+    pattern in two ways, once each. It puts Q_m's columns in the first
+    factor's order, so every later S arrives ordered and its factor is
+    numeric only, with the same fill. And it maps S's product term by term
+    (_ProductMap), so from then on S's values take one gather and one
+    bincount, and no sparse product. The map holds 8 bytes for each of the
+    sum_i r_i^2 terms, plus S's sorted structure: 0.61 MB for 2,000
+    training trips on 30x30. A pattern that factors once builds neither:
+    Q_m is then Q itself when no trip runs through one unknown, so a lone
+    solve copies nothing. No factor is kept.
     """
 
     def __init__(self, q: sp.csr_matrix):
@@ -308,13 +370,15 @@ class TripSpacePattern:
             self._qm, self._qmt = q[:, kept], self.qt[kept]
         self._order = None  # argsort of the first factor's perm_c, until Q_m stands in it
         self._permc = "MMD_AT_PLUS_A"  # NATURAL once it does
+        self._map = None  # S's _ProductMap, from the second factor on
 
     def factor(self, diag: np.ndarray) -> _TripSpaceFactor:
         """A factor of D + Q Q^T with D = diag(diag): its solve(v) solves that system.
 
-        The first call orders S and factors it; later calls reuse the ordering.
-        Raises RuntimeError on a non-finite D' (S = I + ... never meets the zero
-        pivot a NaN would give), before anything is factored.
+        The first call orders S and factors it; the second relabels Q_m and
+        maps S's product; later calls reuse both. Raises RuntimeError on a
+        non-finite D' (S = I + ... never meets the zero pivot a NaN would
+        give), before anything is built or factored.
         """
         d = diag if self._fold is None else diag + self._fold  # no n-array when nothing folds
         if not np.isfinite(d).all():
@@ -324,12 +388,17 @@ class TripSpacePattern:
         if self._order is not None:  # the second factor: every S arrives ordered from here on
             self._qm, self._qmt = self._qm[:, self._order], self._qmt[self._order]
             self._order, self._permc = None, "NATURAL"
+            self._map = _ProductMap(self._qm)
         qm = self._qm
-        scaled = sp.csr_matrix(
-            (qm.data / np.repeat(d, np.diff(qm.indptr)), qm.indices, qm.indptr), shape=qm.shape
-        )
-        s = self._qmt @ scaled + sp.identity(qm.shape[1], format="csr")
-        lu = splu(s.tocsc(), permc_spec=self._permc, **_SPLU_OPTIONS)  # tocsc sorts, in O(nnz)
+        if self._map is not None:
+            s = self._map.matrix(d)
+        else:
+            scaled = sp.csr_matrix(
+                (qm.data / np.repeat(d, np.diff(qm.indptr)), qm.indices, qm.indptr),
+                shape=qm.shape,
+            )
+            s = (self._qmt @ scaled + sp.identity(qm.shape[1], format="csr")).tocsc()
+        lu = splu(s, permc_spec=self._permc, **_SPLU_OPTIONS)
         if self._permc == "MMD_AT_PLUS_A":
             # a new array: perm_c is a view whose base is the LU itself
             self._order = np.argsort(lu.perm_c)

@@ -7,7 +7,9 @@ time span overlaps, proportionally to overlap length, and charges each part
 at the per-meter cost of its (edge, tag) entry.
 
 Q, trip costs and per-tag trip durations are all derived from one columnar
-record table per trip set (``TripSet.table``), split into record x tag parts.
+record table per trip set (``TripSet.table``), split into record x tag parts
+once per schedule: ``TripSet.tag_parts`` keeps the split, read-only, for
+every later call on the same trip set.
 """
 
 from __future__ import annotations
@@ -67,6 +69,16 @@ class Trip:
                 )
 
 
+class TagParts(NamedTuple):
+    """Every (record, tag) pair of positive overlap, ordered by record, then tag."""
+
+    trip: np.ndarray  # int32: index of the record's trip in its TripSet
+    edge: np.ndarray  # int32
+    tag: np.ndarray  # int32
+    minutes: np.ndarray  # overlap of the record's time span with the tag
+    weight: np.ndarray  # minutes / record duration
+
+
 class RecordTable(NamedTuple):
     """Link records as columns; row i is one record, ordered trip by trip."""
 
@@ -85,14 +97,17 @@ def positional_ids(n: int) -> np.ndarray:
 class TripSet:
     """A bag of trips that all reference the same road graph, held as columns.
 
-    The record table, the cost column and the id column are the whole state.
-    Iterating or indexing builds ``Trip`` objects from the columns; none is
-    kept. ``TripSet(trips)`` takes validated ``Trip`` objects and names them
-    by position; ``TripSet.from_table`` takes columns checked elsewhere (the
+    The record table, the cost column and the id column are the whole
+    state, with one derived cache: ``tag_parts`` splits the table into
+    record x tag parts once per schedule and keeps the split for the trip
+    set's lifetime (``subset`` results start without one). Iterating or
+    indexing builds ``Trip`` objects from the columns; none is kept.
+    ``TripSet(trips)`` takes validated ``Trip`` objects and names them by
+    position; ``TripSet.from_table`` takes columns checked elsewhere (the
     CSV loader, ``subset``, the synthetic generator).
     """
 
-    __slots__ = ("table", "_costs", "_ids")
+    __slots__ = ("table", "_costs", "_ids", "_parts")
 
     def __init__(self, trips: Iterable[Trip] = ()):
         trips = tuple(trips)
@@ -123,6 +138,7 @@ class TripSet:
         self.table = RecordTable(*(_freeze(np.asarray(column)) for column in table))
         self._costs = _freeze(np.asarray(costs, dtype=float))
         self._ids = _freeze(np.asarray(ids, dtype=object))
+        self._parts: dict[TagSchedule, TagParts] = {}
 
     def __len__(self) -> int:
         return len(self._costs)
@@ -150,6 +166,14 @@ class TripSet:
         """Id of every trip, in order (read-only)."""
         return self._ids
 
+    def tag_parts(self, schedule: TagSchedule) -> TagParts:
+        """The table's record x tag parts under ``schedule``, split once (read-only)."""
+        parts = self._parts.get(schedule)
+        if parts is None:
+            parts = TagParts(*map(_freeze, _tag_parts(self.table, schedule)))
+            self._parts[schedule] = parts
+        return parts
+
     def subset(self, indices) -> "TripSet":
         """The trips at ``indices``, in that order, sliced from the columns."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
@@ -174,9 +198,8 @@ class TripSet:
             )
 
 
-def _tag_parts(table: RecordTable, schedule: TagSchedule):
-    """(trip, edge, tag, minutes, weight) of every (record, tag) pair of positive
-    overlap, ordered by record, then tag; weight is minutes / record duration."""
+def _tag_parts(table: RecordTable, schedule: TagSchedule) -> TagParts:
+    """The table's record x tag parts under ``schedule`` (see TagParts)."""
     minutes = np.zeros((len(table.edge), schedule.n_tags))
     for d, day in enumerate(DAY_CLASSES):
         for start, end, tag in schedule.day_rules(day):
@@ -185,7 +208,8 @@ def _tag_parts(table: RecordTable, schedule: TagSchedule):
     rec, tag = np.nonzero(minutes)
     minutes = minutes[rec, tag]
     weight = minutes / (table.exit[rec] - table.enter[rec])
-    return table.trip[rec], table.edge[rec], tag, minutes, weight
+    trip, edge = table.trip[rec].astype(np.int32), table.edge[rec].astype(np.int32)
+    return TagParts(trip, edge, tag.astype(np.int32), minutes, weight)
 
 
 def record_tag_weights(record: LinkRecord, schedule: TagSchedule) -> list[tuple[int, float]]:
@@ -211,9 +235,9 @@ def build_q(trips: TripSet, graph: RoadGraph) -> sp.csr_matrix:
     overlap weight, accumulated over every traversal the trip makes, so that
     (Q^T d)[k] equals the trip-cost model applied to trip k.
     """
-    trip, edge, tag, _, weight = _tag_parts(trips.table, graph.tag_schedule)
+    trip, edge, tag, _, weight = trips.tag_parts(graph.tag_schedule)
     return sp.csr_matrix(
-        (graph.lengths[edge] * weight, (tag * graph.n_edges + edge, trip)),
+        (graph.lengths[edge] * weight, (tag * np.int64(graph.n_edges) + edge, trip)),
         shape=(graph.n_entries, len(trips)),
     )
 
@@ -225,8 +249,8 @@ def trip_costs(trips: TripSet, graph: RoadGraph, costs: CostVector) -> np.ndarra
             f"cost vector dimensions ({costs.n_edges} edges, {costs.n_tags} tags) "
             f"do not match graph ({graph.n_edges}, {graph.n_tags})"
         )
-    trip, edge, tag, _, weight = _tag_parts(trips.table, graph.tag_schedule)
-    charged = weight * costs.values[tag * graph.n_edges + edge] * graph.lengths[edge]
+    trip, edge, tag, _, weight = trips.tag_parts(graph.tag_schedule)
+    charged = weight * costs.values[tag * np.int64(graph.n_edges) + edge] * graph.lengths[edge]
     return np.bincount(trip, weights=charged, minlength=len(trips))
 
 
@@ -243,7 +267,7 @@ def partition_by_tag(trips: TripSet, schedule: TagSchedule) -> list[TripSet]:
     duration; ties break toward the lower tag index, so every trip lands in
     exactly one partition.
     """
-    trip, _, tag, minutes, _ = _tag_parts(trips.table, schedule)
+    trip, _, tag, minutes, _ = trips.tag_parts(schedule)
     per_tag = np.zeros((len(trips), schedule.n_tags))
     np.add.at(per_tag, (trip, tag), minutes)
     labels = per_tag.argmax(axis=1)

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from roadcost import solver
@@ -695,6 +699,82 @@ class TestTripSpacePattern:
         q, c = _tiny_system()
         with pytest.raises(ValueError, match="another Q"):
             solve_weights(q, c, None, None, 0.0, 0.0, 0.1, pattern=TripSpacePattern(q.copy()))
+
+
+def _q_from_visits(visits, values=None):
+    """Q with one column per trip, row i summing the trip's visits to unknown i."""
+    rows = np.array([i for trip in visits for i in trip], dtype=np.int64)
+    cols = np.array([k for k, trip in enumerate(visits) for _ in trip], dtype=np.int64)
+    values = np.ones(len(rows)) if values is None else np.asarray(values, dtype=float)
+    n = int(rows.max()) + 1 if len(rows) else 1
+    return sp.csr_matrix((values, (rows, cols)), shape=(n, len(visits)))
+
+
+@st.composite
+def _design_matrices(draw):
+    """Q of up to 8 unknowns and 12 trips. A trip may visit no unknown (an
+    empty column), one (folded into D'), or one unknown twice (Q sums it)."""
+    n = draw(st.integers(1, 8))
+    visits = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=5), min_size=1, max_size=12))
+    size = sum(map(len, visits))
+    values = draw(st.lists(st.floats(0.125, 8.0), min_size=size, max_size=size))
+    return _q_from_visits(visits, values)
+
+
+def _spgemm_s(pattern, diag):
+    """S = I + Q_m^T D'^-1 Q_m of the pattern's Q_m, by sparse product, sorted by tocsc."""
+    d = diag if pattern._fold is None else diag + pattern._fold
+    qm = pattern._qm
+    scaled = sp.csr_matrix(
+        (qm.data / np.repeat(d, np.diff(qm.indptr)), qm.indices, qm.indptr), shape=qm.shape
+    )
+    return (pattern._qmt @ scaled + sp.identity(qm.shape[1], format="csr")).tocsc()
+
+
+class TestProductMap:
+    @settings(max_examples=150, deadline=None)
+    @given(q=_design_matrices(), seed=st.integers(0, 2**32 - 1))
+    @example(q=_q_from_visits([[0], [1], [2, 2], []]), seed=0)  # every trip folded
+    @example(q=_q_from_visits([[0, 1, 0], [1, 2], [2], [], [0, 2, 1]]), seed=1)  # 0 twice
+    @example(q=_q_from_visits([[0, 1], [], [1, 2], []]), seed=2)  # empty columns
+    def test_mapped_s_is_the_sparse_product(self, q, seed):
+        rng = np.random.default_rng(seed)
+        n = q.shape[0]
+        pattern = TripSpacePattern(q)
+        factored = []
+        real = solver.splu
+
+        def recording(s, **kwargs):
+            factored.append(s)
+            return real(s, **kwargs)
+
+        with mock.patch.object(solver, "splu", recording):
+            pattern.factor(10.0 ** rng.uniform(-4, 1, n))
+            assert pattern._map is None  # a pattern that factored once holds no map
+            for k in range(3):  # factors 2-4, each with its own D
+                diag = 10.0 ** rng.uniform(-4, 1, n)
+                pattern.factor(diag)
+                if not factored:  # every trip folded: nothing to factor, nothing to map
+                    assert pattern._map is None
+                    continue
+                expected, got = _spgemm_s(pattern, diag), factored[-1]
+                assert len(factored) == k + 2
+                for name in ("data", "indices", "indptr"):
+                    want, have = getattr(expected, name), getattr(got, name)
+                    assert have.dtype == want.dtype and np.array_equal(have, want)
+
+    def test_non_finite_diagonal_builds_no_map(self, splu_calls):
+        q = _q_from_visits([[0, 1], [1, 2], [2, 3, 0], [3]])
+        pattern = TripSpacePattern(q)
+        pattern.factor(np.ones(4))
+        with pytest.raises(RuntimeError, match="non-finite"):
+            pattern.factor(np.array([1.0, np.nan, 1.0, 1.0]))
+        assert pattern._map is None and splu_calls == ["MMD_AT_PLUS_A"]
+        diag = np.array([0.5, 2.0, 1.0, 4.0])
+        pattern.factor(diag)  # the next finite D relabels and maps as the second factor
+        assert pattern._map is not None and splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
+        mapped, expected = pattern._map.matrix(diag + pattern._fold), _spgemm_s(pattern, diag)
+        assert np.array_equal(mapped.data, expected.data)
 
 
 def _cold_cg(q, costs, l_a, l_b, alpha, beta, gamma, tol):

@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from roadcost import trips as trips_module
 from roadcost.graph import WEEKDAY, WEEKEND, CostVector, RoadGraph, TagSchedule
+from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import (
     LinkRecord,
     Trip,
     TripSet,
+    _tag_parts,
+    build_q,
     partition_by_tag,
     record_tag_weights,
     split_trips,
     tag_weight,
     trip_cost,
+    trip_costs,
 )
 
 from conftest import entry, make_trip, tripset
@@ -168,6 +173,85 @@ class TestPartitionByTag:
             trips.append(make_trip([0, 1], start=start, day=day, step=rng.uniform(0.5, 10)))
         parts = partition_by_tag(tripset(*trips), table_schedule)
         assert sum(len(p) for p in parts) == len(trips)
+
+
+def _fresh(trips: TripSet) -> TripSet:
+    """The same columns in a trip set that has split nothing yet."""
+    return TripSet.from_table(trips.table, trips.costs(), trips.ids())
+
+
+def _same(got, want) -> bool:
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestTagParts:
+    @pytest.fixture
+    def synthetic(self):
+        spec = SyntheticSpec(rows=6, cols=6, n_trips=200, coverage=0.3, noise=0.05)
+        graph, truth, trips = generate_synthetic(spec, seed=3)
+        return graph, truth, trips
+
+    @pytest.fixture
+    def splits(self, monkeypatch) -> list:
+        """The table and schedule of every record x tag split, in call order."""
+        calls, split = [], trips_module._tag_parts
+
+        def recording(table, schedule):
+            calls.append((table, schedule))
+            return split(table, schedule)
+
+        monkeypatch.setattr(trips_module, "_tag_parts", recording)
+        return calls
+
+    def test_cached_parts_are_the_uncached_split(self, synthetic):
+        graph, _, trips = synthetic
+        parts = trips.tag_parts(graph.tag_schedule)
+        for got, want in zip(parts, _tag_parts(trips.table, graph.tag_schedule)):
+            assert _same(got, want)
+        assert parts.trip.dtype == parts.edge.dtype == parts.tag.dtype == np.int32
+
+    def test_consumers_share_one_split_and_match_a_fresh_set(self, synthetic, splits):
+        graph, truth, trips = synthetic
+        schedule = graph.tag_schedule
+        q = build_q(trips, graph)
+        estimated = trip_costs(trips, graph, truth)
+        partitions = partition_by_tag(trips, schedule)
+        assert len(splits) == 1 and splits[0][0] is trips.table
+        fresh_q = build_q(_fresh(trips), graph)
+        for name in ("data", "indices", "indptr"):
+            assert _same(getattr(q, name), getattr(fresh_q, name))
+        assert _same(estimated, trip_costs(_fresh(trips), graph, truth))
+        fresh_partitions = partition_by_tag(_fresh(trips), schedule)
+        for got, want in zip(partitions, fresh_partitions):
+            assert _same(got.ids(), want.ids())
+        assert len(splits) == 4  # each fresh set split once
+
+    def test_a_second_schedule_gets_its_own_parts(self, synthetic, table_schedule, splits):
+        graph, _, trips = synthetic
+        first = trips.tag_parts(graph.tag_schedule)
+        second = trips.tag_parts(table_schedule)
+        assert len(splits) == 2
+        for got, want in zip(second, _tag_parts(trips.table, table_schedule)):
+            assert _same(got, want)
+        assert trips.tag_parts(graph.tag_schedule) is first
+        assert trips.tag_parts(table_schedule) is second
+        assert len(splits) == 2
+
+    def test_cached_arrays_are_read_only(self, synthetic):
+        graph, _, trips = synthetic
+        for column in trips.tag_parts(graph.tag_schedule):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+
+    def test_a_subset_splits_its_own_table(self, synthetic, splits):
+        graph, _, trips = synthetic
+        parent = trips.tag_parts(graph.tag_schedule)
+        child = trips.subset(np.arange(len(trips)))
+        parts = child.tag_parts(graph.tag_schedule)
+        assert len(splits) == 2 and splits[1][0] is child.table
+        assert all(a is not b for a, b in zip(parts, parent))
+        for got, want in zip(parts, parent):
+            assert _same(got, want)
 
 
 class TestSplit:
