@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -253,6 +254,7 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was: one build per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roadcost",

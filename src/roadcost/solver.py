@@ -16,7 +16,16 @@ only state a solve shares with others on the same Q.
 
 A links every pair of a tag's segments whose PageRank ratio min/max reaches
 the threshold, at every network size. The solve never forms it:
-SimilarityLaplacian applies L_A in linear time from sorted PageRank values.
+SimilarityLaplacian applies L_A in linear time from sorted PageRank values,
+packed for all tags at once.
+
+At grid-search sizes a CG step costs more in per-call overhead than in
+arithmetic, so every sparse mat-vec of the loop (Q, Q^T and L_B in the
+operator, Q_m and Q_m^T in the preconditioner) calls csr_matvec, the
+compiled kernel behind scipy's own CSR @, straight from
+scipy.sparse._sparsetools (_matvec). That module is private: it is imported
+once, with this module, so a scipy without it fails at import, and a test
+pins _matvec bitwise to @, so a scipy whose kernel differs fails the tests.
 
 The preconditioner is P = D + Q Q^T with D = gamma + alpha diag(L_A) +
 beta diag(L_B): it inverts the misfit term exactly, so CG is left with only
@@ -54,6 +63,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
@@ -76,6 +86,17 @@ _SPLU_OPTIONS = dict(
 )
 
 
+def _matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """a @ x for a float CSR matrix a and a float vector x, by the kernel @ calls.
+
+    Bitwise a @ x without @'s dispatch, which costs about 2 us a call.
+    """
+    rows, cols = a.shape
+    y = np.zeros(rows)
+    csr_matvec(rows, cols, a.indptr, a.indices, a.data, x, y)
+    return y
+
+
 def _similarity_windows(pageranks: Sequence[PageRankVector], threshold: float):
     """Per tag: (index, sv, lo, hi) of its entries with positive PageRank.
 
@@ -89,6 +110,9 @@ def _similarity_windows(pageranks: Sequence[PageRankVector], threshold: float):
     if not 0 < threshold <= 1:
         raise ValueError(f"similarity threshold must be in (0, 1], got {threshold}")
     ne = len(pageranks[0].values)
+    lengths = [len(pr.values) for pr in pageranks]
+    if lengths.count(ne) != len(lengths):
+        raise ValueError(f"PageRank vectors must have equal lengths, got {lengths}")
     windows = []
     for k, pr in enumerate(pageranks):
         if pr.tag != k:
@@ -158,24 +182,64 @@ class SimilarityLaplacian:
     accumulates upward and the upper one downward, so each window is the
     largest part of its prefix and the subtraction keeps its digits. Entries
     with zero PageRank (transient dual vertices) have zero rows.
+
+    All tags' windows sit in one packed layout, built once: a row per tag,
+    its entries ascending and then padding. The lower sums run along the
+    rows, the upper ones along each row's entries taken in descending order,
+    padding again last. A product is then the same dozen numpy calls
+    whatever the number of tags: one gather of x and one reordering of it,
+    one cumsum over both directions, one gather of the window edges, one
+    reordering back and one scatter. Each prefix sum starts from zero at its
+    tag's first term, and padding only ever follows real terms, so every sum
+    is bitwise the one a tag-by-tag loop forms.
     """
 
     def __init__(self, pageranks: Sequence[PageRankVector], threshold: float):
         n = len(pageranks) * len(pageranks[0].values)
         self.shape = (n, n)
-        self._windows = _similarity_windows(pageranks, threshold)
+        windows = _similarity_windows(pageranks, threshold)
+        tags, width = len(windows), max(len(sv) for _, sv, _, _ in windows)
+        # Row k holds tag k's entries ascending, then padding, which gathers
+        # x's last entry (clipped), divides by 1 and scatters past y's end.
+        self._index = np.full((tags, width), n)
+        self._sv = np.ones((tags, width))
+        # Flat positions in that layout of each row's entries descending,
+        # then its padding: the same permutation takes them back.
+        self._reverse = np.arange(tags * width).reshape(tags, width)
+        # Flat positions in the (2 x tags x width + 1) prefix sums: below[lo_i]
+        # in the ascending rows, above[hi_i] in the descending ones, where the
+        # sum over sorted positions j.. sits at column m - j. Ascending padding
+        # reads the row's leading zero, descending padding its total.
+        self._edges = np.empty((2, tags, width), dtype=np.intp)
+        for k, (index, sv, lo, hi) in enumerate(windows):
+            m, below, above = len(sv), k * (width + 1), (tags + k) * (width + 1)
+            self._index[k, :m], self._sv[k, :m] = index, sv
+            self._reverse[k, :m] = k * width + np.arange(m - 1, -1, -1)
+            self._edges[:, k] = [[below], [above + width]]
+            self._edges[:, k, :m] = below + lo, above + m - hi[::-1]
         self._degree = self._adjacency(np.ones(n))
 
     def _adjacency(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.shape[0])
-        for index, sv, lo, hi in self._windows:
-            xs = x[index]
-            below = np.zeros(len(sv) + 1)
-            np.cumsum(sv * xs, out=below[1:])
-            above = np.zeros(len(sv) + 1)
-            np.cumsum((xs / sv)[::-1], out=above[-2::-1])
-            y[index] = (below[:-1] - below[lo]) / sv + sv * (above[1:] - above[hi])
-        return y
+        tags, width = self._sv.shape
+        xs = x.take(self._index, mode="clip")
+        terms = np.empty((2, tags, width))
+        np.multiply(xs, self._sv, out=terms[0])  # v_j x_j, summed upward
+        np.divide(xs, self._sv, out=xs)
+        xs.take(self._reverse, out=terms[1], mode="clip")  # x_j / v_j, summed downward
+        sums = np.zeros((2, tags, width + 1))
+        terms.cumsum(axis=2, out=sums[:, :, 1:])
+        # (below_i - below_lo) / v_i + (above_i+1 - above_hi) v_i, the window
+        # sums cut in place in terms, which the prefix sums have consumed:
+        # the same operations on the same operands as the formula
+        lower, upper = sums.take(self._edges, out=terms, mode="clip")
+        np.subtract(sums[:, :, :-1], terms, out=terms)
+        lower /= self._sv
+        upper = upper.take(self._reverse)  # back to ascending order
+        upper *= self._sv
+        lower += upper
+        y = np.zeros(self.shape[0] + 1)
+        y[self._index] = lower
+        return y[:-1]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -191,12 +255,13 @@ class SimilarityLaplacian:
         are its maximal runs of consecutive similar values, so this chain of
         at most n - 1 links connects exactly what A connects.
         """
-        rows, cols = [], []
-        for index, sv, _, hi in self._windows:
-            linked = hi[:-1] > np.arange(1, len(sv))
-            rows.append(index[:-1][linked])
-            cols.append(index[1:][linked])
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        tags, width = self._sv.shape
+        # Descending position j is sorted entry i = m - 1 - j, and i's window
+        # holds i + 1, at j - 1, when hi_i > i + 1: when m - hi_i < j.
+        above = (np.arange(tags, 2 * tags) * (width + 1))[:, None]
+        linked = (self._edges[1] - above < np.arange(width))[:, 1:]
+        descending = self._index.take(self._reverse)
+        rows, cols = descending[:, 1:][linked], descending[:, :-1][linked]
         return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=self.shape)
 
 
@@ -263,8 +328,8 @@ class _TripSpaceFactor:
     def solve(self, v: np.ndarray) -> np.ndarray:
         if self.lu is None:  # every trip folded: P = D'
             return v / self.d
-        y = self.lu.solve(self.qmt @ (v / self.d))
-        return (v - self.qm @ y) / self.d
+        y = self.lu.solve(_matvec(self.qmt, v / self.d))
+        return (v - _matvec(self.qm, y)) / self.d
 
 
 class _ProductMap:
@@ -354,7 +419,7 @@ class TripSpacePattern:
 
     def __init__(self, q: sp.csr_matrix):
         n, t = q.shape
-        self.q = q
+        self.q, q = q, q.tocsr()
         self.qt = q.T.tocsr()
         trips_per_unknown = q.getnnz(axis=1).astype(float)
         fill_estimate = trips_per_unknown @ trips_per_unknown
@@ -462,15 +527,17 @@ def solve_weights(
             raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
         if not np.isfinite(x0).all():
             raise ValueError("x0 must be finite")
-    qt = pattern.qt
+    qt, q_csr = pattern.qt, q.tocsr()
+    if beta:
+        l_b = l_b.tocsr()
 
     def apply(x: np.ndarray) -> np.ndarray:
         """Q Q^T x + alpha L_A x + beta L_B x + gamma x, Q Q^T never formed."""
-        y = q @ (qt @ x)
+        y = _matvec(q_csr, _matvec(qt, x))
         if alpha:
             y += alpha * (l_a @ x)
         if beta:
-            y += beta * (l_b @ x)
+            y += beta * _matvec(l_b, x)
         y += gamma * x
         return y
 

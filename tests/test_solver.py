@@ -215,7 +215,73 @@ def _assert_matches_exact(prs, threshold, rng):
         assert np.linalg.norm(op @ x - expected) <= 1e-12 * max(np.linalg.norm(expected), 1.0)
 
 
+def _per_tag_adjacency(windows, n, x):
+    """A x tag by tag, as SimilarityLaplacian formed it before the windows were
+    packed: the bitwise reference of the packed product."""
+    y = np.zeros(n)
+    for index, sv, lo, hi in windows:
+        xs = x[index]
+        below = np.zeros(len(sv) + 1)
+        np.cumsum(sv * xs, out=below[1:])
+        above = np.zeros(len(sv) + 1)
+        np.cumsum((xs / sv)[::-1], out=above[-2::-1])
+        y[index] = (below[:-1] - below[lo]) / sv + sv * (above[1:] - above[hi])
+    return y
+
+
+def _per_tag_chain(windows, n):
+    rows, cols = [], []
+    for index, sv, _, hi in windows:
+        linked = hi[:-1] > np.arange(1, len(sv))
+        rows.append(index[:-1][linked])
+        cols.append(index[1:][linked])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+
+@st.composite
+def _similarity_instances(draw):
+    """1-3 tags whose positive counts differ, with ties and zero PageRank, a
+    threshold that may be 1, and an x rich in +0.0 and -0.0."""
+    ne = draw(st.integers(1, 10))
+    value = st.one_of(st.just(0.0), st.sampled_from([0.125, 0.25, 0.5]), st.floats(1e-3, 1.0))
+    tags = draw(st.lists(st.lists(value, min_size=ne, max_size=ne), min_size=1, max_size=3))
+    threshold = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+    size = ne * len(tags)
+    signed_zeros = st.sampled_from([0.0, -0.0]).map(lambda zero: [zero] * size)
+    x = draw(st.one_of(st.lists(entry, min_size=size, max_size=size), signed_zeros))
+    return _prs(tags), threshold, np.array(x)
+
+
 class TestSimilarityLaplacian:
+    @settings(max_examples=300, deadline=None)
+    @given(instance=_similarity_instances())
+    # tag 0 has one entry fewer than tag 1: a padding term added ahead of its
+    # downward sums turns their -0.0 into +0.0, and y_1 changes sign
+    @example(instance=(_prs([[0.5, 0.5, 0.5, 0.0], [0.25, 0.5, 0.25, 0.5]]), 1.0, -np.zeros(8)))
+    def test_packed_layout_is_bitwise_the_per_tag_loop(self, instance):
+        prs, threshold, x = instance
+        op = SimilarityLaplacian(prs, threshold)
+        windows = solver._similarity_windows(prs, threshold)
+        n = op.shape[0]
+        degree = _per_tag_adjacency(windows, n, np.ones(n))
+        assert op.diagonal().tobytes() == degree.tobytes()
+        expected = degree * x - _per_tag_adjacency(windows, n, x)
+        assert (op @ x).tobytes() == expected.tobytes()
+        chain, reference = op.chain(), _per_tag_chain(windows, n)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(chain, name).tobytes() == getattr(reference, name).tobytes()
+
+    @pytest.mark.parametrize("lengths", [(2, 3), (3, 2)])
+    def test_unequal_lengths_rejected(self, lengths):
+        prs = _prs([np.full(k, 0.5) for k in lengths])
+        message = rf"equal lengths, got \[{lengths[0]}, {lengths[1]}\]"
+        with pytest.raises(ValueError, match=message):
+            SimilarityLaplacian(prs, 0.9)
+        with pytest.raises(ValueError, match=message):
+            build_a(prs, 0.9)
+
     @pytest.mark.parametrize("threshold", [0.5, 0.8, 0.95])
     def test_matches_exact_laplacian_on_random_instances(self, threshold):
         for seed in range(12):
@@ -388,6 +454,37 @@ class TestQuadraticFormEquivalence:
             assert d @ (lap @ d) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+def _with_indices(a, dtype):
+    """a with its index arrays cast to dtype (the constructor would shrink int64)."""
+    a.indices, a.indptr = a.indices.astype(dtype), a.indptr.astype(dtype)
+    return a
+
+
+class TestMatvec:
+    """solver._matvec calls scipy's private csr_matvec, the kernel behind @."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_bitwise_scipy_product(self, index_dtype, strided):
+        rng = np.random.default_rng(4)
+        dense = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.2)
+        dense[[3, 17, 39]] = 0.0  # empty rows
+        random = sp.csr_matrix(dense)
+        # rows 1 and 3 repeat column 2, out of order; rows 0 and 2 are empty
+        messy = sp.csr_matrix(
+            (rng.standard_normal(7), np.array([2, 0, 2, 4, 2, 2, 1]), np.array([0, 0, 4, 4, 7])),
+            shape=(4, 5),
+        )
+        assert not messy.has_canonical_format
+        for a in (random, messy):
+            a = _with_indices(a, index_dtype)
+            assert a.indices.dtype == index_dtype
+            wide = rng.standard_normal(2 * a.shape[1])
+            x = wide[::2] if strided else wide[: a.shape[1]]
+            assert x.flags.c_contiguous != strided
+            assert solver._matvec(a, x).tobytes() == (a @ x).tobytes()
+
+
 def _random_similarity(rng, n, density):
     raw = rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < density)
     sym = (raw + raw.T) / 2
@@ -460,6 +557,16 @@ class TestSolve:
             )
             expected = np.linalg.solve(dense, q @ c)
             assert np.linalg.norm(d - expected) <= 1e-7 * np.linalg.norm(expected)
+
+    def test_other_sparse_formats_solve_as_csr(self):
+        # the CG loop's kernel reads CSR arrays: Q and L_B arrive converted
+        rng = np.random.default_rng(7)
+        q = sp.csr_matrix(rng.uniform(0, 2, (12, 5)) * (rng.random((12, 5)) < 0.4))
+        l_b = laplacian(_random_similarity(rng, 12, 0.3))
+        c = rng.uniform(-1, 1, 5)
+        expected, _ = solve_weights(q, c, None, l_b, 0.0, 1.0, 0.1)
+        got, _ = solve_weights(q.tocsc(), c, None, l_b.tocoo(), 0.0, 1.0, 0.1)
+        assert got.tobytes() == expected.tobytes()
 
     def test_non_convergence_raises(self):
         # a tolerance below rounding error is never met: CG stops at its cap

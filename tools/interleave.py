@@ -12,8 +12,10 @@ once on each of them. Their output files must then be byte-identical, or
 the script stops with exit code 1. After that, every round runs the job on
 every dataset with both sides, one after the other. The side that goes
 first alternates from pair to pair. The script prints each side's median
-job time, the median of the paired ratios change / base, and the number of
-pairs the change won.
+job time and quartiles, the median of the paired ratios change / base, the
+number of pairs the change won, and the base side's quartile spread beside
+the gap between the two medians. A gain counts where the change wins nearly
+every pair and the median gap exceeds the base's spread.
 
 Jobs alternate within one process, so both sides see the same host speed
 at nearly the same moment. Separate benchmark processes cannot give that.
@@ -126,12 +128,15 @@ def main(argv: list[str]) -> int:
                     times[side].append(run(bench, sides[side], workload.kind, data, root / "out"))
 
     pairs = list(zip(times["base"], times["change"]))
-    for side in SIDES:
-        print(f"{side:<7} median {statistics.median(times[side]):.4f} s")
+    quartiles = {side: statistics.quantiles(times[side], n=4, method="inclusive") for side in SIDES}
+    for side, (low, median, high) in quartiles.items():
+        print(f"{side:<7} median {median:.4f} s, quartiles {low:.4f} {high:.4f} s")
     ratio = statistics.median(change / base for base, change in pairs)
     wins = sum(change < base for base, change in pairs)
     print(f"ratio   median {ratio:.4f} (change / base, {len(pairs)} pairs)")
     print(f"wins    change faster in {wins}/{len(pairs)} pairs")
+    (low, _, high), gap = quartiles["base"], quartiles["base"][1] - quartiles["change"][1]
+    print(f"spread  base quartile spread {high - low:.4f} s, median gap {gap:.4f} s (base - change)")
     return 0
 
 
