@@ -437,15 +437,24 @@ def _line_chunks(handle) -> Iterator[tuple[bytes, Optional[int], bytes]]:
 
 
 def write_csv(
-    path: str | Path, header: Sequence[str], n_rows: int, columns_of: Callable[[slice], Iterable]
+    path: str | Path,
+    header: Sequence[str],
+    n_rows: int,
+    columns_of: Callable[[slice], Iterable],
+    quoted: bool = False,
 ) -> None:
     """Write ``header``, then ``n_rows`` rows whose columns of field texts
     ``columns_of(part)`` gives for each slice ``part`` of ``_CHUNK_ROWS`` rows,
-    as the bytes ``csv.writer`` writes for rows of two or more fields."""
+    as the bytes ``csv.writer`` writes for rows of two or more fields. With
+    ``quoted`` the columns hold those fields already and nothing is scanned:
+    the dataset and weights writers quote each distinct name once
+    (``_quoted``), and a number, clock or flag never needs it."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\r\n")
         for start in range(0, n_rows, _CHUNK_ROWS):
-            columns = map(_quoted, columns_of(slice(start, start + _CHUNK_ROWS)))
+            columns = columns_of(slice(start, start + _CHUNK_ROWS))
+            if not quoted:
+                columns = map(_quoted, columns)
             handle.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
@@ -803,13 +812,14 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
 
 
 def save_network(graph: RoadGraph, path: str | Path) -> None:
-    vertex_ids = np.array(graph.vertex_ids, dtype=object)
+    edge_ids = _quoted(graph.edge_ids)
+    vertex_ids = np.array(_quoted(graph.vertex_ids), dtype=object)
     write_csv(
         path,
         HEADERS["network"],
         graph.n_edges,
         lambda part: (
-            graph.edge_ids[part],
+            edge_ids[part],
             vertex_ids[graph.tails[part]].tolist(),
             vertex_ids[graph.heads[part]].tolist(),
             [_FLOAT_FMT % length for length in graph.lengths[part].tolist()],
@@ -818,6 +828,7 @@ def save_network(graph: RoadGraph, path: str | Path) -> None:
                 for limit in graph.speed_limits[part].tolist()
             ],
         ),
+        quoted=True,
     )
 
 
@@ -912,8 +923,9 @@ def save_trips(
     table = trips.table
     first = np.searchsorted(table.trip, np.arange(len(trips)))
     seq = np.arange(len(table.trip)) - first[table.trip]
-    edge_ids = np.array(graph.edge_ids, dtype=object)
-    days = np.array(DAY_CLASSES, dtype=object)
+    names = np.asarray(_quoted(names), dtype=object)
+    edge_ids = np.array(_quoted(graph.edge_ids), dtype=object)
+    days = np.array(_quoted(DAY_CLASSES), dtype=object)
     write_csv(
         trips_path,
         HEADERS["trips"],
@@ -926,6 +938,7 @@ def save_trips(
             _format_clock_column(table.enter[part]),
             _format_clock_column(table.exit[part]),
         ),
+        quoted=True,
     )
     costs = trips.costs()
     write_csv(
@@ -935,6 +948,7 @@ def save_trips(
         lambda part: (
             names[part].tolist(), [_FLOAT_FMT % cost for cost in costs[part].tolist()]
         ),
+        quoted=True,
     )
 
 
@@ -949,8 +963,8 @@ def write_weights(
     flags = np.ones(graph.n_entries, dtype=bool) if mask is None else np.asarray(mask, bool)
     if flags.shape != (graph.n_entries,):
         raise ValueError("mask must cover every (edge, tag) entry")
-    edge_ids = graph.edge_ids * graph.n_tags
-    tags = np.repeat(np.array(graph.tag_schedule.tags, dtype=object), graph.n_edges)
+    edge_ids = _quoted(graph.edge_ids) * graph.n_tags
+    tags = np.repeat(np.array(_quoted(graph.tag_schedule.tags), dtype=object), graph.n_edges)
     write_csv(
         path,
         HEADERS["weights"],
@@ -961,6 +975,7 @@ def write_weights(
             list(map(_FLOAT_FMT.__mod__, costs.values[part].tolist())),
             np.where(flags[part], "1", "0").tolist(),
         ),
+        quoted=True,
     )
 
 

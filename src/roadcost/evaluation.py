@@ -101,13 +101,13 @@ class ConstraintMatrices:
 
         The mask depends only on Q and on which of A and B are active, not on
         their coefficients, so every solve with the same active set shares it.
-        The array is read-only for that reason. A's components are read off
-        its chain, B's off L_B: its off-diagonal pattern is B's, and its
-        diagonal adds only self-loops.
+        The array is read-only for that reason. A's components are the runs
+        of L_A's sorted PageRank values, and B's links are L_B's off-diagonal
+        pattern.
         """
         key = (bool(use_a), bool(use_b))
         if key not in self._masks:
-            a = self.l_a.chain() if key[0] else None
+            a = self.l_a.components() if key[0] else None
             mask = annotated_mask(self.q, a, self.l_b if key[1] else None)
             mask.flags.writeable = False
             self._masks[key] = mask

@@ -225,6 +225,12 @@ class DualGraph:
     starts, i.e. the two road segments can be traversed consecutively.
     U-turn dual edges (a segment followed by its own reverse) are included;
     ``build_b`` and the synthetic walks drop them through ``reverse_mask``.
+
+    The dual edges out of u are the primal edges leaving heads[u], ascending
+    by index, and ``tail_rank`` holds each primal edge's rank among the
+    edges leaving its tail. So the dual edge (u, v), when heads[u] ==
+    tails[v], is number ``out_indptr[u] + tail_rank[v]``: found by index,
+    with no search.
     """
 
     graph: RoadGraph
@@ -232,9 +238,10 @@ class DualGraph:
     edge_dst: np.ndarray
     out_indptr: np.ndarray
     reverse_mask: np.ndarray
+    tail_rank: np.ndarray
 
     def __post_init__(self):
-        for name in ("edge_src", "edge_dst", "out_indptr", "reverse_mask"):
+        for name in ("edge_src", "edge_dst", "out_indptr", "reverse_mask", "tail_rank"):
             _freeze(getattr(self, name))
 
     @property
@@ -244,11 +251,6 @@ class DualGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edge_src)
-
-    @cached_property
-    def edge_keys(self) -> np.ndarray:
-        """``src * n_vertices + dst`` of every dual edge, ascending like the edges."""
-        return _freeze(self.edge_src * self.n_vertices + self.edge_dst)
 
     @cached_property
     def chain_pattern(self):
@@ -283,10 +285,13 @@ def build_dual(graph: RoadGraph) -> DualGraph:
 
     src = np.repeat(np.arange(graph.n_edges, dtype=np.int64), out_deg)
     dst = by_tail[np.repeat(first - indptr[:-1], out_deg) + np.arange(indptr[-1])]
+    rank = np.empty(graph.n_edges, dtype=np.int64)
+    rank[by_tail] = np.arange(graph.n_edges) - tail_ptr[graph.tails[by_tail]]
     return DualGraph(
         graph=graph,
         edge_src=src,
         edge_dst=dst,
         out_indptr=indptr,
         reverse_mask=graph.heads[dst] == graph.tails[src],
+        tail_rank=rank,
     )

@@ -115,20 +115,19 @@ def dual_weights(dual: DualGraph, trips_k: TripSet, tag: int = 0) -> TransitionM
 
     Each consecutive record pair inside a trip that matches an existing dual
     edge contributes one occurrence; a trip looping through the same
-    junction twice contributes twice.
+    junction twice contributes twice. The pair (e, f) matches one when
+    heads[e] == tails[f], and that dual edge is number
+    out_indptr[e] + tail_rank[f] (see DualGraph): no search.
     """
     n = dual.n_vertices
-    table = trips_k.table
-    same_trip = table.trip[1:] == table.trip[:-1]
-    pairs = table.edge[:-1][same_trip] * n + table.edge[1:][same_trip]
-    found = np.searchsorted(dual.edge_keys, pairs)
-    hit = found < dual.n_edges  # a key above the largest dual key lands past the end
-    hit[hit] = dual.edge_keys[found[hit]] == pairs[hit]
-    counts = np.bincount(found[hit], minlength=dual.n_edges)
+    graph, table = dual.graph, trips_k.table
+    e, f = table.edge[:-1], table.edge[1:]
+    pair = (table.trip[1:] == table.trip[:-1]) & (graph.heads[e] == graph.tails[f])
+    e, f = e[pair], f[pair]
+    counts = np.bincount(dual.out_indptr[e] + dual.tail_rank[f], minlength=dual.n_edges)
 
-    out_deg = dual.out_degrees()
-    row_totals = np.bincount(dual.edge_src, weights=counts, minlength=n)
-    denom = (row_totals + out_deg)[dual.edge_src]
+    row_totals = np.bincount(e, minlength=n)  # count(u, *): the pairs leaving u
+    denom = (row_totals + dual.out_degrees())[dual.edge_src]
     probs = (counts + 1.0) / denom
 
     matrix = sp.csr_matrix((probs, dual.edge_dst, dual.out_indptr), shape=(n, n))

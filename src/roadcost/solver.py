@@ -17,15 +17,22 @@ only state a solve shares with others on the same Q.
 A links every pair of a tag's segments whose PageRank ratio min/max reaches
 the threshold, at every network size. The solve never forms it:
 SimilarityLaplacian applies L_A in linear time from sorted PageRank values,
-packed for all tags at once.
+packed for all tags at once. Nor does the annotated mask: A's connected
+components are the runs of similar sorted values, read off the same layout
+as labels (SimilarityLaplacian.components), and annotated_mask searches only
+B's links, contracted through those labels.
 
 At grid-search sizes a CG step costs more in per-call overhead than in
-arithmetic, so every sparse mat-vec of the loop (Q, Q^T and L_B in the
-operator, Q_m and Q_m^T in the preconditioner) calls csr_matvec, the
-compiled kernel behind scipy's own CSR @, straight from
-scipy.sparse._sparsetools (_matvec). That module is private: it is imported
-once, with this module, so a scipy without it fails at import, and a test
-pins _matvec bitwise to @, so a scipy whose kernel differs fails the tests.
+arithmetic, so every sparse mat-vec of the loop calls the compiled kernel
+behind scipy's own @ straight from scipy.sparse._sparsetools. Q^T x, L_B x
+and Q_m^T x take csr_matvec over the rows of Q^T, L_B and Q_m^T (_matvec).
+Q y takes csc_matvec over Q^T's rows (_matvec_t): Q's many empty rows cost
+nothing, and the sums are bitwise csr_matvec's on Q's sorted rows. So does
+Q_m y until the preconditioner relabels Q_m's trips; from then on Q_m's own
+rows, in their stored order, keep its sums as they were. That module is
+private: it is imported once, with this module, so a scipy without it fails
+at import, and tests pin both kernels bitwise to @, so a scipy whose kernels
+differ fails the tests.
 
 The preconditioner is P = D + Q Q^T with D = gamma + alpha diag(L_A) +
 beta diag(L_B): it inverts the misfit term exactly, so CG is left with only
@@ -63,7 +70,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
@@ -94,6 +101,20 @@ def _matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     rows, cols = a.shape
     y = np.zeros(rows)
     csr_matvec(rows, cols, a.indptr, a.indices, a.data, x, y)
+    return y
+
+
+def _matvec_t(at: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """a @ x from at = a^T in CSR, whose arrays are a's CSC ones, by csc_matvec.
+
+    The kernel walks at's rows, so a Q with many empty rows costs only its
+    trips. Each y_i adds its terms from zero in the order of at's rows; a
+    CSR row of a lists the same terms, so this is bitwise a @ x when every
+    row of a lists its columns ascending, as a canonical CSR matrix does.
+    """
+    cols, rows = at.shape
+    y = np.zeros(rows)
+    csc_matvec(rows, cols, at.indptr, at.indices, at.data, x, y)
     return y
 
 
@@ -248,21 +269,27 @@ class SimilarityLaplacian:
     def diagonal(self) -> np.ndarray:
         return self._degree.copy()
 
-    def chain(self) -> sp.csr_matrix:
-        """Sorted neighbours that are similar, linked: A's connected components.
+    def components(self) -> np.ndarray:
+        """A's connected components: each entry's label, an entry of its component.
 
         The components of a threshold graph on sorted one-dimensional values
-        are its maximal runs of consecutive similar values, so this chain of
-        at most n - 1 links connects exactly what A connects.
+        are its maximal runs of consecutive similar values, so each run of a
+        tag's sorted entries gets the label of its largest entry, read off
+        the packed layout in linear time. An entry with zero PageRank is in
+        no pair and keeps its own index.
         """
         tags, width = self._sv.shape
         # Descending position j is sorted entry i = m - 1 - j, and i's window
-        # holds i + 1, at j - 1, when hi_i > i + 1: when m - hi_i < j.
+        # holds i + 1, at j - 1, when hi_i > i + 1: when m - hi_i < j. Column 0
+        # and padding never are, so every run starts in its own row.
         above = (np.arange(tags, 2 * tags) * (width + 1))[:, None]
-        linked = (self._edges[1] - above < np.arange(width))[:, 1:]
-        descending = self._index.take(self._reverse)
-        rows, cols = descending[:, 1:][linked], descending[:, :-1][linked]
-        return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=self.shape)
+        linked = (self._edges[1] - above < np.arange(width)).ravel()
+        head = np.where(linked, 0, np.arange(tags * width))
+        np.maximum.accumulate(head, out=head)  # each position's run start
+        descending = self._index.take(self._reverse).ravel()
+        labels = np.arange(self.shape[0] + 1)
+        labels[descending] = descending[head]  # padding writes n past the end
+        return labels[:-1]
 
 
 def build_b(
@@ -319,17 +346,24 @@ def laplacian(s: sp.spmatrix) -> sp.csr_matrix:
 
 
 class _TripSpaceFactor:
-    """Applies P^-1 = (D' + Q_m Q_m^T)^-1 from D' and an LU of S = I + Q_m^T D'^-1 Q_m."""
+    """Applies P^-1 = (D' + Q_m Q_m^T)^-1 from D' and an LU of S = I + Q_m^T D'^-1 Q_m.
 
-    def __init__(self, d: np.ndarray, qm: sp.csr_matrix, qmt: sp.csr_matrix, lu):
-        self.d, self.qm, self.qmt, self.lu = d, qm, qmt, lu
+    Q_m y is read off Q_m^T's rows (_matvec_t) while Q_m's rows list their
+    trips ascending. Once the relabel has put them out of that order,
+    ``qm`` is Q_m in CSR, and its own rows form Q_m y instead: the terms
+    then add in the order they always did.
+    """
+
+    def __init__(self, d: np.ndarray, qmt: sp.csr_matrix, lu, qm: Optional[sp.csr_matrix] = None):
+        self.d, self.qmt, self.lu, self.qm = d, qmt, lu, qm
         self.nnz = 0 if lu is None else lu.nnz
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         if self.lu is None:  # every trip folded: P = D'
             return v / self.d
         y = self.lu.solve(_matvec(self.qmt, v / self.d))
-        return (v - _matvec(self.qm, y)) / self.d
+        qy = _matvec_t(self.qmt, y) if self.qm is None else _matvec(self.qm, y)
+        return (v - qy) / self.d
 
 
 class _ProductMap:
@@ -421,8 +455,8 @@ class TripSpacePattern:
         n, t = q.shape
         self.q, q = q, q.tocsr()
         self.qt = q.T.tocsr()
-        trips_per_unknown = q.getnnz(axis=1).astype(float)
-        fill_estimate = trips_per_unknown @ trips_per_unknown
+        trips_per_unknown = q.getnnz(axis=1).astype(np.int64)
+        fill_estimate = np.dot(trips_per_unknown, trips_per_unknown)  # integers: no BLAS call
         self.factored = bool(fill_estimate <= PRECONDITIONER_FILL_LIMIT * (2 * q.nnz + n + t))
         unknowns_per_trip = np.diff(self.qt.indptr)
         folded = unknowns_per_trip == 1 if self.factored else np.ones(t, dtype=bool)
@@ -449,7 +483,7 @@ class TripSpacePattern:
         if not np.isfinite(d).all():
             raise RuntimeError("non-finite diagonal")
         if self._qm.shape[1] == 0:
-            return _TripSpaceFactor(d, self._qm, self._qmt, None)
+            return _TripSpaceFactor(d, self._qmt, None)
         if self._order is not None:  # the second factor: every S arrives ordered from here on
             self._qm, self._qmt = self._qm[:, self._order], self._qmt[self._order]
             self._order, self._permc = None, "NATURAL"
@@ -467,7 +501,8 @@ class TripSpacePattern:
         if self._permc == "MMD_AT_PLUS_A":
             # a new array: perm_c is a view whose base is the LU itself
             self._order = np.argsort(lu.perm_c)
-        return _TripSpaceFactor(d, self._qm, self._qmt, lu)
+        # relabelled, Q_m's rows no longer list their trips ascending
+        return _TripSpaceFactor(d, self._qmt, lu, None if self._map is None else qm)
 
 
 @dataclass(frozen=True)
@@ -527,13 +562,13 @@ def solve_weights(
             raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
         if not np.isfinite(x0).all():
             raise ValueError("x0 must be finite")
-    qt, q_csr = pattern.qt, q.tocsr()
+    qt = pattern.qt
     if beta:
         l_b = l_b.tocsr()
 
     def apply(x: np.ndarray) -> np.ndarray:
         """Q Q^T x + alpha L_A x + beta L_B x + gamma x, Q Q^T never formed."""
-        y = _matvec(q_csr, _matvec(qt, x))
+        y = _matvec_t(qt, _matvec(qt, x))
         if alpha:
             y += alpha * (l_a @ x)
         if beta:
@@ -642,7 +677,7 @@ def objective_terms(
 
 def annotated_mask(
     q: sp.csr_matrix,
-    a: Optional[sp.spmatrix] = None,
+    a: Optional[np.ndarray] = None,
     b: Optional[sp.spmatrix] = None,
 ) -> np.ndarray:
     """Entries of the cost vector that actually receive information.
@@ -651,15 +686,30 @@ def annotated_mask(
     through nonzero entries of the active constraint matrices; everything
     else solves to zero under the ridge term alone. With no constraints this
     reduces to plain trip coverage.
+
+    ``a`` holds A's connected components, a label in [0, n) per entry
+    (SimilarityLaplacian.components), so A alone needs no graph search.
+    ``b`` is a matrix whose stored off-diagonal entries are B's links: B, or
+    L_B, whose diagonal adds only self-loops. connected_components reads
+    only its pattern, once: as it stands for B alone, and with A active too,
+    contracted through A's labels to the links between two components, each
+    counted as 1, so no sum of signed values can cancel one.
     """
     seeds = np.asarray(q.getnnz(axis=1) > 0)
-    pattern = None
-    for m in (a, b):
-        if m is not None and m.nnz:
-            pattern = m if pattern is None else pattern + m
-    if pattern is None or not seeds.any():
+    if b is not None and not b.nnz:
+        b = None
+    if (a is None and b is None) or not seeds.any():
         return seeds
-    n_labels, labels = connected_components(pattern, directed=False)
-    hit = np.zeros(n_labels, dtype=bool)  # components holding a seed
+    n = len(seeds)
+    labels = np.arange(n) if a is None else np.asarray(a)
+    if b is not None:
+        b = b.tocsr()
+        if a is not None:
+            rows, cols = np.repeat(labels, np.diff(b.indptr)), labels[b.indices]
+            cross = rows != cols
+            rows, cols = rows[cross], cols[cross]
+            b = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        labels = connected_components(b, directed=False)[1][labels]
+    hit = np.zeros(n, dtype=bool)  # components holding a seed
     hit[labels[seeds]] = True
     return hit[labels]

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import roadcost.solver as solver
 import roadcost.synth as synth
@@ -115,6 +117,32 @@ def rng_calls(monkeypatch) -> Counter:
 
     monkeypatch.setattr(synth, "default_rng", lambda seed: Counting(make(seed)))
     return counts
+
+
+@st.composite
+def multigraph_edges(draw):
+    """A vertex count and (tail, head) pairs: parallel edges, sinks, sources and
+    isolated vertices all occur."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=40))
+    return n, [(t, (t + k) % n) for t, k in pairs]
+
+
+def graph_mask(q, a=None, b=None) -> np.ndarray:
+    """``solver.annotated_mask`` as it was before it read A's components from
+    labels: a graph search over the sum of the active matrices, whose values
+    must not cancel. The reference of the label-based mask."""
+    seeds = np.asarray(q.getnnz(axis=1) > 0)
+    pattern = None
+    for m in (a, b):
+        if m is not None and m.nnz:
+            pattern = m if pattern is None else pattern + m
+    if pattern is None or not seeds.any():
+        return seeds
+    n_labels, labels = connected_components(pattern, directed=False)
+    hit = np.zeros(n_labels, dtype=bool)  # components holding a seed
+    hit[labels[seeds]] = True
+    return hit[labels]
 
 
 def make_trip(edge_pairs: list[int], start: float = 600.0, day: str = WEEKDAY,

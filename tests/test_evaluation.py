@@ -24,7 +24,7 @@ from roadcost.solver import annotated_mask, build_a, build_b, solve_weights
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, split_trips
 
-from conftest import entry, make_trip, tripset
+from conftest import entry, graph_mask, make_trip, tripset
 
 
 def _unit_graph(schedule, lengths=(100.0,), limits=None):
@@ -533,7 +533,7 @@ class TestConstraintMask:
             for use_b in (False, True):
                 mask = matrices.mask(use_a, use_b)
                 expected = annotated_mask(
-                    matrices.q, matrices.l_a.chain() if use_a else None, b if use_b else None
+                    matrices.q, matrices.l_a.components() if use_a else None, b if use_b else None
                 )
                 assert np.array_equal(mask, expected)
                 assert matrices.mask(use_a, use_b) is mask
@@ -556,7 +556,7 @@ class TestConstraintMask:
         masks = set()
         for use_a in (False, True):
             for use_b in (False, True):
-                expected = annotated_mask(matrices.q, a if use_a else None, b if use_b else None)
+                expected = graph_mask(matrices.q, a if use_a else None, b if use_b else None)
                 assert np.array_equal(matrices.mask(use_a, use_b), expected)
                 masks.add(expected.tobytes())
         assert len(masks) > 1  # the active set matters on this instance

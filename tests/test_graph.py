@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 from roadcost.graph import (
     WEEKDAY,
@@ -13,6 +12,8 @@ from roadcost.graph import (
     peak_offpeak_schedule,
 )
 from roadcost.trips import LinkRecord, Trip, TripSet, build_q, record_tag_weights, trip_cost
+
+from conftest import multigraph_edges
 
 
 def _path_graph(n_edges, n_tags):
@@ -262,17 +263,10 @@ def build_dual_loop(graph):
         src += [e] * len(successors)
         dst += successors
         indptr.append(len(src))
+    rank = [by_tail[graph.tails[e]].index(e) for e in range(graph.n_edges)]
     src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-    return src, dst, np.array(indptr, dtype=np.int64), graph.heads[dst] == graph.tails[src]
-
-
-@st.composite
-def multigraph_edges(draw):
-    """A vertex count and (tail, head) pairs: parallel edges, sinks, sources and
-    isolated vertices all occur."""
-    n = draw(st.integers(2, 8))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)), max_size=40))
-    return n, [(t, (t + k) % n) for t, k in pairs]
+    reverse = graph.heads[dst] == graph.tails[src]
+    return src, dst, np.array(indptr, dtype=np.int64), reverse, np.array(rank, dtype=np.int64)
 
 
 @given(multigraph_edges())
@@ -288,11 +282,11 @@ def test_build_dual_matches_the_loop(shape):
         peak_offpeak_schedule(),
     )
     dual = build_dual(graph)
-    got = (dual.edge_src, dual.edge_dst, dual.out_indptr, dual.reverse_mask)
-    for name, a, b in zip(("edge_src", "edge_dst", "out_indptr", "reverse_mask"), got,
-                          build_dual_loop(graph)):
-        assert a.dtype == (bool if name == "reverse_mask" else np.int64), name
-        assert np.array_equal(a, b), name
+    names = ("edge_src", "edge_dst", "out_indptr", "reverse_mask", "tail_rank")
+    for name, expected in zip(names, build_dual_loop(graph)):
+        got = getattr(dual, name)
+        assert got.dtype == (bool if name == "reverse_mask" else np.int64), name
+        assert np.array_equal(got, expected), name
 
 
 def test_default_schedule_is_valid():

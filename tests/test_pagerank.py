@@ -3,11 +3,11 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from roadcost.errors import ConvergenceError
-from roadcost.graph import WEEKDAY, RoadGraph, build_dual
+from roadcost.graph import WEEKDAY, RoadGraph, build_dual, peak_offpeak_schedule
 from roadcost.pagerank import (
     ChainPattern,
     TransitionMatrix,
@@ -20,7 +20,7 @@ from roadcost.pagerank import (
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import TripSet, partition_by_tag
 
-from conftest import make_trip, stationary_bruteforce, tripset
+from conftest import make_trip, multigraph_edges, stationary_bruteforce, tripset
 
 
 def _dense_transitions(dense: np.ndarray) -> TransitionMatrix:
@@ -54,7 +54,59 @@ def dual_weights_loop(dual, trips: TripSet) -> np.ndarray:
     return np.array(probs)
 
 
+def dual_weights_searchsorted(dual, trips: TripSet) -> np.ndarray:
+    """dual_weights' probabilities as it formed them while it found each record
+    pair's dual edge by binary search among the keys src * n + dst, ascending
+    like the dual edges: the bitwise reference of the index-based count."""
+    n = dual.n_vertices
+    keys = dual.edge_src * n + dual.edge_dst
+    table = trips.table
+    same_trip = table.trip[1:] == table.trip[:-1]
+    pairs = table.edge[:-1][same_trip] * n + table.edge[1:][same_trip]
+    found = np.searchsorted(keys, pairs)
+    hit = found < dual.n_edges  # a key above the largest dual key lands past the end
+    hit[hit] = keys[found[hit]] == pairs[hit]
+    counts = np.bincount(found[hit], minlength=dual.n_edges)
+    row_totals = np.bincount(dual.edge_src, weights=counts, minlength=n)
+    return (counts + 1.0) / (row_totals + dual.out_degrees())[dual.edge_src]
+
+
+@st.composite
+def multigraph_walks(draw):
+    """A multigraph (parallel edges, one-way roads, dead ends, U-turns) and
+    trips over its edges in any order: consecutive records need not meet."""
+    n, edges = draw(multigraph_edges())
+    if not edges:
+        return n, edges, []
+    walk = st.lists(st.integers(0, len(edges) - 1), min_size=1, max_size=8)
+    return n, edges, draw(st.lists(walk, max_size=6))
+
+
 class TestDualWeights:
+    @settings(deadline=None)
+    @given(multigraph_walks())
+    # edges 0 and 1 are parallel and 2 is their reverse, 3 and 4 are parallel
+    # one-way roads into the dead end v2, 5 leaves the source v3: the walk
+    # 0 -> 2 -> 1 -> 2 -> 0 makes U-turns, 3 -> 4, 4 -> 3 and 5 -> 0 do not meet
+    @example((
+        4,
+        [(0, 1), (0, 1), (1, 0), (1, 2), (1, 2), (3, 1)],
+        [[0, 2, 1, 2, 0, 3, 4, 3], [5, 0]],
+    ))
+    def test_index_counts_are_bitwise_the_searchsorted_ones(self, shape):
+        n, edges, walks = shape
+        vertices = [f"v{i}" for i in range(n)]
+        graph = RoadGraph.from_edges(
+            vertices,
+            [(vertices[t], vertices[h]) for t, h in edges],
+            [1.0] * len(edges),
+            peak_offpeak_schedule(),
+        )
+        dual = build_dual(graph)
+        trips = tripset(*(make_trip(walk) for walk in walks))
+        got = dual_weights(dual, trips).matrix.data
+        assert got.tobytes() == dual_weights_searchsorted(dual, trips).tobytes()
+
     @pytest.mark.parametrize(
         "walks",
         [

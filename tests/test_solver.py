@@ -34,7 +34,7 @@ from roadcost.solver import (
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, trip_cost
 
-from conftest import entry, make_trip, tripset
+from conftest import entry, graph_mask, make_trip, tripset
 
 
 def similarity_penalty_oracle(prs, d, threshold):
@@ -229,14 +229,15 @@ def _per_tag_adjacency(windows, n, x):
     return y
 
 
-def _per_tag_chain(windows, n):
-    rows, cols = [], []
-    for index, sv, _, hi in windows:
-        linked = hi[:-1] > np.arange(1, len(sv))
-        rows.append(index[:-1][linked])
-        cols.append(index[1:][linked])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+def _same_partition(x, y) -> bool:
+    """Whether two labellings of the same entries group them alike."""
+    pairs = np.unique(np.stack([x, y]), axis=1).shape[1]
+    return pairs == len(np.unique(x)) == len(np.unique(y))
+
+
+def _labels(a):
+    """A label per entry of a symmetric matrix's connected components."""
+    return connected_components(a, directed=False)[1]
 
 
 @st.composite
@@ -269,9 +270,19 @@ class TestSimilarityLaplacian:
         assert op.diagonal().tobytes() == degree.tobytes()
         expected = degree * x - _per_tag_adjacency(windows, n, x)
         assert (op @ x).tobytes() == expected.tobytes()
-        chain, reference = op.chain(), _per_tag_chain(windows, n)
-        for name in ("data", "indices", "indptr"):
-            assert getattr(chain, name).tobytes() == getattr(reference, name).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=_similarity_instances())
+    # ties at threshold 1, zero PageRank, and a tag whose runs are split by a
+    # value just above a tie
+    @example(instance=(_prs([[0.25, 0.0, 0.25, np.nextafter(0.25, 1), 0.5, 0.5]]), 1.0, None))
+    def test_components_are_the_exact_graphs(self, instance):
+        prs, threshold, _ = instance
+        labels = SimilarityLaplacian(prs, threshold).components()
+        n = len(labels)
+        # each label is an entry of its own component
+        assert ((0 <= labels) & (labels < n)).all() and (labels[labels] == labels).all()
+        assert _same_partition(labels, _labels(build_a(prs, threshold)))
 
     @pytest.mark.parametrize("lengths", [(2, 3), (3, 2)])
     def test_unequal_lengths_rejected(self, lengths):
@@ -312,7 +323,7 @@ class TestSimilarityLaplacian:
         op = SimilarityLaplacian(_prs([[0.0, 0.5, 0.0]]), 0.5)
         assert not (op @ np.array([1.0, 2.0, 3.0])).any()
         assert not op.diagonal().any()
-        assert op.chain().nnz == 0
+        assert op.components().tolist() == [0, 1, 2]
 
     def test_threshold_one_links_ties_only(self):
         values = [0.2, 0.5, 0.2, np.nextafter(0.2, 1), 0.5, 0.1]
@@ -332,7 +343,7 @@ class TestSimilarityLaplacian:
         x = np.array([1.0, 0.0, -1.0])
         np.testing.assert_allclose(op @ x, [2 * weight, 0.0, -2 * weight], rtol=1e-15)
         assert build_a(_prs([values]), threshold, method="exact").nnz == 2 * similar
-        assert op.chain().nnz == similar
+        assert len(set(op.components().tolist())) == 3 - similar
 
     def test_bad_threshold_and_tag_order(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -461,7 +472,8 @@ def _with_indices(a, dtype):
 
 
 class TestMatvec:
-    """solver._matvec calls scipy's private csr_matvec, the kernel behind @."""
+    """solver._matvec and _matvec_t call scipy's private csr_matvec and
+    csc_matvec, the kernels behind @."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("strided", [False, True])
@@ -483,6 +495,41 @@ class TestMatvec:
             x = wide[::2] if strided else wide[: a.shape[1]]
             assert x.flags.c_contiguous != strided
             assert solver._matvec(a, x).tobytes() == (a @ x).tobytes()
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_transposed_kernel_is_bitwise_scipy_product_on_sorted_rows(self, index_dtype):
+        """solver._matvec_t, scipy's private csc_matvec on a^T's CSR arrays."""
+        rng = np.random.default_rng(6)
+        dense = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.3)
+        dense[[3, 17, 39]] = 0.0  # empty rows
+        dense[:, [0, 11, 29]] = 0.0  # empty columns
+        a = sp.csr_matrix(dense)
+        assert a.has_sorted_indices
+        at = _with_indices(a.T.tocsr(), index_dtype)
+        assert at.indices.dtype == index_dtype
+        for _ in range(20):
+            x = rng.standard_normal(30)
+            assert solver._matvec_t(at, x).tobytes() == (a @ x).tobytes()
+
+    def test_relabelled_q_m_forms_its_products_from_its_own_rows(self):
+        q, _ = _grid_q()
+        n = q.shape[0]
+        rng = np.random.default_rng(7)
+        pattern = TripSpacePattern(q)
+        first = pattern.factor(np.full(n, 0.5))
+        assert first.qm is None  # Q_m's rows list their trips ascending: Q_m^T's rows serve
+        second = pattern.factor(10.0 ** rng.uniform(-4, 1, n))
+        qm, qmt = second.qm, second.qmt
+        rows = np.repeat(np.arange(n), np.diff(qm.indptr))
+        assert ((np.diff(qm.indices) < 0) & (rows[1:] == rows[:-1])).any()  # relabelled
+        differs = 0
+        for _ in range(20):
+            y = rng.standard_normal(qm.shape[1])
+            differs += solver._matvec_t(qmt, y).tobytes() != (qm @ y).tobytes()
+        assert differs  # so the transposed kernel would change the solve's digits
+        v = rng.standard_normal(n)
+        expected = (v - qm @ second.lu.solve(qmt @ (v / second.d))) / second.d
+        assert second.solve(v).tobytes() == expected.tobytes()
 
 
 def _random_similarity(rng, n, density):
@@ -1046,13 +1093,13 @@ class TestAnnotatedMask:
     def test_reachability_through_similarity(self):
         q = sp.csr_matrix(np.array([[1.0], [0.0], [0.0]]))
         a = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
-        mask = annotated_mask(q, a=a)
+        mask = annotated_mask(q, a=_labels(a))
         assert mask.tolist() == [True, True, True]
 
     def test_disconnected_entry_stays_unannotated(self):
         q = sp.csr_matrix(np.array([[1.0], [0.0], [0.0]]))
         a = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
-        mask = annotated_mask(q, a=a)
+        mask = annotated_mask(q, a=_labels(a))
         assert mask.tolist() == [True, True, False]
 
     def test_constraints_union(self):
@@ -1063,9 +1110,18 @@ class TestAnnotatedMask:
         b = sp.csr_matrix(
             np.array([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
         )
-        assert annotated_mask(q, a=a).tolist() == [True, True, False, False]
+        assert annotated_mask(q, a=_labels(a)).tolist() == [True, True, False, False]
         assert annotated_mask(q, b=b).tolist() == [True, False, False, False]
-        assert annotated_mask(q, a=a, b=b).tolist() == [True, True, True, False]
+        assert annotated_mask(q, a=_labels(a), b=b).tolist() == [True, True, True, False]
+
+    def test_signed_values_cannot_cancel_a_link(self):
+        # A links 0 and 1, and so does B with weight 1: L_B holds -1 there, and
+        # a sum of A's links and L_B would drop the pair and lose entries 1, 2
+        q = sp.csr_matrix(np.array([[1.0], [0.0], [0.0]]))
+        a = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
+        l_b = laplacian(sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 0.5], [0, 0.5, 0]])))
+        assert graph_mask(q, a, l_b).tolist() == [True, False, False]
+        assert annotated_mask(q, a=_labels(a), b=l_b).tolist() == [True, True, True]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_component_membership_reference(self, seed):
@@ -1076,5 +1132,24 @@ class TestAnnotatedMask:
         labels = connected_components(a, directed=False)[1]
         seeds = q.getnnz(axis=1) > 0
         want = np.isin(labels, np.unique(labels[seeds]))
-        got = annotated_mask(q, a=a)
+        got = annotated_mask(q, a=_labels(a))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=_similarity_instances(), data=st.data())
+    def test_every_mask_is_the_graph_searchs(self, instance, data):
+        prs, threshold, _ = instance
+        op = SimilarityLaplacian(prs, threshold)
+        n = op.shape[0]
+        seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+        q = sp.csr_matrix((np.ones(len(seeds)), (seeds, np.arange(len(seeds)))), shape=(n, 3))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        rows, cols = np.array(pairs, dtype=int).reshape(-1, 2).T
+        b = sp.csr_matrix((np.full(len(pairs), 0.5), (rows, cols)), shape=(n, n))
+        b = b + b.T  # positive, so A + B cancels nothing in the reference
+        a = build_a(prs, threshold)
+        for use_a in (False, True):
+            for use_b in (False, True):
+                want = graph_mask(q, a if use_a else None, b if use_b else None)
+                got = annotated_mask(q, op.components() if use_a else None, b if use_b else None)
+                assert got.tobytes() == want.tobytes()
