@@ -233,7 +233,7 @@ def _cmd_pagerank_stats(args: argparse.Namespace) -> int:
     dual = build_dual(graph)
     partitions = partition_by_tag(trips, graph.tag_schedule)
     tag = tag_names.index(args.tag) if args.tag else 0
-    pr = pagerank(dual_weights(dual, partitions[tag], tag=tag))
+    pr = pagerank(dual_weights(dual, partitions[tag], tag=tag), pattern=dual.chain_pattern)
     percentages = pagerank_stats(pr)
     buckets = [(str(b + 1), "%.17g" % p) for b, p in enumerate(percentages.tolist())]
     write_csv(

@@ -20,13 +20,14 @@ sparse direct solve; Davis, Direct Methods for Sparse Linear Systems, 2006,
 ch. 4-6). Smoothing makes every dual edge's probability positive, so every
 tag's chain on one dual graph has the dual's pattern: a ChainPattern holds
 it, DualGraph.chain_pattern builds one per dual, and every tag and fold on
-that dual shares it. The first factor orders the columns (COLAMD); each
-later one is numeric only, on the structure relabelled into that order with
-each column's rows in the first factor's stored sequence, which SuperLU
-follows for its pivots and updates, so the vectors equal a fresh pattern's
+that dual shares it. The first factor orders the columns (COLAMD) and then
+relabels the structure into that order, each column's rows in the first
+factor's stored sequence, which SuperLU follows for its pivots and updates.
+Every later factor is numeric only, and the vectors equal a fresh pattern's
 bitwise. Per tag on 2 vCPUs, a later call takes 0.9 ms at 12x12 (1.9 ms
 before), 7 ms at 30x30 (9.5-10) and 13-14 ms at 40x40 (18-19); the first call
-on a fresh dual costs what every call did before.
+on a fresh dual costs what every call did before, plus the relabel (0.5-1.2
+ms at 40x40).
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ from .trips import TripSet
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-10
+# SuperLU settings of every factor in the package: no supernodes and
+# one-column panels, which suit small sparse factors.
+SPLU_OPTIONS = dict(panel_size=1, relax=1)
 
 
 @dataclass
@@ -174,10 +178,10 @@ class ChainPattern:
     structure (see the module doc): the closed classes with the dead-end
     relay, the pinned unknowns and class bookkeeping, the CSC structure of the
     pinned I - P^T with each entry's position in P.data, the entries of P
-    that make up b, and from the first factor on its column order. Maps are
-    int32; one closed class keeps no per-class arrays. Building it logs the
-    reducible-graph warning. The first two factors change it, so concurrent
-    chains must not share a pattern before it has factored twice.
+    that make up b. The first factor relabels the unknowns into its column
+    order. Maps are int32; one closed class keeps no per-class arrays.
+    Building it logs the reducible-graph warning. Only the first factor
+    changes it: once that has run, concurrent chains may share the pattern.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
@@ -231,22 +235,13 @@ class ChainPattern:
         self._gather[diagonal[pos[rows[self._loops]]]] = len(indices) + np.arange(len(self._loops))
         to_b = np.flatnonzero(pinned[rows] & free[indices])  # P from pinned to free
         self._b_src, self._b_row = to_b.astype(np.int32), pos[indices[to_b]].astype(np.int32)
-        self._order = None  # perm_c of the first factor, until the structure stands in it
-        self._permc = "COLAMD"  # NATURAL once it does
+        self._permc = "COLAMD"  # NATURAL once the structure stands in the first factor's order
 
     def factor(self, data: np.ndarray):
-        """(a, b, lu) of the pinned system a x = b for the probabilities
-        ``data``, P.data of a chain with this pattern."""
-        if self._order is not None:  # the second factor: relabel into the first one's order
-            perm, f = self._order, len(self._slots)
-            entries = np.arange(len(self._gather))
-            order = np.argsort(perm)
-            t = sp.csr_matrix((entries, perm[self._a_indices], self._a_indptr), shape=(f, f))[order]
-            self._a_indptr, self._a_indices = t.indptr, t.indices
-            self._gather, self._slots = self._gather[t.data], self._slots[order]
-            self._b_row = perm[self._b_row]
-            self._order, self._permc = None, "NATURAL"
-        f = len(self._slots)
+        """(a, b, lu, slots) of the pinned system a x = b for the probabilities
+        ``data``, P.data of a chain with this pattern; ``slots`` places x among
+        the closed vertices for stationary."""
+        f, slots = len(self._slots), self._slots
         values = np.concatenate([-data, 1.0 - data[self._loops], [1.0]])[self._gather]
         a = sp.csc_matrix((values, self._a_indices, self._a_indptr), shape=(f, f))
         # no duplicates, but relabelled rows are not sorted: splu must not sort
@@ -256,16 +251,23 @@ class ChainPattern:
             b = np.full(f, 1.0 / self.n)
         else:
             b = np.bincount(self._b_row, weights=data[self._b_src], minlength=f)
-        lu = splu(a, permc_spec=self._permc, panel_size=1, relax=1)
-        if self._permc == "COLAMD":
-            self._order = lu.perm_c.astype(np.int32)  # a copy: perm_c's base is the LU itself
-        return a, b, lu
+        lu = splu(a, permc_spec=self._permc, **SPLU_OPTIONS)
+        if self._permc == "COLAMD":  # the first factor: relabel into its order
+            perm, order = lu.perm_c, np.argsort(lu.perm_c)
+            entries = np.arange(len(self._gather))
+            t = sp.csr_matrix((entries, perm[self._a_indices], self._a_indptr), shape=(f, f))[order]
+            self._a_indptr, self._a_indices = t.indptr, t.indices
+            self._gather, self._slots = self._gather[t.data], self._slots[order]
+            self._b_row = perm[self._b_row]
+            self._permc = "NATURAL"
+        return a, b, lu, slots
 
-    def stationary(self, x: np.ndarray) -> np.ndarray:
-        """The vector over all n vertices from the factor's unknowns x: each
-        class carries mass in proportion to its size, transients none."""
+    def stationary(self, x: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """The vector over all n vertices from a factor's unknowns x and its
+        slots: each class carries mass in proportion to its size, transients
+        none."""
         full = np.ones(self.total)
-        full[self._slots] = x
+        full[slots] = x
         if self._classes is None:  # the general formula's size / total / sum is 1 / sum
             values = full * (1.0 / full.sum())
         else:
@@ -311,11 +313,11 @@ def pagerank(
         and np.array_equal(m.matrix.indices, pattern.indices)
     ):
         raise ValueError("the chain pattern belongs to another transition matrix")
-    a, b, lu = pattern.factor(m.matrix.data)
+    a, b, lu, slots = pattern.factor(m.matrix.data)
     x = lu.solve(b)
     steps = 0
     while True:
-        v = pattern.stationary(x)
+        v = pattern.stationary(x, slots)
         residual = float(np.abs(m.apply_transpose(v) - v).sum())
         if not np.isfinite(residual):
             raise ConvergenceError("stationary solve produced a non-finite value", residual, steps)

@@ -28,8 +28,9 @@ behind scipy's own @ straight from scipy.sparse._sparsetools. Q^T x, L_B x
 and Q_m^T x take csr_matvec over the rows of Q^T, L_B and Q_m^T (_matvec).
 Q y takes csc_matvec over Q^T's rows (_matvec_t): Q's many empty rows cost
 nothing, and the sums are bitwise csr_matvec's on Q's sorted rows. So does
-Q_m y until the preconditioner relabels Q_m's trips; from then on Q_m's own
-rows, in their stored order, keep its sums as they were. That module is
+Q_m y in the first factor of a pattern, on Q_m as it was before that factor
+relabelled its trips; every later factor reads the relabelled Q_m's own rows,
+in their stored order, which keeps its sums as they were. That module is
 private: it is imported once, with this module, so a scipy without it fails
 at import, and tests pin both kernels bitwise to @, so a scipy whose kernels
 differ fails the tests.
@@ -48,8 +49,8 @@ Jacobi preconditioner (Saad, Iterative Methods for Sparse Linear Systems,
 2nd ed., 2003, sec. 10.2), applied by the same code with no S to factor.
 
 Solves with the same Q (the objective variants, a grid of coefficients)
-differ only in D, so TripSpacePattern keeps what Q alone decides: the
-fill-reducing ordering of the first factor and, from the second factor on,
+differ only in D, so TripSpacePattern keeps what Q alone decides: Q_m in
+the fill-reducing order of the first factor and, from the second factor on,
 a map of S's sparse product term by term. Every later S is then one gather
 and one bincount, bitwise the sparse product's, and its factor is numeric
 only, with the same fill. Each solve still factors its own D: the
@@ -75,7 +76,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError
-from .pagerank import PageRankVector, TransitionMatrix
+from .pagerank import SPLU_OPTIONS, PageRankVector, TransitionMatrix
 from .trips import build_q  # noqa: F401  (public path: roadcost.solver.build_q)
 
 DEFAULT_CG_TOL = 1e-8
@@ -86,11 +87,9 @@ DEFAULT_CG_TOL = 1e-8
 # while F1 misses tol in 69,600 iterations with every trip folded; at 10,000
 # (5.58) 3.9-4.0 s factored against 0.59-0.76 s folded.
 PRECONDITIONER_FILL_LIMIT = 6.0
-# SuperLU settings of every preconditioner factor: diagonal pivots, no
-# supernodes (S is SPD and sparse).
-_SPLU_OPTIONS = dict(
-    diag_pivot_thresh=0.0, panel_size=1, relax=1, options={"SymmetricMode": True}
-)
+# SuperLU settings of every preconditioner factor: the package's, with
+# diagonal pivots (S is SPD).
+_SPLU_OPTIONS = dict(SPLU_OPTIONS, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
 def _matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -348,10 +347,10 @@ def laplacian(s: sp.spmatrix) -> sp.csr_matrix:
 class _TripSpaceFactor:
     """Applies P^-1 = (D' + Q_m Q_m^T)^-1 from D' and an LU of S = I + Q_m^T D'^-1 Q_m.
 
-    Q_m y is read off Q_m^T's rows (_matvec_t) while Q_m's rows list their
-    trips ascending. Once the relabel has put them out of that order,
-    ``qm`` is Q_m in CSR, and its own rows form Q_m y instead: the terms
-    then add in the order they always did.
+    Q_m y is read off Q_m^T's rows (_matvec_t) in a pattern's first factor,
+    which holds Q_m from before its relabel, each row's trips ascending.
+    Every later factor gets ``qm``, the relabelled Q_m in CSR, whose own rows
+    form Q_m y instead: the terms then add in the order they always did.
     """
 
     def __init__(self, d: np.ndarray, qmt: sp.csr_matrix, lu, qm: Optional[sp.csr_matrix] = None):
@@ -439,16 +438,15 @@ class TripSpacePattern:
     Q^T), Q_m is empty and P^-1 v = v / D'.
 
     The first factor orders S (SuperLU MMD on S^T + S), whose values come
-    from the sparse product Q_m^T (D'^-1 Q_m). The second factor changes the
-    pattern in two ways, once each. It puts Q_m's columns in the first
-    factor's order, so every later S arrives ordered and its factor is
-    numeric only, with the same fill. And it maps S's product term by term
-    (_ProductMap), so from then on S's values take one gather and one
-    bincount, and no sparse product. The map holds 8 bytes for each of the
-    sum_i r_i^2 terms, plus S's sorted structure: 0.61 MB for 2,000
-    training trips on 30x30. A pattern that factors once builds neither:
-    Q_m is then Q itself when no trip runs through one unknown, so a lone
-    solve copies nothing. No factor is kept.
+    from the sparse product Q_m^T (D'^-1 Q_m), and then puts Q_m's columns
+    in that order, so every later S arrives ordered and its factor is
+    numeric only, with the same fill. The second factor maps S's product
+    term by term (_ProductMap), so from then on S's values take one gather
+    and one bincount, and no sparse product. The map holds 8 bytes for each
+    of the sum_i r_i^2 terms, plus S's sorted structure: 0.61 MB for 2,000
+    training trips on 30x30; a pattern that factors once builds none. The
+    map is the one thing a factor after the first changes. No factor is
+    kept.
     """
 
     def __init__(self, q: sp.csr_matrix):
@@ -467,15 +465,14 @@ class TripSpacePattern:
             self._fold = np.bincount(self.qt.indices[at], self.qt.data[at] ** 2, n)
             kept = np.flatnonzero(~folded & (unknowns_per_trip > 1))
             self._qm, self._qmt = q[:, kept], self.qt[kept]
-        self._order = None  # argsort of the first factor's perm_c, until Q_m stands in it
-        self._permc = "MMD_AT_PLUS_A"  # NATURAL once it does
+        self._permc = "MMD_AT_PLUS_A"  # NATURAL once Q_m stands in the first factor's order
         self._map = None  # S's _ProductMap, from the second factor on
 
     def factor(self, diag: np.ndarray) -> _TripSpaceFactor:
         """A factor of D + Q Q^T with D = diag(diag): its solve(v) solves that system.
 
-        The first call orders S and factors it; the second relabels Q_m and
-        maps S's product; later calls reuse both. Raises RuntimeError on a
+        The first call orders S, factors it and relabels Q_m; the second maps
+        S's product; later calls reuse both. Raises RuntimeError on a
         non-finite D' (S = I + ... never meets the zero pivot a NaN would
         give), before anything is built or factored.
         """
@@ -484,25 +481,23 @@ class TripSpacePattern:
             raise RuntimeError("non-finite diagonal")
         if self._qm.shape[1] == 0:
             return _TripSpaceFactor(d, self._qmt, None)
-        if self._order is not None:  # the second factor: every S arrives ordered from here on
-            self._qm, self._qmt = self._qm[:, self._order], self._qmt[self._order]
-            self._order, self._permc = None, "NATURAL"
-            self._map = _ProductMap(self._qm)
-        qm = self._qm
-        if self._map is not None:
+        qm, qmt = self._qm, self._qmt
+        if self._permc == "NATURAL":  # every S arrives ordered
+            if self._map is None:  # the second factor
+                self._map = _ProductMap(qm)
             s = self._map.matrix(d)
         else:
             scaled = sp.csr_matrix(
                 (qm.data / np.repeat(d, np.diff(qm.indptr)), qm.indices, qm.indptr),
                 shape=qm.shape,
             )
-            s = (self._qmt @ scaled + sp.identity(qm.shape[1], format="csr")).tocsc()
+            s = (qmt @ scaled + sp.identity(qm.shape[1], format="csr")).tocsc()
         lu = splu(s, permc_spec=self._permc, **_SPLU_OPTIONS)
-        if self._permc == "MMD_AT_PLUS_A":
-            # a new array: perm_c is a view whose base is the LU itself
-            self._order = np.argsort(lu.perm_c)
-        # relabelled, Q_m's rows no longer list their trips ascending
-        return _TripSpaceFactor(d, self._qmt, lu, None if self._map is None else qm)
+        if self._permc == "NATURAL":  # relabelled, Q_m's rows no longer list their trips ascending
+            return _TripSpaceFactor(d, qmt, lu, qm)
+        order = np.argsort(lu.perm_c)  # the first factor: relabel Q_m into its order
+        self._qm, self._qmt, self._permc = qm[:, order], qmt[order], "NATURAL"
+        return _TripSpaceFactor(d, qmt, lu)
 
 
 @dataclass(frozen=True)

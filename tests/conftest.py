@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -55,12 +56,20 @@ def junction_graph(two_tag_schedule) -> RoadGraph:
     )
 
 
+def _check_shared_options(kwargs: dict) -> None:
+    """A factorization passes every one of the package's shared SuperLU options."""
+    shared = importlib.import_module("roadcost.pagerank").SPLU_OPTIONS
+    assert {name: kwargs.get(name) for name in shared} == shared
+
+
 @pytest.fixture
 def splu_calls(monkeypatch) -> list[str]:
-    """The permc_spec of every preconditioner factorization, in call order."""
+    """The permc_spec of every preconditioner factorization, in call order;
+    each call must pass the shared SuperLU options."""
     specs, factor = [], solver.splu
 
     def recording(matrix, permc_spec=None, **kwargs):
+        _check_shared_options(kwargs)
         specs.append(permc_spec)
         return factor(matrix, permc_spec=permc_spec, **kwargs)
 
@@ -70,12 +79,14 @@ def splu_calls(monkeypatch) -> list[str]:
 
 @pytest.fixture
 def pagerank_splu_calls(monkeypatch) -> list[int]:
-    """The order of every PageRank factorization, in call order."""
+    """The order of every PageRank factorization, in call order; each call
+    must pass the shared SuperLU options."""
     # the package's ``pagerank`` attribute is the function, not the module
     pagerank = importlib.import_module("roadcost.pagerank")
     orders, factor = [], pagerank.splu
 
     def recording(matrix, *args, **kwargs):
+        _check_shared_options(kwargs)
         orders.append(matrix.shape[0])
         return factor(matrix, *args, **kwargs)
 
@@ -85,11 +96,13 @@ def pagerank_splu_calls(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def chain_factor_specs(monkeypatch) -> list[str]:
-    """The permc_spec of every PageRank factorization, in call order."""
+    """The permc_spec of every PageRank factorization, in call order; each
+    call must pass the shared SuperLU options."""
     pagerank = importlib.import_module("roadcost.pagerank")
     specs, factor = [], pagerank.splu
 
     def recording(matrix, permc_spec=None, **kwargs):
+        _check_shared_options(kwargs)
         specs.append(permc_spec)
         return factor(matrix, permc_spec=permc_spec, **kwargs)
 
@@ -143,6 +156,37 @@ def graph_mask(q, a=None, b=None) -> np.ndarray:
     hit = np.zeros(n_labels, dtype=bool)  # components holding a seed
     hit[labels[seeds]] = True
     return hit[labels]
+
+
+def attribute_state(obj) -> dict:
+    """Each attribute of obj: the object it names and a copy of its contents,
+    for arrays, sparse matrices and tuples of them."""
+
+    def contents(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if sp.issparse(value):
+            arrays = (value.data, value.indices, value.indptr)
+            return value.shape, *map(contents, arrays)
+        if isinstance(value, tuple):
+            return tuple(map(contents, value))
+        return None
+
+    return {name: (value, contents(value)) for name, value in vars(obj).items()}
+
+
+def changed_attributes(before: dict, obj) -> set[str]:
+    """The attributes of obj added, removed, rebound or changed in place since
+    its ``attribute_state`` was ``before``."""
+    after = attribute_state(obj)
+    return {
+        name
+        for name in before.keys() | after.keys()
+        if name not in before
+        or name not in after
+        or before[name][0] is not after[name][0]
+        or before[name][1] != after[name][1]
+    }
 
 
 def make_trip(edge_pairs: list[int], start: float = 600.0, day: str = WEEKDAY,

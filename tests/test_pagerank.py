@@ -1,4 +1,7 @@
 import logging
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +23,14 @@ from roadcost.pagerank import (
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import TripSet, partition_by_tag
 
-from conftest import make_trip, multigraph_edges, stationary_bruteforce, tripset
+from conftest import (
+    attribute_state,
+    changed_attributes,
+    make_trip,
+    multigraph_edges,
+    stationary_bruteforce,
+    tripset,
+)
 
 
 def _dense_transitions(dense: np.ndarray) -> TransitionMatrix:
@@ -461,29 +471,68 @@ def _is_unichain(dense: np.ndarray) -> bool:
     return closed == 1
 
 
+def _pattern_chains(tms, schedule, choice) -> list[TransitionMatrix]:
+    """Chains that share one pattern: grid20's tags, or three of another shape."""
+    if choice == "grid20":
+        return tms
+    m = {
+        "dead-end": _dead_end_chain,
+        "1100-classes": lambda: _islands(schedule)[0],
+        "two-classes-transients": _two_closed_classes_and_transients,
+        "transients": _transient_chain,
+    }[choice]()
+    return [m, _reweighted(m, 1), _reweighted(m, 2)]
+
+
+_PATTERN_CHAINS = pytest.mark.parametrize(
+    "choice", ["grid20", "dead-end", "1100-classes", "two-classes-transients", "transients"]
+)
+
+
 class TestChainPattern:
-    @pytest.mark.parametrize(
-        "chains",
-        [
-            lambda tms, schedule: tms,
-            lambda tms, schedule: [_dead_end_chain()],
-            lambda tms, schedule: [_islands(schedule)[0]],
-            lambda tms, schedule: [_two_closed_classes_and_transients()],
-            lambda tms, schedule: [_transient_chain()],
-        ],
-        ids=["grid20", "dead-end", "1100-classes", "two-classes-transients", "transients"],
-    )
+    @_PATTERN_CHAINS
     def test_shared_pattern_matches_a_fresh_one_bitwise(
-        self, grid20_transitions, single_tag_schedule, chains
+        self, grid20_transitions, single_tag_schedule, choice
     ):
-        # the first call orders the columns, the second relabels the structure,
-        # and every later factor is numeric only
-        ms = chains(grid20_transitions, single_tag_schedule)
-        if len(ms) == 1:
-            ms = [ms[0], _reweighted(ms[0], 1), _reweighted(ms[0], 2)]
+        # the first call orders the columns and relabels the structure into
+        # that order; every later factor is numeric only
+        ms = _pattern_chains(grid20_transitions, single_tag_schedule, choice)
         pattern = ChainPattern(ms[0].matrix.indptr, ms[0].matrix.indices)
         for m in ms + ms:
             assert pagerank(m, pattern=pattern).values.tobytes() == pagerank(m).values.tobytes()
+
+    @_PATTERN_CHAINS
+    def test_read_only_after_the_first_factor(
+        self, grid20_transitions, single_tag_schedule, choice
+    ):
+        ms = _pattern_chains(grid20_transitions, single_tag_schedule, choice)
+        pattern = ChainPattern(ms[0].matrix.indptr, ms[0].matrix.indices)
+        pagerank(ms[0], pattern=pattern)
+        state = attribute_state(pattern)
+        for m in ms + ms:
+            pagerank(m, pattern=pattern)
+            assert changed_attributes(state, pattern) == set()
+
+    def test_a_once_factored_pattern_is_shared_across_threads(self, grid20_transitions):
+        serial = [pagerank(m).values.tobytes() for m in grid20_transitions]
+        m0 = grid20_transitions[0]
+        together = threading.Barrier(len(grid20_transitions))  # both tags factor at once
+
+        def run(m):
+            together.wait(timeout=30)
+            return pagerank(m, pattern=pattern).values.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave inside the factor
+        try:
+            for _ in range(8):  # a race shows on a pattern's first shared round, if at all
+                pattern = ChainPattern(m0.matrix.indptr, m0.matrix.indices)
+                pagerank(m0, pattern=pattern)  # the one serial factor
+                with ThreadPoolExecutor(len(grid20_transitions)) as pool:
+                    for _ in range(2):
+                        assert list(pool.map(run, grid20_transitions)) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_refinement_on_the_relabelled_factor(self, grid20_transitions):
         m0, m1 = grid20_transitions

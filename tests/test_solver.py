@@ -34,7 +34,14 @@ from roadcost.solver import (
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, trip_cost
 
-from conftest import entry, graph_mask, make_trip, tripset
+from conftest import (
+    attribute_state,
+    changed_attributes,
+    entry,
+    graph_mask,
+    make_trip,
+    tripset,
+)
 
 
 def similarity_penalty_oracle(prs, d, threshold):
@@ -792,6 +799,28 @@ class TestTripSpacePattern:
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
         assert splu_calls == ["MMD_AT_PLUS_A"] + 4 * ["NATURAL", "MMD_AT_PLUS_A"]
 
+    @pytest.mark.parametrize(
+        "make_q",
+        [lambda: _grid_q()[0], lambda: _q_from_visits([[0, 1], [1, 2], [2, 3, 0], [3], [1]])],
+        ids=["grid12", "folded-trip"],
+    )
+    def test_read_only_after_the_first_factor(self, make_q, splu_calls):
+        # the one exception: S's product map, built once at the second factor
+        q = make_q()
+        n = q.shape[0]
+        rng = np.random.default_rng(8)
+        pattern = TripSpacePattern(q)
+        pattern.factor(np.full(n, 0.5))
+        state = attribute_state(pattern)
+        assert pattern._map is None
+        pattern.factor(10.0 ** rng.uniform(-4, 1, n))
+        assert changed_attributes(state, pattern) == {"_map"} and pattern._map is not None
+        state = attribute_state(pattern)
+        for _ in range(3):
+            pattern.factor(10.0 ** rng.uniform(-4, 1, n))
+            assert changed_attributes(state, pattern) == set()
+        assert splu_calls == ["MMD_AT_PLUS_A"] + 4 * ["NATURAL"]
+
     def test_non_finite_diagonal_on_the_reused_ordering(self, splu_calls):
         q, c = _grid_q()
         n = q.shape[0]
@@ -925,7 +954,7 @@ class TestProductMap:
             pattern.factor(np.array([1.0, np.nan, 1.0, 1.0]))
         assert pattern._map is None and splu_calls == ["MMD_AT_PLUS_A"]
         diag = np.array([0.5, 2.0, 1.0, 4.0])
-        pattern.factor(diag)  # the next finite D relabels and maps as the second factor
+        pattern.factor(diag)  # the next finite D maps S's product as the second factor
         assert pattern._map is not None and splu_calls == ["MMD_AT_PLUS_A", "NATURAL"]
         mapped, expected = pattern._map.matrix(diag + pattern._fold), _spgemm_s(pattern, diag)
         assert np.array_equal(mapped.data, expected.data)
