@@ -16,9 +16,7 @@ from .solver import (
     SolveInfo,
     TripSpacePattern,
     annotated_mask,
-    build_b,
     build_q,
-    laplacian,
     solve_weights,
 )
 from .trips import TripSet, partition_by_tag, split_trips, trip_costs
@@ -88,11 +86,18 @@ class EvalReport:
 
 @dataclass
 class ConstraintMatrices:
-    """Q, the similarity Laplacian, the adjacency Laplacian, and Q's pattern."""
+    """Q, the similarity Laplacian, the adjacency Laplacian, B's connected
+    components, and Q's pattern.
+
+    ``b_components`` labels each entry with an entry of its component of B
+    (AdjacencyPattern.components). It belongs to the dual graph, not to the
+    trips, so every build on one dual shares the same read-only array.
+    """
 
     q: sp.csr_matrix
     l_a: SimilarityLaplacian
     l_b: sp.csr_matrix
+    b_components: np.ndarray
     pattern: TripSpacePattern  # Q's: one factor ordering for every solve here
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -102,13 +107,12 @@ class ConstraintMatrices:
         The mask depends only on Q and on which of A and B are active, not on
         their coefficients, so every solve with the same active set shares it.
         The array is read-only for that reason. A's components are the runs
-        of L_A's sorted PageRank values, and B's links are L_B's off-diagonal
-        pattern.
+        of L_A's sorted PageRank values, and B's are the dual's.
         """
         key = (bool(use_a), bool(use_b))
         if key not in self._masks:
             a = self.l_a.components() if key[0] else None
-            mask = annotated_mask(self.q, a, self.l_b if key[1] else None)
+            mask = annotated_mask(self.q, a, self.b_components if key[1] else None)
             mask.flags.writeable = False
             self._masks[key] = mask
         return self._masks[key]
@@ -122,9 +126,15 @@ def build_constraints(
     transitions = transition_matrices(dual, partitions)
     prs = [pagerank(tm, pattern=dual.chain_pattern) for tm in transitions]
     l_a = SimilarityLaplacian(prs, config.similarity_threshold)
-    l_b = laplacian(build_b(transitions, dual, graph.is_highway()))
+    adjacency = dual.adjacency_pattern
     q = build_q(train, graph)
-    return ConstraintMatrices(q=q, l_a=l_a, l_b=l_b, pattern=TripSpacePattern(q))
+    return ConstraintMatrices(
+        q=q,
+        l_a=l_a,
+        l_b=adjacency.laplacian(transitions),
+        b_components=adjacency.components,
+        pattern=TripSpacePattern(q),
+    )
 
 
 def solve_variant(

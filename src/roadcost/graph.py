@@ -224,7 +224,8 @@ class DualGraph:
     exactly when the primal edge of u ends where the primal edge of v
     starts, i.e. the two road segments can be traversed consecutively.
     U-turn dual edges (a segment followed by its own reverse) are included;
-    ``build_b`` and the synthetic walks drop them through ``reverse_mask``.
+    B (``adjacency_pattern``, ``build_b``) and the synthetic walks drop them
+    through ``reverse_mask``.
 
     The dual edges out of u are the primal edges leaving heads[u], ascending
     by index, and ``tail_rank`` holds each primal edge's rank among the
@@ -259,6 +260,16 @@ class DualGraph:
         from .pagerank import ChainPattern  # pagerank imports this module
 
         return ChainPattern(self.out_indptr, self.edge_dst)
+
+    @cached_property
+    def adjacency_pattern(self):
+        """The ``solver.AdjacencyPattern`` every L_B on this dual fills: B
+        keeps the same dual edges for every trip set, and Laplace smoothing
+        gives each a positive probability, so the graph's highway split and
+        tag count alone fix L_B's structure and B's components."""
+        from .solver import AdjacencyPattern  # solver imports this module
+
+        return AdjacencyPattern(self, self.graph.is_highway(), self.graph.n_tags)
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)

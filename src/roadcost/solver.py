@@ -19,8 +19,11 @@ the threshold, at every network size. The solve never forms it:
 SimilarityLaplacian applies L_A in linear time from sorted PageRank values,
 packed for all tags at once. Nor does the annotated mask: A's connected
 components are the runs of similar sorted values, read off the same layout
-as labels (SimilarityLaplacian.components), and annotated_mask searches only
-B's links, contracted through those labels.
+as labels (SimilarityLaplacian.components). B's links are fixed by the dual
+graph and the highway split, so AdjacencyPattern, one per dual, holds L_B's
+sorted structure and B's components as labels too; each build fills L_B by
+one gather and one row-sum reduction. annotated_mask looks up one set of
+labels, or joins the two in one graph search over label pairs.
 
 At grid-search sizes a CG step costs more in per-call overhead than in
 arithmetic, so every sparse mat-vec of the loop calls the compiled kernel
@@ -342,6 +345,98 @@ def laplacian(s: sp.spmatrix) -> sp.csr_matrix:
         raise ValueError("Laplacian input must be non-negative")
     row_sums = np.asarray(s.sum(axis=1)).ravel()
     return (sp.diags(row_sums) - s).tocsr()
+
+
+class AdjacencyPattern:
+    """What the dual graph and the highway split decide about B, for every build.
+
+    B keeps the dual edges that are not a reverse pair and join two segments
+    of one highway class, in every tag, and Laplace smoothing gives each of
+    them a positive probability. So B links the same entries whatever the
+    trips, and L_B = laplacian(build_b(...)) has one sorted CSR structure
+    per dual: each kept edge's two off-diagonal slots, and a diagonal slot
+    in every row with a B link (a row without one stores nothing, as the
+    subtraction in ``laplacian`` drops a zero). No two kept edges join the
+    same pair of segments, so no slot sums two of them.
+
+    ``laplacian(transitions)`` fills that structure: one gather of every
+    tag's kept probabilities in B's CSR order, whose negation fills the
+    off-diagonal slots, and one ``np.add.reduceat`` over each linked row's
+    values, which fills the diagonal ones. That reduceat is the one
+    scipy's row sum makes, on the same values in the same order, so the
+    result is bitwise ``laplacian(build_b(...))``, which stays as its
+    reference. ``components`` holds B's connected components, a label in
+    [0, n) per entry that is an entry of its component, as
+    SimilarityLaplacian.components() does for A. Nothing changes after
+    construction, so builds on any thread may share one pattern.
+    """
+
+    def __init__(self, dual, is_highway: np.ndarray, n_tags: int):
+        ne, m = dual.n_vertices, dual.n_edges
+        n = n_tags * ne
+        self.shape = (n, n)
+        kept = np.flatnonzero(
+            ~dual.reverse_mask & (is_highway[dual.edge_src] == is_highway[dual.edge_dst])
+        )
+        # one tag's B: both directions of every kept edge, by row, then column
+        rows = np.concatenate([dual.edge_src[kept], dual.edge_dst[kept]])
+        cols = np.concatenate([dual.edge_dst[kept], dual.edge_src[kept]])
+        order = np.argsort(rows * ne + cols)  # no two entries share a key
+        rows, cols, edges = rows[order], cols[order], np.tile(kept, 2)[order]
+        links = np.bincount(rows, minlength=ne)
+        adjacency = sp.csr_matrix(
+            (np.ones(len(rows)), cols, np.r_[0, np.cumsum(links)]), shape=(ne, ne)
+        )
+        linked = np.flatnonzero(links)
+        # L_B's row: its B links, and its diagonal after the links below it
+        indptr = np.r_[0, np.cumsum(links + (links > 0))]
+        diagonal = indptr[linked] + np.bincount(rows[cols < rows], minlength=ne)[linked]
+        off = indptr[rows] + np.arange(len(rows)) - adjacency.indptr[rows] + (cols > rows)
+        tags = np.arange(n_tags)[:, None]
+        nb, nl = len(rows), indptr[-1]
+        self._gather = (edges + m * tags).ravel()  # every tag's B values, from its P's data
+        self._starts = (adjacency.indptr[linked] + nb * tags).ravel()  # linked rows in them
+        self._off = (off + nl * tags).ravel()
+        self._diagonal = (diagonal + nl * tags).ravel()
+        indices = np.empty(nl, dtype=np.int64)
+        indices[off], indices[diagonal] = cols, linked
+        structure = sp.csr_matrix(
+            (
+                np.zeros(nl * n_tags),
+                (indices + ne * tags).ravel(),
+                np.r_[(indptr[:-1] + nl * tags).ravel(), nl * n_tags],
+            ),
+            shape=self.shape,
+        )
+        self._indices, self._indptr = structure.indices, structure.indptr
+        self._dual, self._n_tags = dual, n_tags
+        labels = connected_components(adjacency, directed=False)[1]
+        _, first = np.unique(labels, return_index=True)  # each component's least entry
+        self.components = (first[labels] + ne * tags).ravel()
+        for array in (self._indices, self._indptr, self.components):
+            array.flags.writeable = False
+
+    def laplacian(self, transitions: Sequence[TransitionMatrix]) -> sp.csr_matrix:
+        """L_B for the dual's transition matrices, one per tag in tag order.
+
+        Bitwise laplacian(build_b(transitions, dual, is_highway)), and raises
+        as build_b does on a matrix out of order or off the dual's edges.
+        """
+        dual = self._dual
+        if len(transitions) != self._n_tags:
+            raise ValueError(f"expected {self._n_tags} transition matrices, got {len(transitions)}")
+        for k, tm in enumerate(transitions):
+            if tm.tag != k:
+                raise ValueError("transition matrices must be ordered by tag")
+            m = tm.matrix
+            if not all(map(np.array_equal, (m.indptr, m.indices), (dual.out_indptr, dual.edge_dst))):
+                raise ValueError("transition matrix is not on the dual graph's edges")
+        values = np.concatenate([tm.matrix.data for tm in transitions]).take(self._gather)
+        data = np.empty(len(self._indices))
+        data[self._off] = -values
+        if len(values):
+            data[self._diagonal] = np.add.reduceat(values, self._starts)
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=self.shape)
 
 
 class _TripSpaceFactor:
@@ -673,7 +768,7 @@ def objective_terms(
 def annotated_mask(
     q: sp.csr_matrix,
     a: Optional[np.ndarray] = None,
-    b: Optional[sp.spmatrix] = None,
+    b: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Entries of the cost vector that actually receive information.
 
@@ -682,29 +777,26 @@ def annotated_mask(
     else solves to zero under the ridge term alone. With no constraints this
     reduces to plain trip coverage.
 
-    ``a`` holds A's connected components, a label in [0, n) per entry
-    (SimilarityLaplacian.components), so A alone needs no graph search.
-    ``b`` is a matrix whose stored off-diagonal entries are B's links: B, or
-    L_B, whose diagonal adds only self-loops. connected_components reads
-    only its pattern, once: as it stands for B alone, and with A active too,
-    contracted through A's labels to the links between two components, each
-    counted as 1, so no sum of signed values can cancel one.
+    ``a`` and ``b`` hold A's and B's connected components, as labels in
+    [0, n), one per entry, each an entry of its own component
+    (SimilarityLaplacian.components, AdjacencyPattern.components). One alone
+    is looked up as it stands. With both, entries join where a chain of A
+    and B links joins them: one connected_components call over the graph
+    that links each entry's A label to its B label. A label v names an A
+    component and a B component that both hold entry v, so the two may
+    share vertex v.
     """
     seeds = np.asarray(q.getnnz(axis=1) > 0)
-    if b is not None and not b.nnz:
-        b = None
     if (a is None and b is None) or not seeds.any():
         return seeds
-    n = len(seeds)
-    labels = np.arange(n) if a is None else np.asarray(a)
-    if b is not None:
-        b = b.tocsr()
-        if a is not None:
-            rows, cols = np.repeat(labels, np.diff(b.indptr)), labels[b.indices]
-            cross = rows != cols
-            rows, cols = rows[cross], cols[cross]
-            b = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        labels = connected_components(b, directed=False)[1][labels]
-    hit = np.zeros(n, dtype=bool)  # components holding a seed
+    if a is None or b is None:
+        labels = np.asarray(a if b is None else b)
+    else:
+        a, b = np.asarray(a), np.asarray(b)
+        cross = a != b
+        n = len(seeds)
+        links = sp.csr_matrix((np.ones(np.count_nonzero(cross)), (a[cross], b[cross])), shape=(n, n))
+        labels = connected_components(links, directed=False)[1][a]
+    hit = np.zeros(len(seeds), dtype=bool)  # components holding a seed
     hit[labels[seeds]] = True
     return hit[labels]

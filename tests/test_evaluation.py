@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 import roadcost.evaluation as evaluation
 import roadcost.solver as solver
@@ -358,6 +359,21 @@ class TestGridSearch:
         grid_search(trips, graph, dual, RunConfig(seed=8))
         assert len(calls) == 3  # 9 (alpha, beta) solves per fold share one F4 mask
 
+    def test_one_adjacency_pattern_per_dual(self, small_experiment, monkeypatch):
+        graph, _, _, trips, _, _ = small_experiment
+        built = []
+
+        class Counting(solver.AdjacencyPattern):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver, "AdjacencyPattern", Counting)
+        dual = build_dual(graph)  # the fixture's dual may hold its pattern already
+        best, _ = grid_search(trips, graph, dual, RunConfig(seed=8))
+        build_constraints(trips, graph, dual, best)
+        assert len(built) == 1  # 3 folds and the refit fill the dual's one pattern
+
     def test_preconditioned_solves_stay_short(self, monkeypatch):
         # CG with no preconditioner took 169-688 iterations per solve on this dataset
         spec = SyntheticSpec(rows=12, cols=12, n_trips=144, coverage=0.3, noise=0.05)
@@ -523,6 +539,12 @@ def _adjacency(train, graph, dual):
     return build_b(transitions, dual, graph.is_highway())
 
 
+def _labels(b):
+    """Each entry's component of B, labelled by its least entry."""
+    labels = connected_components(b, directed=False)[1]
+    return np.unique(labels, return_index=True)[1][labels]
+
+
 class TestConstraintMask:
     def test_matches_annotated_mask_per_active_set(self, small_experiment):
         graph, dual, _, _, train, _ = small_experiment
@@ -533,7 +555,9 @@ class TestConstraintMask:
             for use_b in (False, True):
                 mask = matrices.mask(use_a, use_b)
                 expected = annotated_mask(
-                    matrices.q, matrices.l_a.components() if use_a else None, b if use_b else None
+                    matrices.q,
+                    matrices.l_a.components() if use_a else None,
+                    _labels(b) if use_b else None,
                 )
                 assert np.array_equal(mask, expected)
                 assert matrices.mask(use_a, use_b) is mask

@@ -11,7 +11,15 @@ from roadcost import solver
 from roadcost.config import RunConfig
 from roadcost.errors import ConvergenceError
 from roadcost.evaluation import build_constraints
-from roadcost.graph import WEEKDAY, CostVector, RoadGraph, TagSchedule, build_dual
+from roadcost.graph import (
+    WEEKDAY,
+    WEEKEND,
+    CostVector,
+    RoadGraph,
+    TagSchedule,
+    build_dual,
+    peak_offpeak_schedule,
+)
 from roadcost.pagerank import (
     PageRankVector,
     TransitionMatrix,
@@ -32,7 +40,7 @@ from roadcost.solver import (
     solve_weights,
 )
 from roadcost.synth import SyntheticSpec, generate_synthetic
-from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, trip_cost
+from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, split_trips, trip_cost
 
 from conftest import (
     attribute_state,
@@ -40,6 +48,7 @@ from conftest import (
     entry,
     graph_mask,
     make_trip,
+    multigraph_edges,
     tripset,
 )
 
@@ -243,8 +252,10 @@ def _same_partition(x, y) -> bool:
 
 
 def _labels(a):
-    """A label per entry of a symmetric matrix's connected components."""
-    return connected_components(a, directed=False)[1]
+    """A label per entry of a symmetric matrix's connected components: its
+    component's least entry."""
+    labels = connected_components(a, directed=False)[1]
+    return np.unique(labels, return_index=True)[1][labels]
 
 
 @st.composite
@@ -443,6 +454,126 @@ class TestLaplacian:
         assert np.allclose(np.asarray(lap.sum(axis=1)).ravel(), 0.0, atol=1e-12)
         eigenvalues = np.linalg.eigvalsh(lap.toarray())
         assert eigenvalues.min() >= -1e-10
+
+
+@st.composite
+def _adjacency_networks(draw):
+    """A multigraph (parallel edges, one-way roads, dead ends) with speed
+    limits on both sides of the highway cutoff and unknown ones, trips in
+    each of the default schedule's three tags, and a few seed entries."""
+    n, edges = draw(multigraph_edges().filter(lambda shape: shape[1]))
+    limits = draw(st.lists(st.sampled_from([None, 50.0, 110.0]), min_size=len(edges),
+                           max_size=len(edges)))
+    walk = st.lists(st.integers(0, len(edges) - 1), min_size=1, max_size=6)
+    when = st.sampled_from([(WEEKDAY, 100.0), (WEEKDAY, 430.0), (WEEKEND, 600.0)])
+    trips = draw(st.lists(st.tuples(walk, when), max_size=8))
+    seeds = draw(st.lists(st.integers(0, 3 * len(edges) - 1), max_size=3))
+    return n, edges, limits, trips, seeds
+
+
+def _adjacency_instance(network):
+    """The graph, its dual, the trips' transition matrices and a Q over the seeds."""
+    n, edges, limits, trips, seeds = network
+    vertices = [f"v{i}" for i in range(n)]
+    graph = RoadGraph.from_edges(
+        vertices,
+        [(vertices[t], vertices[h]) for t, h in edges],
+        [1.0] * len(edges),
+        peak_offpeak_schedule(),
+        speed_limits=limits,
+    )
+    dual = build_dual(graph)
+    trips = tripset(*(make_trip(walk, start=start, day=day) for walk, (day, start) in trips))
+    transitions = transition_matrices(dual, partition_by_tag(trips, graph.tag_schedule))
+    q = sp.csr_matrix(
+        (np.ones(len(seeds)), (seeds, np.arange(len(seeds)))), shape=(graph.n_entries, 3)
+    )
+    return graph, dual, transitions, q
+
+
+# v0 -> v1 ten times, v1 -> v2 ten times: each row of B holds ten links, past
+# the eight numpy's pairwise sum adds in one block. v2 -> v1 meets only its
+# reverses and the highway v3 -> v0 only urban roads: two rows with no link
+_BUSY_JUNCTION = (
+    4,
+    10 * [(0, 1)] + 10 * [(1, 2)] + [(2, 1), (3, 0)],
+    21 * [None] + [110.0],
+    [([0, 10, 20], (WEEKDAY, 100.0)), ([21, 0, 15], (WEEKDAY, 430.0)), ([3, 13], (WEEKEND, 600.0))],
+    [0, 44],
+)
+
+
+class TestAdjacencyPattern:
+    @settings(max_examples=150, deadline=None)
+    @given(network=_adjacency_networks())
+    @example(network=_BUSY_JUNCTION)
+    def test_laplacian_is_bitwise_the_reference(self, network):
+        graph, dual, transitions, _ = _adjacency_instance(network)
+        got = dual.adjacency_pattern.laplacian(transitions)
+        want = laplacian(build_b(transitions, dual, graph.is_highway()))
+        for name in ("indptr", "indices", "data"):
+            got_array, want_array = getattr(got, name), getattr(want, name)
+            assert got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(network=_adjacency_networks())
+    @example(network=_BUSY_JUNCTION)
+    def test_label_masks_are_the_graph_searchs(self, network):
+        graph, dual, transitions, q = _adjacency_instance(network)
+        labels = dual.adjacency_pattern.components
+        n = graph.n_entries
+        # each label is an entry of its own component
+        assert ((0 <= labels) & (labels < n)).all() and (labels[labels] == labels).all()
+        prs = [pagerank(tm, pattern=dual.chain_pattern) for tm in transitions]
+        op = SimilarityLaplacian(prs, 0.95)
+        # off the diagonal both Laplacians are negative, so their sum cancels no link
+        l_a = laplacian(build_a(prs, 0.95))
+        l_b = laplacian(build_b(transitions, dual, graph.is_highway()))
+        for use_a in (False, True):
+            for use_b in (False, True):
+                want = graph_mask(q, l_a if use_a else None, l_b if use_b else None)
+                got = annotated_mask(
+                    q, op.components() if use_a else None, labels if use_b else None
+                )
+                assert got.tobytes() == want.tobytes()
+
+    def test_fixed_by_the_dual_and_read_only(self):
+        spec = SyntheticSpec(rows=6, cols=6, n_trips=120, coverage=0.3, noise=0.05,
+                             speed_limit_choices=(50.0, 100.0))
+        graph, _, trips = generate_synthetic(spec, seed=4)
+        dual, config = build_dual(graph), RunConfig()
+        pattern = dual.adjacency_pattern
+        assert dual.adjacency_pattern is pattern
+        before = attribute_state(pattern)
+        for part in split_trips(trips, 0.5, seed=4):
+            matrices = build_constraints(part, graph, dual, config)
+            assert matrices.b_components is pattern.components
+            for use_a in (False, True):
+                for use_b in (False, True):
+                    matrices.mask(use_a, use_b)
+        assert changed_attributes(before, pattern) == set()
+        assert not pattern.components.flags.writeable
+
+    def _junction(self, junction_graph):
+        dual = build_dual(junction_graph)
+        trips = tripset(make_trip([0, 2], start=430.0), make_trip([0, 4], start=100.0))
+        return dual, transition_matrices(dual, partition_by_tag(trips, junction_graph.tag_schedule))
+
+    def test_matrices_out_of_order_rejected(self, junction_graph):
+        dual, transitions = self._junction(junction_graph)
+        with pytest.raises(ValueError, match="ordered by tag"):
+            dual.adjacency_pattern.laplacian(transitions[::-1])
+        with pytest.raises(ValueError, match="expected 2 transition matrices, got 1"):
+            dual.adjacency_pattern.laplacian(transitions[:1])
+
+    def test_matrix_off_the_dual_edges_rejected(self, junction_graph):
+        dual, transitions = self._junction(junction_graph)
+        m = transitions[1].matrix.toarray()
+        m[0, [2, 3]] = m[0, [3, 2]]  # AB -> BC becomes AB -> CB, not a dual edge
+        transitions[1] = TransitionMatrix(tag=1, matrix=sp.csr_matrix(m))
+        with pytest.raises(ValueError, match="not on the dual graph's edges"):
+            dual.adjacency_pattern.laplacian(transitions)
 
 
 class TestQuadraticFormEquivalence:
@@ -1140,8 +1271,8 @@ class TestAnnotatedMask:
             np.array([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
         )
         assert annotated_mask(q, a=_labels(a)).tolist() == [True, True, False, False]
-        assert annotated_mask(q, b=b).tolist() == [True, False, False, False]
-        assert annotated_mask(q, a=_labels(a), b=b).tolist() == [True, True, True, False]
+        assert annotated_mask(q, b=_labels(b)).tolist() == [True, False, False, False]
+        assert annotated_mask(q, a=_labels(a), b=_labels(b)).tolist() == [True, True, True, False]
 
     def test_signed_values_cannot_cancel_a_link(self):
         # A links 0 and 1, and so does B with weight 1: L_B holds -1 there, and
@@ -1150,7 +1281,7 @@ class TestAnnotatedMask:
         a = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
         l_b = laplacian(sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 0.5], [0, 0.5, 0]])))
         assert graph_mask(q, a, l_b).tolist() == [True, False, False]
-        assert annotated_mask(q, a=_labels(a), b=l_b).tolist() == [True, True, True]
+        assert annotated_mask(q, a=_labels(a), b=_labels(l_b)).tolist() == [True, True, True]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_component_membership_reference(self, seed):
@@ -1180,5 +1311,7 @@ class TestAnnotatedMask:
         for use_a in (False, True):
             for use_b in (False, True):
                 want = graph_mask(q, a if use_a else None, b if use_b else None)
-                got = annotated_mask(q, op.components() if use_a else None, b if use_b else None)
+                got = annotated_mask(
+                    q, op.components() if use_a else None, _labels(b) if use_b else None
+                )
                 assert got.tobytes() == want.tobytes()
