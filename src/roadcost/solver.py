@@ -69,6 +69,7 @@ before the first step, so a start that already meets tol costs no step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,6 +94,31 @@ PRECONDITIONER_FILL_LIMIT = 6.0
 # SuperLU settings of every preconditioner factor: the package's, with
 # diagonal pivots (S is SPD).
 _SPLU_OPTIONS = dict(SPLU_OPTIONS, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+# Longest vector whose dot product is one BLAS call (_dot): below the length
+# at which OpenBLAS splits a dot product across threads.
+_DOT_SLICE = 8192
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x @ y for float vectors, with the same bits on any number of BLAS threads.
+
+    OpenBLAS splits a dot product longer than about 10,000 entries across
+    its threads, and a sum split in two rounds differently from one. So a
+    vector longer than _DOT_SLICE entries is taken in consecutive slices of
+    that length, whose dot products add left to right; a shorter one is one
+    dot product, as np.linalg.norm forms it, at the same cost.
+    """
+    if len(x) <= _DOT_SLICE:
+        return float(x @ y)
+    total = 0.0
+    for start in range(0, len(x), _DOT_SLICE):
+        total += float(x[start : start + _DOT_SLICE] @ y[start : start + _DOT_SLICE])
+    return total
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x), sqrt(x @ x), by _dot."""
+    return math.sqrt(_dot(x, x))
 
 
 def _matvec(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -667,7 +693,7 @@ def solve_weights(
         return y
 
     b = q @ np.asarray(costs, dtype=float)
-    b_norm = float(np.linalg.norm(b))
+    b_norm = _norm(b)
     if b_norm == 0.0:
         return np.zeros(n), SolveInfo(iterations=0, residual=0.0)
 
@@ -688,7 +714,7 @@ def solve_weights(
     else:
         x = x0.copy()
         r = b - apply(x)
-        res_norm = float(np.linalg.norm(r))
+        res_norm = _norm(r)
     p, rz, iterations = None, 0.0, 0
     while True:
         if not np.isfinite(res_norm):
@@ -699,7 +725,7 @@ def solve_weights(
             )
         if res_norm <= tol * b_norm:
             true_r = b - apply(x)
-            true_norm = float(np.linalg.norm(true_r))
+            true_norm = _norm(true_r)
             if true_norm <= tol * b_norm:
                 return x, SolveInfo(
                     iterations=iterations, residual=true_norm / b_norm, factor_nnz=factor.nnz
@@ -711,11 +737,11 @@ def solve_weights(
                 "conjugate gradient did not converge", res_norm / b_norm, iterations
             )
         z = factor.solve(r)
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z if p is None else z + (rz_new / rz) * p
         rz = rz_new
         ap = apply(p)
-        p_ap = float(p @ ap)
+        p_ap = _dot(p, ap)
         if p_ap <= 0:
             raise ConvergenceError(
                 "conjugate gradient broke down (operator not positive definite?)",
@@ -726,7 +752,7 @@ def solve_weights(
         x += step * p
         r -= step * ap
         iterations += 1
-        res_norm = float(np.linalg.norm(r))
+        res_norm = _norm(r)
 
 
 @dataclass(frozen=True)
@@ -752,10 +778,10 @@ def objective_terms(
 ) -> ObjectiveTerms:
     """Evaluate every objective term at a given cost vector."""
     residual = np.asarray(costs, dtype=float) - q.T @ d
-    rss = float(residual @ residual)
-    sim = float(d @ (l_a @ d)) if l_a is not None else 0.0
-    adj = float(d @ (l_b @ d)) if l_b is not None else 0.0
-    l2 = float(d @ d)
+    rss = _dot(residual, residual)
+    sim = _dot(d, l_a @ d) if l_a is not None else 0.0
+    adj = _dot(d, l_b @ d) if l_b is not None else 0.0
+    l2 = _dot(d, d)
     return ObjectiveTerms(
         rss=rss,
         similarity_penalty=sim,

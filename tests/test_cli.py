@@ -1,10 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roadcost
 import roadcost.cli as cli
 from roadcost.cli import main
 from roadcost.dataio import load_schedule, save_dataset
@@ -572,3 +577,29 @@ def test_bad_output_or_split_setting_fails_before_loading(
     assert loads == []
     assert blocker.read_text() == "a file, not a directory\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_annotate_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 12,480 unknowns: OpenBLAS splits a dot product this long across its
+    # threads, and a sum split in two rounds differently from one
+    spec = SyntheticSpec(rows=40, cols=40, n_trips=2000, coverage=0.3, noise=0.05,
+                         speed_limit_choices=(50.0, 100.0))
+    graph, _, trips = generate_synthetic(spec, seed=6)
+    data = tmp_path / "data"
+    save_dataset(graph, trips, data)
+    src = str(Path(roadcost.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [
+                sys.executable, "-m", "roadcost.cli", "annotate", *_dataset_args(data),
+                "--variant", "F4", "--alpha", "0.5", "--beta", "2",
+                "--out", str(out / "weights.csv"), "--report", str(out / "report.json"),
+            ],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append([(out / name).read_bytes() for name in ("weights.csv", "report.json")])
+    assert outputs[0] == outputs[1]
