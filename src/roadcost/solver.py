@@ -23,7 +23,7 @@ as labels (SimilarityLaplacian.components). B's links are fixed by the dual
 graph and the highway split, so AdjacencyPattern, one per dual, holds L_B's
 sorted structure and B's components as labels too; each build fills L_B by
 one gather and one row-sum reduction. annotated_mask looks up one set of
-labels, or joins the two in one graph search over label pairs.
+labels, or joins the two in one graph search over them.
 
 At grid-search sizes a CG step costs more in per-call overhead than in
 arithmetic, so every sparse mat-vec of the loop calls the compiled kernel
@@ -398,7 +398,7 @@ class AdjacencyPattern:
     """
 
     def __init__(self, dual, is_highway: np.ndarray, n_tags: int):
-        ne, m = dual.n_vertices, dual.n_edges
+        ne = dual.n_vertices
         n = n_tags * ne
         self.shape = (n, n)
         kept = np.flatnonzero(
@@ -418,14 +418,14 @@ class AdjacencyPattern:
         indptr = np.r_[0, np.cumsum(links + (links > 0))]
         diagonal = indptr[linked] + np.bincount(rows[cols < rows], minlength=ne)[linked]
         off = indptr[rows] + np.arange(len(rows)) - adjacency.indptr[rows] + (cols > rows)
-        tags = np.arange(n_tags)[:, None]
-        nb, nl = len(rows), indptr[-1]
-        self._gather = (edges + m * tags).ravel()  # every tag's B values, from its P's data
-        self._starts = (adjacency.indptr[linked] + nb * tags).ravel()  # linked rows in them
-        self._off = (off + nl * tags).ravel()
-        self._diagonal = (diagonal + nl * tags).ravel()
+        # one tag's: each B entry's dual edge and slot, the linked rows' first
+        # entries in B and their diagonal slots; every tag repeats them
+        self._edges, self._off = edges, off
+        self._starts, self._diagonal = adjacency.indptr[linked], diagonal
+        tags, nl = np.arange(n_tags)[:, None], indptr[-1]
         indices = np.empty(nl, dtype=np.int64)
         indices[off], indices[diagonal] = cols, linked
+        # scipy casts the index arrays to int32 where they fit, as in laplacian's result
         structure = sp.csr_matrix(
             (
                 np.zeros(nl * n_tags),
@@ -457,12 +457,15 @@ class AdjacencyPattern:
             m = tm.matrix
             if not all(map(np.array_equal, (m.indptr, m.indices), (dual.out_indptr, dual.edge_dst))):
                 raise ValueError("transition matrix is not on the dual graph's edges")
-        values = np.concatenate([tm.matrix.data for tm in transitions]).take(self._gather)
-        data = np.empty(len(self._indices))
-        data[self._off] = -values
-        if len(values):
-            data[self._diagonal] = np.add.reduceat(values, self._starts)
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=self.shape)
+        values = np.stack([tm.matrix.data for tm in transitions]).take(self._edges, axis=1)
+        data = np.empty((self._n_tags, len(self._indices) // self._n_tags))
+        data[:, self._off] = -values
+        if values.size:  # B's row sums, over all tags' values in B's CSR order
+            starts = self._starts + values.shape[1] * np.arange(self._n_tags)[:, None]
+            data[:, self._diagonal] = np.add.reduceat(values.ravel(), starts.ravel()).reshape(
+                self._n_tags, -1
+            )
+        return sp.csr_matrix((data.ravel(), self._indices, self._indptr), shape=self.shape)
 
 
 class _TripSpaceFactor:
@@ -808,21 +811,23 @@ def annotated_mask(
     (SimilarityLaplacian.components, AdjacencyPattern.components). One alone
     is looked up as it stands. With both, entries join where a chain of A
     and B links joins them: one connected_components call over the graph
-    that links each entry's A label to its B label. A label v names an A
-    component and a B component that both hold entry v, so the two may
-    share vertex v.
+    that links each entry to its A label and to its B label, two links a
+    row, so its CSR needs no sort. Every entry of an A component links to
+    the same entry of it, and so for B, so the graph's components are
+    exactly those chains.
     """
     seeds = np.asarray(q.getnnz(axis=1) > 0)
     if (a is None and b is None) or not seeds.any():
         return seeds
+    n = len(seeds)
     if a is None or b is None:
         labels = np.asarray(a if b is None else b)
     else:
-        a, b = np.asarray(a), np.asarray(b)
-        cross = a != b
-        n = len(seeds)
-        links = sp.csr_matrix((np.ones(np.count_nonzero(cross)), (a[cross], b[cross])), shape=(n, n))
-        labels = connected_components(links, directed=False)[1][a]
-    hit = np.zeros(len(seeds), dtype=bool)  # components holding a seed
+        links = sp.csr_matrix(
+            (np.ones(2 * n), np.column_stack([a, b]).ravel(), np.arange(0, 2 * n + 1, 2)),
+            shape=(n, n),
+        )
+        labels = connected_components(links, directed=False)[1]
+    hit = np.zeros(n, dtype=bool)  # components holding a seed
     hit[labels[seeds]] = True
     return hit[labels]
