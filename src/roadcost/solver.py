@@ -320,6 +320,19 @@ class SimilarityLaplacian:
         return labels[:-1]
 
 
+def _check_on_dual(
+    transitions: Sequence[TransitionMatrix], out_indptr: np.ndarray, edge_dst: np.ndarray
+) -> None:
+    """Raise unless the matrices are ordered by tag and each holds the dual's
+    edges (out_indptr, edge_dst) as its CSR structure."""
+    for k, tm in enumerate(transitions):
+        if tm.tag != k:
+            raise ValueError("transition matrices must be ordered by tag")
+        m = tm.matrix
+        if not all(map(np.array_equal, (m.indptr, m.indices), (out_indptr, edge_dst))):
+            raise ValueError("transition matrix is not on the dual graph's edges")
+
+
 def build_b(
     transitions: Sequence[TransitionMatrix],
     dual,
@@ -333,6 +346,7 @@ def build_b(
     highway/urban split. At most one direction of a non-reverse pair can
     carry probability, so the matrix is symmetric by construction.
     """
+    _check_on_dual(transitions, dual.out_indptr, dual.edge_dst)
     ne = dual.n_vertices
     n_tags = len(transitions)
     keep = ~dual.reverse_mask & (
@@ -342,12 +356,7 @@ def build_b(
     dst = dual.edge_dst[keep]
     rows, cols, data = [], [], []
     for k, tm in enumerate(transitions):
-        if tm.tag != k:
-            raise ValueError("transition matrices must be ordered by tag")
-        m = tm.matrix
-        if not all(map(np.array_equal, (m.indptr, m.indices), (dual.out_indptr, dual.edge_dst))):
-            raise ValueError("transition matrix is not on the dual graph's edges")
-        w = m.data[keep]
+        w = tm.matrix.data[keep]
         base = k * ne
         rows.append(base + src)
         cols.append(base + dst)
@@ -435,7 +444,7 @@ class AdjacencyPattern:
             shape=self.shape,
         )
         self._indices, self._indptr = structure.indices, structure.indptr
-        self._dual, self._n_tags = dual, n_tags
+        self._dual_edges, self._n_tags = (dual.out_indptr, dual.edge_dst), n_tags
         labels = connected_components(adjacency, directed=False)[1]
         _, first = np.unique(labels, return_index=True)  # each component's least entry
         self.components = (first[labels] + ne * tags).ravel()
@@ -448,15 +457,9 @@ class AdjacencyPattern:
         Bitwise laplacian(build_b(transitions, dual, is_highway)), and raises
         as build_b does on a matrix out of order or off the dual's edges.
         """
-        dual = self._dual
         if len(transitions) != self._n_tags:
             raise ValueError(f"expected {self._n_tags} transition matrices, got {len(transitions)}")
-        for k, tm in enumerate(transitions):
-            if tm.tag != k:
-                raise ValueError("transition matrices must be ordered by tag")
-            m = tm.matrix
-            if not all(map(np.array_equal, (m.indptr, m.indices), (dual.out_indptr, dual.edge_dst))):
-                raise ValueError("transition matrix is not on the dual graph's edges")
+        _check_on_dual(transitions, *self._dual_edges)
         values = np.stack([tm.matrix.data for tm in transitions]).take(self._edges, axis=1)
         data = np.empty((self._n_tags, len(self._indices) // self._n_tags))
         data[:, self._off] = -values
