@@ -407,7 +407,7 @@ class AdjacencyPattern:
     """
 
     def __init__(self, dual, is_highway: np.ndarray, n_tags: int):
-        ne = dual.n_vertices
+        ne, m = dual.n_vertices, dual.n_edges
         n = n_tags * ne
         self.shape = (n, n)
         kept = np.flatnonzero(
@@ -427,11 +427,13 @@ class AdjacencyPattern:
         indptr = np.r_[0, np.cumsum(links + (links > 0))]
         diagonal = indptr[linked] + np.bincount(rows[cols < rows], minlength=ne)[linked]
         off = indptr[rows] + np.arange(len(rows)) - adjacency.indptr[rows] + (cols > rows)
-        # one tag's: each B entry's dual edge and slot, the linked rows' first
-        # entries in B and their diagonal slots; every tag repeats them
-        self._edges, self._off = edges, off
-        self._starts, self._diagonal = adjacency.indptr[linked], diagonal
-        tags, nl = np.arange(n_tags)[:, None], indptr[-1]
+        # for every tag: its B values' places in the P data of all tags, its
+        # linked rows' starts among those values, and their slots in L_B
+        tags, nb, nl = np.arange(n_tags)[:, None], len(rows), indptr[-1]
+        self._gather = (edges + m * tags).ravel()
+        self._starts = (adjacency.indptr[linked] + nb * tags).ravel()
+        self._off = (off + nl * tags).ravel()
+        self._diagonal = (diagonal + nl * tags).ravel()
         indices = np.empty(nl, dtype=np.int64)
         indices[off], indices[diagonal] = cols, linked
         # scipy casts the index arrays to int32 where they fit, as in laplacian's result
@@ -460,15 +462,12 @@ class AdjacencyPattern:
         if len(transitions) != self._n_tags:
             raise ValueError(f"expected {self._n_tags} transition matrices, got {len(transitions)}")
         _check_on_dual(transitions, *self._dual_edges)
-        values = np.stack([tm.matrix.data for tm in transitions]).take(self._edges, axis=1)
-        data = np.empty((self._n_tags, len(self._indices) // self._n_tags))
-        data[:, self._off] = -values
-        if values.size:  # B's row sums, over all tags' values in B's CSR order
-            starts = self._starts + values.shape[1] * np.arange(self._n_tags)[:, None]
-            data[:, self._diagonal] = np.add.reduceat(values.ravel(), starts.ravel()).reshape(
-                self._n_tags, -1
-            )
-        return sp.csr_matrix((data.ravel(), self._indices, self._indptr), shape=self.shape)
+        values = np.concatenate([tm.matrix.data for tm in transitions]).take(self._gather)
+        data = np.empty(len(self._indices))
+        data[self._off] = -values
+        if len(values):  # B's row sums, over all tags' values in B's CSR order
+            data[self._diagonal] = np.add.reduceat(values, self._starts)
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=self.shape)
 
 
 class _TripSpaceFactor:
