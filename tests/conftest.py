@@ -158,6 +158,13 @@ def graph_mask(q, a=None, b=None) -> np.ndarray:
     return hit[labels]
 
 
+def component_labels(m) -> np.ndarray:
+    """A label per entry of a symmetric matrix's connected components: its
+    component's least entry, the convention ``solver.annotated_mask`` reads."""
+    labels = connected_components(m, directed=False)[1]
+    return np.unique(labels, return_index=True)[1][labels]
+
+
 def attribute_state(obj) -> dict:
     """Each attribute of obj: the object it names and a copy of its contents,
     for arrays, sparse matrices and tuples of them."""

@@ -3,7 +3,6 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import connected_components
 
 import roadcost.evaluation as evaluation
 import roadcost.solver as solver
@@ -25,7 +24,7 @@ from roadcost.solver import annotated_mask, build_a, build_b, solve_weights
 from roadcost.synth import SyntheticSpec, generate_synthetic
 from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, split_trips
 
-from conftest import entry, graph_mask, make_trip, tripset
+from conftest import component_labels, entry, graph_mask, make_trip, tripset
 
 
 def _unit_graph(schedule, lengths=(100.0,), limits=None):
@@ -539,12 +538,6 @@ def _adjacency(train, graph, dual):
     return build_b(transitions, dual, graph.is_highway())
 
 
-def _labels(b):
-    """Each entry's component of B, labelled by its least entry."""
-    labels = connected_components(b, directed=False)[1]
-    return np.unique(labels, return_index=True)[1][labels]
-
-
 class TestConstraintMask:
     def test_matches_annotated_mask_per_active_set(self, small_experiment):
         graph, dual, _, _, train, _ = small_experiment
@@ -557,7 +550,7 @@ class TestConstraintMask:
                 expected = annotated_mask(
                     matrices.q,
                     matrices.l_a.components() if use_a else None,
-                    _labels(b) if use_b else None,
+                    component_labels(b) if use_b else None,
                 )
                 assert np.array_equal(mask, expected)
                 assert matrices.mask(use_a, use_b) is mask

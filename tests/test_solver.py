@@ -45,6 +45,7 @@ from roadcost.trips import LinkRecord, Trip, TripSet, partition_by_tag, split_tr
 from conftest import (
     attribute_state,
     changed_attributes,
+    component_labels,
     entry,
     graph_mask,
     make_trip,
@@ -251,13 +252,6 @@ def _same_partition(x, y) -> bool:
     return pairs == len(np.unique(x)) == len(np.unique(y))
 
 
-def _labels(a):
-    """A label per entry of a symmetric matrix's connected components: its
-    component's least entry."""
-    labels = connected_components(a, directed=False)[1]
-    return np.unique(labels, return_index=True)[1][labels]
-
-
 @st.composite
 def _similarity_instances(draw):
     """1-3 tags whose positive counts differ, with ties and zero PageRank, a
@@ -300,7 +294,7 @@ class TestSimilarityLaplacian:
         n = len(labels)
         # each label is an entry of its own component
         assert ((0 <= labels) & (labels < n)).all() and (labels[labels] == labels).all()
-        assert _same_partition(labels, _labels(build_a(prs, threshold)))
+        assert _same_partition(labels, component_labels(build_a(prs, threshold)))
 
     @pytest.mark.parametrize("lengths", [(2, 3), (3, 2)])
     def test_unequal_lengths_rejected(self, lengths):
@@ -491,9 +485,10 @@ def _adjacency_instance(network):
     return graph, dual, transitions, q
 
 
-# v0 -> v1 ten times, v1 -> v2 ten times: each row of B holds ten links, past
-# the eight numpy's pairwise sum adds in one block. v2 -> v1 meets only its
-# reverses and the highway v3 -> v0 only urban roads: two rows with no link
+# v0 -> v1 ten times, v1 -> v2 ten times: each row of B holds ten links, more
+# than the eight below which numpy's pairwise sum adds term by term. v2 -> v1
+# meets only its reverses and the highway v3 -> v0 only urban roads: two rows
+# with no link
 _BUSY_JUNCTION = (
     4,
     10 * [(0, 1)] + 10 * [(1, 2)] + [(2, 1), (3, 0)],
@@ -1253,13 +1248,13 @@ class TestAnnotatedMask:
     def test_reachability_through_similarity(self):
         q = sp.csr_matrix(np.array([[1.0], [0.0], [0.0]]))
         a = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
-        mask = annotated_mask(q, a=_labels(a))
+        mask = annotated_mask(q, a=component_labels(a))
         assert mask.tolist() == [True, True, True]
 
     def test_disconnected_entry_stays_unannotated(self):
         q = sp.csr_matrix(np.array([[1.0], [0.0], [0.0]]))
         a = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
-        mask = annotated_mask(q, a=_labels(a))
+        mask = annotated_mask(q, a=component_labels(a))
         assert mask.tolist() == [True, True, False]
 
     def test_constraints_union(self):
@@ -1270,9 +1265,10 @@ class TestAnnotatedMask:
         b = sp.csr_matrix(
             np.array([[0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
         )
-        assert annotated_mask(q, a=_labels(a)).tolist() == [True, True, False, False]
-        assert annotated_mask(q, b=_labels(b)).tolist() == [True, False, False, False]
-        assert annotated_mask(q, a=_labels(a), b=_labels(b)).tolist() == [True, True, True, False]
+        a, b = component_labels(a), component_labels(b)
+        assert annotated_mask(q, a=a).tolist() == [True, True, False, False]
+        assert annotated_mask(q, b=b).tolist() == [True, False, False, False]
+        assert annotated_mask(q, a=a, b=b).tolist() == [True, True, True, False]
 
     def test_signed_values_cannot_cancel_a_link(self):
         # A links 0 and 1, and so does B with weight 1: L_B holds -1 there, and
@@ -1281,7 +1277,8 @@ class TestAnnotatedMask:
         a = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
         l_b = laplacian(sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 0.5], [0, 0.5, 0]])))
         assert graph_mask(q, a, l_b).tolist() == [True, False, False]
-        assert annotated_mask(q, a=_labels(a), b=_labels(l_b)).tolist() == [True, True, True]
+        labels = component_labels(a), component_labels(l_b)
+        assert annotated_mask(q, *labels).tolist() == [True, True, True]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_component_membership_reference(self, seed):
@@ -1292,7 +1289,7 @@ class TestAnnotatedMask:
         labels = connected_components(a, directed=False)[1]
         seeds = q.getnnz(axis=1) > 0
         want = np.isin(labels, np.unique(labels[seeds]))
-        got = annotated_mask(q, a=_labels(a))
+        got = annotated_mask(q, a=component_labels(a))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -1312,6 +1309,8 @@ class TestAnnotatedMask:
             for use_b in (False, True):
                 want = graph_mask(q, a if use_a else None, b if use_b else None)
                 got = annotated_mask(
-                    q, op.components() if use_a else None, _labels(b) if use_b else None
+                    q,
+                    op.components() if use_a else None,
+                    component_labels(b) if use_b else None,
                 )
                 assert got.tobytes() == want.tobytes()
