@@ -180,6 +180,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         "cg_iterations": info.iterations,
         "cg_relative_residual": info.residual,
         "preconditioner_nnz": info.factor_nnz,
+        "q_nnz": matrices.q.nnz,
+        "l_b_nnz": matrices.l_b.nnz,
+        "l_a_pairs": matrices.l_a.pairs,
         "objective": dataclasses.asdict(terms),
         "coverage_per_variant": coverage_per_variant,
         "n_trips": len(trips),

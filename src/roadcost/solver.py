@@ -16,40 +16,47 @@ only state a solve shares with others on the same Q.
 
 A links every pair of a tag's segments whose PageRank ratio min/max reaches
 the threshold, at every network size. The solve never forms it:
-SimilarityLaplacian applies L_A in linear time from sorted PageRank values,
-packed for all tags at once. Nor does the annotated mask: A's connected
-components are the runs of similar sorted values, read off the same layout
-as labels (SimilarityLaplacian.components). B's links are fixed by the dual
-graph and the highway split, so AdjacencyPattern, one per dual, holds L_B's
-sorted structure and B's components as labels too; each build fills L_B by
-one gather and one row-sum reduction. annotated_mask looks up one set of
+SimilarityLaplacian applies A in linear time from sorted PageRank values,
+as window sums cut from prefix sums, packed for all tags at once into a
+gather matrix G, one prefix sum per row and a window matrix F. Nor does the
+annotated mask: A's connected components are the runs of similar sorted
+values, read off the same window bounds as labels
+(SimilarityLaplacian.components). B's links are fixed by the dual graph and
+the highway split, so AdjacencyPattern, one per dual, holds L_B's sorted
+structure and B's components as labels too; each build fills L_B by one
+gather and one row-sum reduction. annotated_mask looks up one set of
 labels, or joins the two in one graph search over them.
 
 At grid-search sizes a CG step costs more in per-call overhead than in
-arithmetic, so every sparse mat-vec of the loop calls the compiled kernel
-behind scipy's own @ straight from scipy.sparse._sparsetools. Q^T x, L_B x
-and Q_m^T x take csr_matvec over the rows of Q^T, L_B and Q_m^T (_matvec).
-Q y takes csc_matvec over Q^T's rows (_matvec_t): Q's many empty rows cost
-nothing, and the sums are bitwise csr_matvec's on Q's sorted rows. So does
-Q_m y in the first factor of a pattern, on Q_m as it was before that factor
-relabelled its trips; every later factor reads the relabelled Q_m's own rows,
-in their stored order, which keeps its sums as they were. That module is
-private: it is imported once, with this module, so a scipy without it fails
-at import, and tests pin both kernels bitwise to @, so a scipy whose kernels
-differ fails the tests.
+arithmetic, so the operator's product is one vector that compiled kernels
+add into (_operator): it starts as (gamma + alpha diag(L_A)) x, csc_matvec
+adds Q (Q^T x), csr_matvec beta L_B x, and two more csr_matvec calls, with a
+cumsum between them, -alpha A x; L_B's and F's values are scaled once per
+solve. The kernels are the ones behind scipy's own @, called straight from
+scipy.sparse._sparsetools: csr_matvec and csc_matvec add their matrix's
+product onto y's prior value, term by term. Q^T x and Q_m^T x take
+csr_matvec over the rows of Q^T and Q_m^T (_matvec). Q y takes csc_matvec
+over Q^T's rows: Q's many empty rows cost nothing, and each sum adds Q's row
+in sorted order. The preconditioner's Q_m y does the same in the first
+factor of a pattern, on Q_m as it was before that factor relabelled its
+trips (_matvec_t, from zero); every later factor reads the relabelled Q_m's
+own rows, in their stored order, which keeps its sums as they were. That
+module is private: it is imported once, with this module, so a scipy without
+it fails at import, and tests pin both kernels bitwise to @ and to adding
+onto y, so a scipy whose kernels differ fails the tests.
 
-The preconditioner is P = D + Q Q^T with D = gamma + alpha diag(L_A) +
-beta diag(L_B): it inverts the misfit term exactly, so CG is left with only
-the off-diagonal Laplacian coupling. Q Q^T is never formed: each product
-with the operator is a handful of sparse mat-vecs, and P^-1 v is read off
-one sparse LU in trip space, of the SPD matrix S = I + Q_m^T D'^-1 Q_m
-(Woodbury; see TripSpacePattern). S factors stably under any symmetric
+The preconditioner is P = D + Q Q^T with D = gamma + alpha diag(L_A) + beta
+diag(L_B): it inverts the misfit term exactly, so CG is left with only the
+off-diagonal Laplacian coupling. Q Q^T is never formed: each product with
+the operator is one scaling, five kernel calls and one cumsum, and P^-1 v is
+read off one sparse LU in trip space, of the SPD matrix S = I + Q_m^T D'^-1
+Q_m (Woodbury; see TripSpacePattern). S factors stably under any symmetric
 ordering without pivoting. That factor fills as trips overlap. When an
-estimate of its fill, taken from Q's row counts before anything is
-factored, exceeds PRECONDITIONER_FILL_LIMIT times 2 nnz(Q) + n + t, every
-trip folds into D' instead: P is then the operator's own diagonal, the
-Jacobi preconditioner (Saad, Iterative Methods for Sparse Linear Systems,
-2nd ed., 2003, sec. 10.2), applied by the same code with no S to factor.
+estimate of its fill, taken from Q's row counts before anything is factored,
+exceeds PRECONDITIONER_FILL_LIMIT times 2 nnz(Q) + n + t, every trip folds
+into D' instead: P is then the operator's own diagonal, the Jacobi
+preconditioner (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
+2003, sec. 10.2), applied by the same code with no S to factor.
 
 Solves with the same Q (the objective variants, a grid of coefficients)
 differ only in D, so TripSpacePattern keeps what Q alone decides: Q_m in
@@ -71,6 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -228,96 +236,129 @@ class SimilarityLaplacian:
         (A x)_i = sum_{lo_i <= j < i} v_j x_j / v_i + v_i sum_{i < j < hi_i} x_j / v_j,
 
     two window sums cut from prefix sums, O(n) per product. The lower sum
-    accumulates upward and the upper one downward, so each window is the
-    largest part of its prefix and the subtraction keeps its digits. Entries
-    with zero PageRank (transient dual vertices) have zero rows.
+    accumulates upward and the upper one downward, so each window holds the
+    heaviest terms of its prefix. Entries with zero PageRank (transient dual
+    vertices) have zero rows.
 
-    All tags' windows sit in one packed layout, built once: a row per tag,
-    its entries ascending and then padding. The lower sums run along the
-    rows, the upper ones along each row's entries taken in descending order,
-    padding again last. A product is then the same dozen numpy calls
-    whatever the number of tags: one gather of x and one reordering of it,
-    one cumsum over both directions, one gather of the window edges, one
-    reordering back and one scatter. Each prefix sum starts from zero at its
-    tag's first term, and padding only ever follows real terms, so every sum
-    is bitwise the one a tag-by-tag loop forms.
+    A x is y += F cumsum(G x), three calls on one packed layout of every
+    tag, built once: 2 x tags rows of a leading zero, then a tag's terms,
+    then padding. Row k holds tag k's v_j x_j ascending, row tags + k its
+    x_j / v_j descending. G, a CSR gather matrix, fills the layout from x;
+    one np.cumsum along its rows forms every prefix sum; F, a CSR window
+    matrix, adds each window of y_i as its two ends, with the values -1/v_i
+    and +1/v_i for the lower window and -v_i and +v_i for the upper one. An
+    empty window's two ends are one prefix sum, with values 0, and an entry
+    with zero PageRank has an empty row. ``accumulator`` scales F's values
+    once, so a CG step adds -alpha A x into the vector it is building, with
+    no array of its own (solve_weights). Each prefix sum starts at its row's
+    leading zero, and padding only follows real terms, so the sums are the
+    ones a tag-by-tag loop forms.
     """
 
     def __init__(self, pageranks: Sequence[PageRankVector], threshold: float):
         n = len(pageranks) * len(pageranks[0].values)
         self.shape = (n, n)
         windows = _similarity_windows(pageranks, threshold)
-        tags, width = len(windows), max(len(sv) for _, sv, _, _ in windows)
-        # Row k holds tag k's entries ascending, then padding, which gathers
-        # x's last entry (clipped), divides by 1 and scatters past y's end.
-        self._index = np.full((tags, width), n)
-        self._sv = np.ones((tags, width))
-        # Flat positions in that layout of each row's entries descending,
-        # then its padding: the same permutation takes them back.
-        self._reverse = np.arange(tags * width).reshape(tags, width)
-        # Flat positions in the (2 x tags x width + 1) prefix sums: below[lo_i]
-        # in the ascending rows, above[hi_i] in the descending ones, where the
-        # sum over sorted positions j.. sits at column m - j. Ascending padding
-        # reads the row's leading zero, descending padding its total.
-        self._edges = np.empty((2, tags, width), dtype=np.intp)
-        for k, (index, sv, lo, hi) in enumerate(windows):
-            m, below, above = len(sv), k * (width + 1), (tags + k) * (width + 1)
-            self._index[k, :m], self._sv[k, :m] = index, sv
-            self._reverse[k, :m] = k * width + np.arange(m - 1, -1, -1)
-            self._edges[:, k] = [[below], [above + width]]
-            self._edges[:, k, :m] = below + lo, above + m - hi[::-1]
-        self._degree = self._adjacency(np.ones(n))
+        counts = [len(sv) for _, sv, _, _ in windows]
+        tags, width = len(windows), max(counts) + 1
+        self._rows = (2 * tags, width)
+        # G: columns 1..m of row k gather tag k's v_j x_j ascending, those of
+        # row tags + k its x_j / v_j descending; other slots are empty rows
+        entries, weights = np.zeros((2, tags, width), dtype=np.int32), np.zeros((2, tags, width))
+        gathered = np.zeros((2, tags, width), dtype=bool)
+        for k, (index, sv, _, _) in enumerate(windows):
+            m = len(sv)
+            entries[0, k, 1 : m + 1], weights[0, k, 1 : m + 1] = index, sv
+            entries[1, k, 1 : m + 1], weights[1, k, 1 : m + 1] = index[::-1], 1 / sv[::-1]
+            gathered[:, k, 1 : m + 1] = True
+        size = entries.size
+        self._gather = sp.csr_matrix(
+            (weights[gathered], entries[gathered], np.r_[0, np.cumsum(gathered)].astype(np.int32)),
+            shape=(size, n),
+        )
+        # F: four entries in the row of each positive entry, the ends of its
+        # windows in the prefix sums, lower (S_lo, S_i) then upper (D_m-hi,
+        # D_m-1-i), where column c of a row sums the c terms before it. An
+        # empty window's ends meet, and their values are 0, so they add
+        # exactly 0 to y_i. The rows are formed in sorted order, tag after
+        # tag, and then taken in entry order.
+        index, sv, lo, hi = (np.concatenate(parts) for parts in zip(*windows))
+        pos, m = np.concatenate([np.arange(k) for k in counts]), np.repeat(counts, counts)
+        below = np.repeat(np.arange(tags) * width, counts)
+        above = below + tags * width
+        self._joined = hi > pos + 1  # each sorted entry is similar to the next
+        inverse, upper = np.where(lo < pos, 1 / sv, 0.0), np.where(self._joined, sv, 0.0)
+        ends = np.column_stack([below + lo, below + pos, above + m - hi, above + m - 1 - pos])
+        values = np.column_stack([-inverse, inverse, -upper, upper])
+        rank = np.full(n, -1)  # each entry's sorted row, -1 for zero PageRank
+        rank[index] = np.arange(len(sv))
+        positive = rank >= 0
+        rank = rank[positive]
+        self._window = sp.csr_matrix(
+            (
+                values.take(rank, axis=0).ravel(),
+                ends.astype(np.int32).take(rank, axis=0).ravel(),
+                np.r_[0, 4 * np.cumsum(positive)].astype(np.int32),
+            ),
+            shape=(n, size),
+        )
+        self._sorted = index
+        self._degree = np.zeros(n)
+        self._add(np.ones(n), self._degree, self._window.data)
 
-    def _adjacency(self, x: np.ndarray) -> np.ndarray:
-        tags, width = self._sv.shape
-        xs = x.take(self._index, mode="clip")
-        terms = np.empty((2, tags, width))
-        np.multiply(xs, self._sv, out=terms[0])  # v_j x_j, summed upward
-        np.divide(xs, self._sv, out=xs)
-        xs.take(self._reverse, out=terms[1], mode="clip")  # x_j / v_j, summed downward
-        sums = np.zeros((2, tags, width + 1))
-        terms.cumsum(axis=2, out=sums[:, :, 1:])
-        # (below_i - below_lo) / v_i + (above_i+1 - above_hi) v_i, the window
-        # sums cut in place in terms, which the prefix sums have consumed:
-        # the same operations on the same operands as the formula
-        lower, upper = sums.take(self._edges, out=terms, mode="clip")
-        np.subtract(sums[:, :, :-1], terms, out=terms)
-        lower /= self._sv
-        upper = upper.take(self._reverse)  # back to ascending order
-        upper *= self._sv
-        lower += upper
-        y = np.zeros(self.shape[0] + 1)
-        y[self._index] = lower
-        return y[:-1]
+    def _add(self, x: np.ndarray, y: np.ndarray, window: np.ndarray) -> None:
+        """y += F cumsum(G x) in place, with ``window`` as F's values."""
+        g, f = self._gather, self._window
+        sums = np.zeros(g.shape[0])
+        csr_matvec(*g.shape, g.indptr, g.indices, g.data, x, sums)
+        rows = sums.reshape(self._rows)
+        np.cumsum(rows, axis=1, out=rows)
+        csr_matvec(*f.shape, f.indptr, f.indices, window, sums, y)
+
+    def accumulator(self, scale: float):
+        """A function of (x, y) that adds scale * A x into y in place.
+
+        x and y are float vectors of the operator's length, y contiguous.
+        F's values are scaled here, once, so each call is the three calls of
+        the product alone.
+        """
+        window = self._window.data * scale
+        return lambda x, y: self._add(x, y, window)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self._degree * x - self._adjacency(x)
+        y = self._degree * x
+        self._add(x, y, -self._window.data)
+        return y
 
     def diagonal(self) -> np.ndarray:
         return self._degree.copy()
+
+    @property
+    def pairs(self) -> int:
+        """nnz(A): the sum of the window sizes, each the distance between the
+        two ends F stores for it."""
+        ends = self._window.indices
+        return int((ends[1::2] - ends[::2]).sum())
 
     def components(self) -> np.ndarray:
         """A's connected components: each entry's label, an entry of its component.
 
         The components of a threshold graph on sorted one-dimensional values
-        are its maximal runs of consecutive similar values, so each run of a
-        tag's sorted entries gets the label of its largest entry, read off
-        the packed layout in linear time. An entry with zero PageRank is in
-        no pair and keeps its own index.
+        are its maximal runs of consecutive similar values: sorted entry i
+        joins i + 1 when its window reaches past it, hi_i > i + 1. So each
+        run of a tag's sorted entries gets the label of its least entry, in
+        linear time. A tag's last entry joins nothing, so runs never cross
+        tags. An entry with zero PageRank is in no pair and keeps its own
+        index.
         """
-        tags, width = self._sv.shape
-        # Descending position j is sorted entry i = m - 1 - j, and i's window
-        # holds i + 1, at j - 1, when hi_i > i + 1: when m - hi_i < j. Column 0
-        # and padding never are, so every run starts in its own row.
-        above = (np.arange(tags, 2 * tags) * (width + 1))[:, None]
-        linked = (self._edges[1] - above < np.arange(width)).ravel()
-        head = np.where(linked, 0, np.arange(tags * width))
-        np.maximum.accumulate(head, out=head)  # each position's run start
-        descending = self._index.take(self._reverse).ravel()
-        labels = np.arange(self.shape[0] + 1)
-        labels[descending] = descending[head]  # padding writes n past the end
-        return labels[:-1]
+        starts = np.ones(len(self._sorted), dtype=bool)
+        starts[1:] = ~self._joined[:-1]
+        head = np.where(starts, np.arange(len(starts)), 0)
+        np.maximum.accumulate(head, out=head)  # each sorted entry's run start
+        labels = np.arange(self.shape[0])
+        labels[self._sorted] = self._sorted[head]
+        return labels
 
 
 def _check_on_dual(
@@ -633,6 +674,43 @@ class SolveInfo:
     factor_nnz: int = 0  # nonzeros of S's L + U (0: no solve, or every trip folded into D')
 
 
+def _operator(qt: sp.csr_matrix, l_a, l_b, alpha: float, beta: float, gamma: float):
+    """M = Q Q^T + alpha L_A + beta L_B + gamma I from Q^T: its D and a product.
+
+    D = gamma + alpha diag(L_A) + beta diag(L_B) is the preconditioner's.
+    M x is one vector that compiled kernels add into (Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 6 and 9). It
+    starts as gamma x, plus alpha diag(L_A) x for a SimilarityLaplacian,
+    whose accumulator then adds -alpha A x. csc_matvec over Q^T's rows adds
+    Q (Q^T x), and csr_matvec each sparse Laplacian whole, on its values
+    scaled once here. Only the terms whose coefficient is non-zero are read.
+    """
+    diag = np.full(qt.shape[1], gamma)
+    start, adds = gamma, []
+    for scale, laplacian in ((alpha, l_a), (beta, l_b)):
+        if not scale:
+            continue
+        diagonal = scale * laplacian.diagonal()
+        diag += diagonal
+        if isinstance(laplacian, SimilarityLaplacian):
+            start = start + diagonal
+            adds.append(laplacian.accumulator(-scale))
+        else:
+            lap = laplacian.tocsr()
+            data = lap.data.astype(float) * scale  # the kernel adds into y as float64
+            adds.append(partial(csr_matvec, *lap.shape, lap.indptr, lap.indices, data))
+    trips, n = qt.shape
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        y = start * x
+        csc_matvec(n, trips, qt.indptr, qt.indices, qt.data, _matvec(qt, x), y)
+        for add in adds:
+            add(x, y)
+        return y
+
+    return diag, apply
+
+
 def solve_weights(
     q: sp.csr_matrix,
     costs: np.ndarray,
@@ -683,30 +761,12 @@ def solve_weights(
             raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
         if not np.isfinite(x0).all():
             raise ValueError("x0 must be finite")
-    qt = pattern.qt
-    if beta:
-        l_b = l_b.tocsr()
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        """Q Q^T x + alpha L_A x + beta L_B x + gamma x, Q Q^T never formed."""
-        y = _matvec_t(qt, _matvec(qt, x))
-        if alpha:
-            y += alpha * (l_a @ x)
-        if beta:
-            y += beta * _matvec(l_b, x)
-        y += gamma * x
-        return y
-
     b = q @ np.asarray(costs, dtype=float)
     b_norm = _norm(b)
     if b_norm == 0.0:
         return np.zeros(n), SolveInfo(iterations=0, residual=0.0)
 
-    diag = np.full(n, gamma)  # D = gamma + alpha diag(L_A) + beta diag(L_B)
-    if alpha:
-        diag += alpha * l_a.diagonal()
-    if beta:
-        diag += beta * l_b.diagonal()
+    diag, apply = _operator(pattern.qt, l_a, l_b, alpha, beta, gamma)
     try:
         factor = pattern.factor(diag)
     except RuntimeError as err:  # a non-finite D, or a zero pivot from SuperLU

@@ -90,6 +90,20 @@ def test_annotate_end_to_end_and_deterministic(tmp_path):
     )
 
 
+def test_annotate_report_counts_the_matrices(tmp_path):
+    data = _synth(tmp_path)
+    reports = [tmp_path / "r1.json", tmp_path / "r2.json"]
+    for report_path in reports:
+        assert main(
+            ["annotate", *_dataset_args(data), "--out", str(tmp_path / "w.csv"),
+             "--report", str(report_path)]
+        ) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    report = json.loads(reports[0].read_text())
+    for key in ("q_nnz", "l_b_nnz", "l_a_pairs"):
+        assert type(report[key]) is int and report[key] >= 0, key
+
+
 @pytest.mark.parametrize(
     "flags", [["--variant", "F2", "--alpha", "0"], ["--variant", "F3", "--beta", "0"]]
 )

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.csgraph import connected_components
 
 from roadcost import solver
@@ -223,8 +224,10 @@ def _grid_pageranks(rows=12, seed=1):
 
 def _assert_matches_exact(prs, threshold, rng):
     op = SimilarityLaplacian(prs, threshold)
-    lap = laplacian(build_a(prs, threshold, method="exact"))
+    a = build_a(prs, threshold, method="exact")
+    lap = laplacian(a)
     assert op.shape == lap.shape
+    assert op.pairs == a.nnz
     scale = max(np.abs(lap.diagonal()).max(), 1.0)
     assert np.abs(op.diagonal() - lap.diagonal()).max() <= 1e-12 * scale
     for x in (rng.standard_normal(lap.shape[0]), np.arange(lap.shape[0], dtype=float)):
@@ -232,18 +235,27 @@ def _assert_matches_exact(prs, threshold, rng):
         assert np.linalg.norm(op @ x - expected) <= 1e-12 * max(np.linalg.norm(expected), 1.0)
 
 
-def _per_tag_adjacency(windows, n, x):
-    """A x tag by tag, as SimilarityLaplacian formed it before the windows were
-    packed: the bitwise reference of the packed product."""
-    y = np.zeros(n)
+def _per_tag_adjacency(windows, x, y, sign):
+    """Adds sign * A x into y tag by tag, as SimilarityLaplacian's kernels do:
+    each tag's two prefix sums from a leading zero, then the four window ends
+    of each positive entry added to y_i one at a time, lower window first,
+    with the values of an empty window's ends 0. The bitwise reference of
+    the packed product."""
     for index, sv, lo, hi in windows:
-        xs = x[index]
-        below = np.zeros(len(sv) + 1)
-        np.cumsum(sv * xs, out=below[1:])
-        above = np.zeros(len(sv) + 1)
-        np.cumsum((xs / sv)[::-1], out=above[-2::-1])
-        y[index] = (below[:-1] - below[lo]) / sv + sv * (above[1:] - above[hi])
-    return y
+        m, pos, xs = len(sv), np.arange(len(sv)), x[index]
+        below, above = np.zeros(m + 1), np.zeros(m + 1)
+        below[1:] += sv * xs
+        above[1:] += (1 / sv * xs)[::-1]
+        np.cumsum(below, out=below)
+        np.cumsum(above, out=above)
+        inverse, upper = np.where(lo < pos, 1 / sv, 0.0), np.where(hi > pos + 1, sv, 0.0)
+        for value, end in [
+            (-inverse, below[lo]),
+            (inverse, below[pos]),
+            (-upper, above[m - hi]),
+            (upper, above[m - 1 - pos]),
+        ]:
+            y[index] += (sign * value) * end
 
 
 def _same_partition(x, y) -> bool:
@@ -270,17 +282,19 @@ def _similarity_instances(draw):
 class TestSimilarityLaplacian:
     @settings(max_examples=300, deadline=None)
     @given(instance=_similarity_instances())
-    # tag 0 has one entry fewer than tag 1: a padding term added ahead of its
-    # downward sums turns their -0.0 into +0.0, and y_1 changes sign
+    # tag 0 has one entry fewer than tag 1, so its rows are padded, and every
+    # x_j is -0.0: the signs of zero follow the kernels' sums
     @example(instance=(_prs([[0.5, 0.5, 0.5, 0.0], [0.25, 0.5, 0.25, 0.5]]), 1.0, -np.zeros(8)))
     def test_packed_layout_is_bitwise_the_per_tag_loop(self, instance):
         prs, threshold, x = instance
         op = SimilarityLaplacian(prs, threshold)
         windows = solver._similarity_windows(prs, threshold)
         n = op.shape[0]
-        degree = _per_tag_adjacency(windows, n, np.ones(n))
+        degree = np.zeros(n)
+        _per_tag_adjacency(windows, np.ones(n), degree, 1.0)
         assert op.diagonal().tobytes() == degree.tobytes()
-        expected = degree * x - _per_tag_adjacency(windows, n, x)
+        expected = degree * x
+        _per_tag_adjacency(windows, x, expected, -1.0)
         assert (op @ x).tobytes() == expected.tobytes()
 
     @settings(max_examples=300, deadline=None)
@@ -644,6 +658,37 @@ class TestMatvec:
             x = rng.standard_normal(30)
             assert solver._matvec_t(at, x).tobytes() == (a @ x).tobytes()
 
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_kernels_add_each_term_onto_y(self, index_dtype):
+        """solve_weights' operator builds M x in one vector that the kernels
+        add into, so both must add to a non-zero y, term by term from its
+        prior value, and never start a row or column from zero."""
+        rng = np.random.default_rng(8)
+        dense = rng.standard_normal((12, 9)) * (rng.random((12, 9)) < 0.5)
+        dense[[2, 7]] = 0.0  # empty rows
+        a = _with_indices(sp.csr_matrix(dense), index_dtype)
+        assert a.indices.dtype == index_dtype
+        x, z = rng.standard_normal(9), rng.standard_normal(12)
+        # csr_matvec: y_i += each term of row i in turn
+        prior = rng.standard_normal(12) * 1e3
+        y, expected = prior.copy(), prior.copy()
+        csr_matvec(12, 9, a.indptr, a.indices, a.data, x, y)
+        for i in range(12):
+            for k in range(a.indptr[i], a.indptr[i + 1]):
+                expected[i] += a.data[k] * x[a.indices[k]]
+        assert y.tobytes() == expected.tobytes()
+        assert (y != prior + a @ x).any()  # so a sum from zero would fail here
+        # csc_matvec on the same arrays, as a^T's columns: y[a's column] += each
+        # term of row j of a, row after row
+        prior = rng.standard_normal(9) * 1e3
+        y, expected = prior.copy(), prior.copy()
+        csc_matvec(9, 12, a.indptr, a.indices, a.data, z, y)
+        for j in range(12):
+            for k in range(a.indptr[j], a.indptr[j + 1]):
+                expected[a.indices[k]] += a.data[k] * z[j]
+        assert y.tobytes() == expected.tobytes()
+        assert (y != prior + a.T @ z).any()
+
     def test_relabelled_q_m_forms_its_products_from_its_own_rows(self):
         q, _ = _grid_q()
         n = q.shape[0]
@@ -663,6 +708,52 @@ class TestMatvec:
         v = rng.standard_normal(n)
         expected = (v - qm @ second.lu.solve(qmt @ (v / second.d))) / second.d
         assert second.solve(v).tobytes() == expected.tobytes()
+
+
+class TestOperator:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        instance=_similarity_instances(),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+        beta=st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+        gamma=st.floats(1e-4, 1.0),
+        sparse_l_a=st.booleans(),
+    )
+    # zero PageRank and ties at threshold 1; one positive entry per tag
+    @example(
+        instance=(_prs([[0.25, 0.0, 0.25, 0.5], [0.5, 0.5, 0.0, 0.5]]), 1.0, np.arange(8.0)),
+        seed=0, alpha=1.0, beta=1.0, gamma=1e-4, sparse_l_a=False,
+    )
+    @example(
+        instance=(_prs([[0.0, 0.5, 0.0], [0.3, 0.0, 0.0]]), 0.5, np.arange(6.0) - 2),
+        seed=1, alpha=2.0, beta=0.0, gamma=0.1, sparse_l_a=False,
+    )
+    def test_product_matches_the_dense_system(
+        self, instance, seed, alpha, beta, gamma, sparse_l_a
+    ):
+        """solve_weights' M x against the dense (Q Q^T + alpha L_A + beta L_B +
+        gamma I) x, with L_A as the operator or as laplacian(build_a(...))."""
+        prs, threshold, x = instance
+        rng = np.random.default_rng(seed)
+        n = len(x)
+        t = int(rng.integers(1, 6))
+        q = sp.csr_matrix(rng.uniform(0.1, 2.0, (n, t)) * (rng.random((n, t)) < 0.4))
+        l_b = laplacian(_random_similarity(rng, n, 0.3))
+        exact = laplacian(build_a(prs, threshold))
+        l_a = exact if sparse_l_a else SimilarityLaplacian(prs, threshold)
+        dense = (
+            (q @ q.T).toarray() + alpha * exact.toarray() + beta * l_b.toarray()
+            + gamma * np.eye(n)
+        )
+        diag, apply = solver._operator(q.T.tocsr(), l_a, l_b, alpha, beta, gamma)
+        expected_d = gamma + alpha * exact.diagonal() + beta * l_b.diagonal()
+        np.testing.assert_allclose(diag, expected_d, rtol=1e-13)
+        # relative to ||M||_inf ||x||_inf, plus a unit of underflow per term
+        # where x holds subnormals
+        scale = np.abs(dense).sum(axis=1).max() * np.abs(x).max()
+        underflow = (n + t + 4) * np.finfo(float).smallest_subnormal
+        assert np.abs(apply(x) - dense @ x).max() <= 1e-13 * scale + underflow
 
 
 def _random_similarity(rng, n, density):
@@ -1087,24 +1178,12 @@ class TestProductMap:
 
 
 def _cold_cg(q, costs, l_a, l_b, alpha, beta, gamma, tol):
-    """The preconditioned CG loop as it ran before warm starts, step for step."""
+    """The preconditioned CG loop as it ran before warm starts, step for step,
+    on solve_weights' own operator: what it pins is the loop."""
     pattern = TripSpacePattern(q)
-    qt, n = pattern.qt, q.shape[0]
-    diag = np.full(n, gamma)
-    if alpha:
-        diag += alpha * l_a.diagonal()
-    if beta:
-        diag += beta * l_b.diagonal()
+    n = q.shape[0]
+    diag, apply = solver._operator(pattern.qt, l_a, l_b, alpha, beta, gamma)
     lu = pattern.factor(diag)
-
-    def apply(x):
-        y = q @ (qt @ x)
-        if alpha:
-            y += alpha * (l_a @ x)
-        if beta:
-            y += beta * (l_b @ x)
-        y += gamma * x
-        return y
 
     def precondition(v):
         return lu.solve(v)
