@@ -37,10 +37,8 @@ scipy.sparse._sparsetools: csr_matvec and csc_matvec add their matrix's
 product onto y's prior value, term by term. Q^T x and Q_m^T x take
 csr_matvec over the rows of Q^T and Q_m^T (_matvec). Q y takes csc_matvec
 over Q^T's rows: Q's many empty rows cost nothing, and each sum adds Q's row
-in sorted order. The preconditioner's Q_m y does the same in the first
-factor of a pattern, on Q_m as it was before that factor relabelled its
-trips (_matvec_t, from zero); every later factor reads the relabelled Q_m's
-own rows, in their stored order, which keeps its sums as they were. That
+in sorted order. The preconditioner's Q_m y does the same over Q_m^T's rows
+(_matvec_t, from zero), in every factor: Q_m is never relabelled. That
 module is private: it is imported once, with this module, so a scipy without
 it fails at import, and tests pin both kernels bitwise to @ and to adding
 onto y, so a scipy whose kernels differ fails the tests.
@@ -59,11 +57,11 @@ preconditioner (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
 2003, sec. 10.2), applied by the same code with no S to factor.
 
 Solves with the same Q (the objective variants, a grid of coefficients)
-differ only in D, so TripSpacePattern keeps what Q alone decides: Q_m in
-the fill-reducing order of the first factor and, from the second factor on,
-a map of S's sparse product term by term. Every later S is then one gather
-and one bincount, bitwise the sparse product's, and its factor is numeric
-only, with the same fill. Each solve still factors its own D: the
+differ only in D, so TripSpacePattern keeps what Q alone decides: Q_m, the
+fill-reducing order of the first factor and, from the second factor on, a
+map of S's sparse product term by term, in that order. Every later S is then
+one gather and one bincount, bitwise the sparse product's, and its factor is
+numeric only, with the same fill. Each solve still factors its own D: the
 preconditioner is the same matrix as before.
 
 A solve may also start from a guess x0 instead of zero. A grid of
@@ -514,22 +512,21 @@ class AdjacencyPattern:
 class _TripSpaceFactor:
     """Applies P^-1 = (D' + Q_m Q_m^T)^-1 from D' and an LU of S = I + Q_m^T D'^-1 Q_m.
 
-    Q_m y is read off Q_m^T's rows (_matvec_t) in a pattern's first factor,
-    which holds Q_m from before its relabel, each row's trips ascending.
-    Every later factor gets ``qm``, the relabelled Q_m in CSR, whose own rows
-    form Q_m y instead: the terms then add in the order they always did.
+    Q_m^T v and Q_m y are read off Q_m^T's rows (_matvec, _matvec_t). A
+    later factor's S stands in the first factor's order: Q_m^T v is gathered
+    into it by ``order``, the inverse of its ``perm_c``, and the solution back.
     """
 
-    def __init__(self, d: np.ndarray, qmt: sp.csr_matrix, lu, qm: Optional[sp.csr_matrix] = None):
-        self.d, self.qmt, self.lu, self.qm = d, qmt, lu, qm
+    def __init__(self, d: np.ndarray, qmt: sp.csr_matrix, lu, perm_c=None, order=None):
+        self.d, self.qmt, self.lu, self.perm_c, self.order = d, qmt, lu, perm_c, order
         self.nnz = 0 if lu is None else lu.nnz
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         if self.lu is None:  # every trip folded: P = D'
             return v / self.d
-        y = self.lu.solve(_matvec(self.qmt, v / self.d))
-        qy = _matvec_t(self.qmt, y) if self.qm is None else _matvec(self.qm, y)
-        return (v - qy) / self.d
+        u = _matvec(self.qmt, v / self.d)
+        y = self.lu.solve(u) if self.order is None else self.lu.solve(u[self.order])[self.perm_c]
+        return (v - _matvec_t(self.qmt, y)) / self.d
 
 
 class _ProductMap:
@@ -539,14 +536,15 @@ class _ProductMap:
     share. Each term pairs two entries of row i of Q_m: every entry (i, k)
     gives r_i terms in a row, one per entry (i, l), with r_i the trips of
     Q_m through unknown i. For each term, ``right`` holds the position of
-    q_il in Q_m's data and ``slot`` the position of S_kl in S's sorted CSC.
-    The terms run unknown by unknown, i ascending. csr_matmat sums each S_kl
-    in the order of row k of Q_m^T, whose unknowns ascend too. So one
-    bincount, adding from zero, gives S bitwise as the sparse product does.
+    q_il in Q_m's data and ``slot`` the position of S_kl in S's sorted CSC,
+    each trip k labelled perm_c[k]. The terms run unknown by unknown, i
+    ascending. csr_matmat sums each S_kl in the order of row k of Q_m^T,
+    whose unknowns ascend too. So one bincount, adding from zero, gives S
+    bitwise as the sparse product does.
     The map holds 8 bytes for each of the sum_i r_i^2 terms.
     """
 
-    def __init__(self, qm: sp.csr_matrix):
+    def __init__(self, qm: sp.csr_matrix, perm_c: np.ndarray):
         t = qm.shape[1]
         self.data = qm.data
         self.trips_per_unknown = np.diff(qm.indptr)
@@ -559,9 +557,10 @@ class _ProductMap:
         # S_kl's key l * t + k sorts as S's sorted CSC: by column, then row. I
         # puts every diagonal entry in S, whether or not a term adds to it.
         key = np.int32 if t * t <= np.iinfo(np.int32).max else np.int64
+        trips = perm_c.astype(key)[qm.indices]
         keys = np.empty(len(self.right) + t, dtype=key)
-        np.multiply(qm.indices[self.right], t, out=keys[:-t], dtype=key)
-        keys[:-t] += np.repeat(qm.indices.astype(key), self.terms_per_entry)
+        np.multiply(trips[self.right], t, out=keys[:-t])
+        keys[:-t] += np.repeat(trips, self.terms_per_entry)
         keys[-t:] = np.arange(t, dtype=key) * key(t + 1)
         order = np.argsort(keys)
         keys = keys[order]
@@ -605,15 +604,13 @@ class TripSpacePattern:
     Q^T), Q_m is empty and P^-1 v = v / D'.
 
     The first factor orders S (SuperLU MMD on S^T + S), whose values come
-    from the sparse product Q_m^T (D'^-1 Q_m), and then puts Q_m's columns
-    in that order, so every later S arrives ordered and its factor is
-    numeric only, with the same fill. The second factor maps S's product
-    term by term (_ProductMap), so from then on S's values take one gather
-    and one bincount, and no sparse product. The map holds 8 bytes for each
-    of the sum_i r_i^2 terms, plus S's sorted structure: 0.61 MB for 2,000
-    training trips on 30x30; a pattern that factors once builds none. The
-    map is the one thing a factor after the first changes. No factor is
-    kept.
+    from the sparse product Q_m^T (D'^-1 Q_m), and keeps that order, perm_c.
+    The second maps S's product term by term into it (_ProductMap), so
+    every later S arrives ordered, is one gather and one bincount, and
+    factors numerically only, with the same fill. The map holds 8 bytes for
+    each of the sum_i r_i^2 terms, plus S's sorted structure: 0.61 MB for
+    2,000 training trips on 30x30; a pattern that factors once builds none.
+    Factors change only the order and the map, never Q_m. No factor is kept.
     """
 
     def __init__(self, q: sp.csr_matrix):
@@ -632,39 +629,37 @@ class TripSpacePattern:
             self._fold = np.bincount(self.qt.indices[at], self.qt.data[at] ** 2, n)
             kept = np.flatnonzero(~folded & (unknowns_per_trip > 1))
             self._qm, self._qmt = q[:, kept], self.qt[kept]
-        self._permc = "MMD_AT_PLUS_A"  # NATURAL once Q_m stands in the first factor's order
+        self._perm = None  # the first factor's perm_c and its inverse
         self._map = None  # S's _ProductMap, from the second factor on
 
     def factor(self, diag: np.ndarray) -> _TripSpaceFactor:
         """A factor of D + Q Q^T with D = diag(diag): its solve(v) solves that system.
 
-        The first call orders S, factors it and relabels Q_m; the second maps
-        S's product; later calls reuse both. Raises RuntimeError on a
+        The first call orders S and factors it; the second maps S's product
+        into that order; later calls reuse both. Raises RuntimeError on a
         non-finite D' (S = I + ... never meets the zero pivot a NaN would
         give), before anything is built or factored.
         """
         d = diag if self._fold is None else diag + self._fold  # no n-array when nothing folds
         if not np.isfinite(d).all():
             raise RuntimeError("non-finite diagonal")
-        if self._qm.shape[1] == 0:
-            return _TripSpaceFactor(d, self._qmt, None)
         qm, qmt = self._qm, self._qmt
-        if self._permc == "NATURAL":  # every S arrives ordered
-            if self._map is None:  # the second factor
-                self._map = _ProductMap(qm)
-            s = self._map.matrix(d)
-        else:
+        if qm.shape[1] == 0:
+            return _TripSpaceFactor(d, qmt, None)
+        if self._perm is None:  # the first factor: order S
             scaled = sp.csr_matrix(
                 (qm.data / np.repeat(d, np.diff(qm.indptr)), qm.indices, qm.indptr),
                 shape=qm.shape,
             )
             s = (qmt @ scaled + sp.identity(qm.shape[1], format="csr")).tocsc()
-        lu = splu(s, permc_spec=self._permc, **_SPLU_OPTIONS)
-        if self._permc == "NATURAL":  # relabelled, Q_m's rows no longer list their trips ascending
-            return _TripSpaceFactor(d, qmt, lu, qm)
-        order = np.argsort(lu.perm_c)  # the first factor: relabel Q_m into its order
-        self._qm, self._qmt, self._permc = qm[:, order], qmt[order], "NATURAL"
-        return _TripSpaceFactor(d, qmt, lu)
+            lu = splu(s, permc_spec="MMD_AT_PLUS_A", **_SPLU_OPTIONS)
+            perm_c = lu.perm_c.copy()  # SuperLU's own array would keep its factor alive
+            self._perm = perm_c, np.argsort(perm_c)
+            return _TripSpaceFactor(d, qmt, lu)
+        if self._map is None:  # the second factor
+            self._map = _ProductMap(qm, self._perm[0])
+        lu = splu(self._map.matrix(d), permc_spec="NATURAL", **_SPLU_OPTIONS)
+        return _TripSpaceFactor(d, qmt, lu, *self._perm)
 
 
 @dataclass(frozen=True)

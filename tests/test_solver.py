@@ -690,21 +690,28 @@ class TestMatvec:
         assert (y != prior + a.T @ z).any()
 
     def test_relabelled_q_m_forms_its_products_from_its_own_rows(self):
+        """A later factor's S stands in the first factor's order. Its solve
+        gathers into that order and back around Q_m^T's rows, and is bitwise
+        the solve on Q_m relabelled into the order, q[:, argsort(perm_c)],
+        whose own CSR rows keep each unknown's trips in their first order."""
         q, _ = _grid_q()
         n = q.shape[0]
         rng = np.random.default_rng(7)
         pattern = TripSpacePattern(q)
         first = pattern.factor(np.full(n, 0.5))
-        assert first.qm is None  # Q_m's rows list their trips ascending: Q_m^T's rows serve
+        assert first.order is None  # SuperLU orders the first factor itself
         second = pattern.factor(10.0 ** rng.uniform(-4, 1, n))
-        qm, qmt = second.qm, second.qmt
+        perm_c, order = second.perm_c, second.order
+        assert np.array_equal(order, np.argsort(perm_c))
+        qm, qmt = pattern._qm[:, order], pattern._qmt[order]
         rows = np.repeat(np.arange(n), np.diff(qm.indptr))
         assert ((np.diff(qm.indices) < 0) & (rows[1:] == rows[:-1])).any()  # relabelled
         differs = 0
         for _ in range(20):
             y = rng.standard_normal(qm.shape[1])
             differs += solver._matvec_t(qmt, y).tobytes() != (qm @ y).tobytes()
-        assert differs  # so the transposed kernel would change the solve's digits
+            assert solver._matvec_t(pattern._qmt, y[perm_c]).tobytes() == (qm @ y).tobytes()
+        assert differs  # so the relabelled Q_m^T's rows would change the solve's digits
         v = rng.standard_normal(n)
         expected = (v - qm @ second.lu.solve(qmt @ (v / second.d))) / second.d
         assert second.solve(v).tobytes() == expected.tobytes()
@@ -1122,13 +1129,15 @@ def _design_matrices(draw):
 
 
 def _spgemm_s(pattern, diag):
-    """S = I + Q_m^T D'^-1 Q_m of the pattern's Q_m, by sparse product, sorted by tocsc."""
+    """S = I + Q_m^T D'^-1 Q_m by sparse product, sorted by tocsc, with the
+    pattern's Q_m relabelled into its first factor's order."""
     d = diag if pattern._fold is None else diag + pattern._fold
-    qm = pattern._qm
+    order = np.argsort(pattern._perm[0])
+    qm, qmt = pattern._qm[:, order], pattern._qmt[order]
     scaled = sp.csr_matrix(
         (qm.data / np.repeat(d, np.diff(qm.indptr)), qm.indices, qm.indptr), shape=qm.shape
     )
-    return (pattern._qmt @ scaled + sp.identity(qm.shape[1], format="csr")).tocsc()
+    return (qmt @ scaled + sp.identity(qm.shape[1], format="csr")).tocsc()
 
 
 class TestProductMap:
@@ -1141,6 +1150,8 @@ class TestProductMap:
         rng = np.random.default_rng(seed)
         n = q.shape[0]
         pattern = TripSpacePattern(q)
+        built = pattern._qm, pattern._qmt
+        arrays = [(a.data.tobytes(), a.indices.tobytes(), a.indptr.tobytes()) for a in built]
         factored = []
         real = solver.splu
 
@@ -1162,6 +1173,9 @@ class TestProductMap:
                 for name in ("data", "indices", "indptr"):
                     want, have = getattr(expected, name), getattr(got, name)
                     assert have.dtype == want.dtype and np.array_equal(have, want)
+        # four factors later, Q_m and Q_m^T are the matrices __init__ built, unchanged
+        assert pattern._qm is built[0] and pattern._qmt is built[1]
+        assert [(a.data.tobytes(), a.indices.tobytes(), a.indptr.tobytes()) for a in built] == arrays
 
     def test_non_finite_diagonal_builds_no_map(self, splu_calls):
         q = _q_from_visits([[0, 1], [1, 2], [2, 3, 0], [3]])
