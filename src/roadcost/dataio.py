@@ -65,6 +65,11 @@ HEADERS = {
     "costs": ("trip_id", "cost"),
     "weights": ("edge_id", "tag", "cost_per_meter", "annotated_flag"),
 }
+# The largest length_m and cost a loader accepts. No road runs 10,000 km
+# between two junctions. ||Q c|| grows with length times cost, and overflowed
+# from costs of 1e151 on 130 m edges: 1e100 at 1e7 m stays far below that.
+MAX_LENGTH_M = 1e7
+MAX_COST = 1e100
 _FLOAT_FMT = "%.12g"
 # rows read or written at a time: bounds the CSV text held in memory
 _CHUNK_ROWS = 4096
@@ -792,6 +797,8 @@ def load_network(path: str | Path, schedule: TagSchedule) -> RoadGraph:
         limit = _float_column(limit_column, bad, word, given)
         for i in np.flatnonzero(~((0 < length) & (length < math.inf))).tolist():
             bad.setdefault(i, f"length {length_column[i].strip()!r} not positive and finite")
+        for i in np.flatnonzero(length > MAX_LENGTH_M).tolist():
+            bad.setdefault(i, f"length {length_column[i].strip()!r} above {MAX_LENGTH_M:g} m")
         for i in np.flatnonzero(given & ~((0 < limit) & (limit < math.inf))).tolist():
             bad.setdefault(i, f"speed limit {limit_column[i].strip()!r} not positive and finite")
         for i in np.flatnonzero(ends[0::2] == ends[1::2]).tolist():
@@ -841,6 +848,8 @@ def _load_costs(path: Path) -> dict[str, float]:
         values = _float_column(cost_column, bad, "unparseable cost {!r}")
         for i in np.flatnonzero(~((0 <= values) & (values < math.inf))).tolist():
             bad.setdefault(i, f"cost {cost_column[i].strip()!r} negative or not finite")
+        for i in np.flatnonzero(values > MAX_COST).tolist():
+            bad.setdefault(i, f"cost {cost_column[i].strip()!r} above {MAX_COST:g}")
         _claim(ids, linenos, bad, lines, "duplicate trip id {0!r}")
         costs.update(zip(ids, values.tolist()))  # read only if no row has a diagnostic
     return costs

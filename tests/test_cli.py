@@ -295,6 +295,40 @@ def test_non_finite_cost_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, field, value, message",
+    [
+        # costs past the bound overflowed ||Q c|| from 1e151 (exit 3)
+        ("costs", 1, "1e101", "cost '1e101' above 1e+100"),
+        # lengths past it kept CG from converging, and overflowed from 1e90 (exit 3)
+        ("network", 3, "1e8", "length '1e8' above 1e+07 m"),
+    ],
+)
+def test_value_past_its_bound_exits_2_before_solving(
+    tmp_path, capsys, monkeypatch, name, field, value, message
+):
+    data = _synth(tmp_path)
+    path = data / f"{name}.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[field] = value
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("solve_weights called")
+
+    monkeypatch.setattr("roadcost.evaluation.solve_weights", no_fit)
+    out = tmp_path / "out"
+    code = main(
+        ["annotate", *_dataset_args(data), "--out", str(out / "w.csv"),
+         "--report", str(out / "report.json")]
+    )
+    assert code == 2
+    assert f"{path}:4: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "name, field, column",
     [
         ("network", 0, "edge_id"),

@@ -93,6 +93,9 @@ def load_trips_rowwise(trips_path, costs_path, graph):
         if not 0 <= cost < math.inf:
             problems.append(f"{costs_path}:{lineno}: cost {cost_text!r} negative or not finite")
             continue
+        if cost > dataio.MAX_COST:
+            problems.append(f"{costs_path}:{lineno}: cost {cost_text!r} above 1e+100")
+            continue
         if trip_id in costs:
             problems.append(f"{costs_path}:{lineno}: duplicate trip id {trip_id!r}")
             continue
@@ -206,6 +209,9 @@ def load_network_rowwise(path, schedule):
             continue
         if not 0 < length < math.inf:
             problems.append(f"{path}:{lineno}: length {length_text!r} not positive and finite")
+            continue
+        if length > dataio.MAX_LENGTH_M:
+            problems.append(f"{path}:{lineno}: length {length_text!r} above 1e+07 m")
             continue
         if limit is not None and not 0 < limit < math.inf:
             problems.append(f"{path}:{lineno}: speed limit {limit_text!r} not positive and finite")
@@ -621,10 +627,10 @@ def _fault(kind, trip_rows, cost_rows, row):
         cost_rows[:] = [c for c in cost_rows if c[0] != record[0]]
     elif kind == "duplicate-cost":
         cost_rows.append([record[0], "7"])
-    elif kind == "bad-cost":
+    elif kind in ("bad-cost", "huge-cost"):
         for c in cost_rows:
             if c[0] == record[0]:
-                c[1] = "nan"
+                c[1] = "nan" if kind == "bad-cost" else "1e101"
     elif kind == "cost-fields":
         cost_rows.insert(row % (len(cost_rows) + 1), ["x"])
     elif kind == "blank-id":
@@ -639,7 +645,8 @@ FAULTS = (
     "extra-field", "missing-field", "bad-seq", "minute-60", "after-day", "hour-25",
     "newline-clock",
     "unknown-edge", "unknown-day", "enter-after-exit", "mixed-days", "overlap",
-    "missing-cost", "duplicate-cost", "bad-cost", "cost-fields", "blank-id", "blank-cost-id",
+    "missing-cost", "duplicate-cost", "bad-cost", "huge-cost", "cost-fields", "blank-id",
+    "blank-cost-id",
 )
 
 
@@ -739,6 +746,8 @@ NETWORK_FAULT_ROWS = [
     'e16,D,C,  7.5 , 60 ',
     'e17, ,B,5,',  # a blank tail, and an id that no other row claims
     'e18,C,,5,',  # a blank head
+    'e19,A,B,1e8,',  # longer than any road between two junctions
+    'e20,D,A,1e7,',  # as long as a length may be
     '',
     '',
 ]
@@ -751,7 +760,7 @@ def _network_file(path, rows):
 def test_network_diagnostics_match_row_by_row_loader(tmp_path, two_tag_schedule):
     _network_file(tmp_path / "network.csv", NETWORK_FAULT_ROWS)
     code, problems = assert_network_loaders_agree(tmp_path / "network.csv", two_tag_schedule)
-    assert code == "malformed-row" and len(problems) == 20
+    assert code == "malformed-row" and len(problems) == 21
     assert f"{tmp_path / 'network.csv'}:10: blank edge_id" in problems
     assert f"{tmp_path / 'network.csv'}:17: duplicate edge id 'e3' (first on line 5)" in problems
 
