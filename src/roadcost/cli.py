@@ -179,6 +179,8 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         "variant": config.variant,
         "cg_iterations": info.iterations,
         "cg_relative_residual": info.residual,
+        "preconditioner": "factored" if matrices.pattern.factored else "folded",
+        "fill_estimate": matrices.pattern.fill_estimate,
         "preconditioner_nnz": info.factor_nnz,
         "q_nnz": matrices.q.nnz,
         "l_b_nnz": matrices.l_b.nnz,

@@ -601,7 +601,7 @@ class TripSpacePattern:
     its LU fills it. Above PRECONDITIONER_FILL_LIMIT times 2 nnz(Q) + n + t
     (the nonzeros of the bordered matrix [[D, Q], [Q^T, -I]] the limit was
     set on), ``factored`` is False and every trip folds: D' = D + diag(Q
-    Q^T), Q_m is empty and P^-1 v = v / D'.
+    Q^T), Q_m is empty and P^-1 v = v / D'. ``fill_estimate`` is the estimate per unit.
 
     The first factor orders S (SuperLU MMD on S^T + S), whose values come
     from the sparse product Q_m^T (D'^-1 Q_m), and keeps that order, perm_c.
@@ -618,8 +618,9 @@ class TripSpacePattern:
         self.q, q = q, q.tocsr()
         self.qt = q.T.tocsr()
         trips_per_unknown = q.getnnz(axis=1).astype(np.int64)
-        fill_estimate = np.dot(trips_per_unknown, trips_per_unknown)  # integers: no BLAS call
-        self.factored = bool(fill_estimate <= PRECONDITIONER_FILL_LIMIT * (2 * q.nnz + n + t))
+        fill = np.dot(trips_per_unknown, trips_per_unknown)  # integers: no BLAS call
+        self.fill_estimate = float(fill / (2 * q.nnz + n + t))
+        self.factored = self.fill_estimate <= PRECONDITIONER_FILL_LIMIT
         unknowns_per_trip = np.diff(self.qt.indptr)
         folded = unknowns_per_trip == 1 if self.factored else np.ones(t, dtype=bool)
         self._fold = None  # D' - D: the q^2 of each folded trip's entries

@@ -12,7 +12,9 @@ import pytest
 import roadcost
 import roadcost.cli as cli
 from roadcost.cli import main
-from roadcost.dataio import load_schedule, save_dataset
+from roadcost import solver
+from roadcost.dataio import load_dataset, load_schedule, save_dataset
+from roadcost.solver import PRECONDITIONER_FILL_LIMIT, build_q
 from roadcost.synth import SyntheticSpec, equal_split_schedule, generate_synthetic
 
 
@@ -102,6 +104,27 @@ def test_annotate_report_counts_the_matrices(tmp_path):
     report = json.loads(reports[0].read_text())
     for key in ("q_nnz", "l_b_nnz", "l_a_pairs"):
         assert type(report[key]) is int and report[key] >= 0, key
+    # the preconditioner's path, and the fill estimate its gate read: the sum
+    # of the squared trip counts of Q's rows, per unit of 2 nnz(Q) + n + t
+    graph, trips = load_dataset(*_dataset_args(data)[1::2])
+    q = build_q(trips, graph)
+    counts = q.getnnz(axis=1)
+    estimate = float(counts @ counts / (2 * q.nnz + q.shape[0] + q.shape[1]))
+    assert report["fill_estimate"] == estimate and 0 < estimate <= PRECONDITIONER_FILL_LIMIT
+    assert report["preconditioner"] == "factored" and report["preconditioner_nnz"] > 0
+
+
+def test_annotate_report_names_the_folded_preconditioner(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "PRECONDITIONER_FILL_LIMIT", 0.0)
+    data = _synth(tmp_path)
+    report_path = tmp_path / "report.json"
+    assert main(
+        ["annotate", *_dataset_args(data), "--out", str(tmp_path / "w.csv"),
+         "--report", str(report_path)]
+    ) == 0
+    report = json.loads(report_path.read_text())
+    assert report["preconditioner"] == "folded" and report["preconditioner_nnz"] == 0
+    assert report["fill_estimate"] > 0
 
 
 @pytest.mark.parametrize(
