@@ -38,7 +38,7 @@ product onto y's prior value, term by term. Q^T x and Q_m^T x take
 csr_matvec over the rows of Q^T and Q_m^T (_matvec). Q y takes csc_matvec
 over Q^T's rows: Q's many empty rows cost nothing, and each sum adds Q's row
 in sorted order. The preconditioner's Q_m y does the same over Q_m^T's rows
-(_matvec_t, from zero), in every factor: Q_m is never relabelled. That
+(_matvec_t, from zero) in every factor, on Q_m as built, in trip order. That
 module is private: it is imported once, with this module, so a scipy without
 it fails at import, and tests pin both kernels bitwise to @ and to adding
 onto y, so a scipy whose kernels differ fails the tests.
